@@ -68,26 +68,6 @@ func BenchmarkFig51a(b *testing.B) {
 	}
 }
 
-// BenchmarkFig51aSharded regenerates Figure 5.1(a) on the sharded
-// simulation kernel (4 shards per side, 4 workers per run). Results are
-// bit-identical to BenchmarkFig51a — the figure derivation fails on any
-// divergence — and the allocs/op ceiling CI applies to it pins the
-// sharded kernel's preallocated-staging discipline.
-func BenchmarkFig51aSharded(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.RunSuite(benchScale(), workload.Benchmarks(), system.Schemes(),
-			func(cfg *system.Config) { cfg.Shards, cfg.Workers = 4, 4 })
-		if err != nil {
-			b.Fatal(err)
-		}
-		t, err := experiments.Fig51(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(t.GMean[3], "ARF-tid-gmean-speedup")
-	}
-}
-
 // BenchmarkFig51b regenerates Figure 5.1(b): microbenchmark speedup.
 func BenchmarkFig51b(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -26,28 +26,15 @@ import (
 )
 
 type runner struct {
-	scale   workload.Scale
-	out     io.Writer
-	shards  int
-	workers int
-	bench   *experiments.Suite // benchmark suite cache
-	micro   *experiments.Suite // microbenchmark suite cache
-}
-
-// configure applies the kernel flags to every suite run (results are
-// bit-identical for any value; this only selects the execution strategy).
-func (r *runner) configure() experiments.Configure {
-	if r.shards == 0 {
-		return nil
-	}
-	return func(cfg *system.Config) {
-		cfg.Shards, cfg.Workers = r.shards, r.workers
-	}
+	scale workload.Scale
+	out   io.Writer
+	bench *experiments.Suite // benchmark suite cache
+	micro *experiments.Suite // microbenchmark suite cache
 }
 
 func (r *runner) benchSuite() (*experiments.Suite, error) {
 	if r.bench == nil {
-		s, err := experiments.RunSuite(r.scale, workload.Benchmarks(), system.Schemes(), r.configure())
+		s, err := experiments.RunSuite(r.scale, workload.Benchmarks(), system.Schemes(), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -58,7 +45,7 @@ func (r *runner) benchSuite() (*experiments.Suite, error) {
 
 func (r *runner) microSuite() (*experiments.Suite, error) {
 	if r.micro == nil {
-		s, err := experiments.RunSuite(r.scale, workload.Microbenchmarks(), system.Schemes(), r.configure())
+		s, err := experiments.RunSuite(r.scale, workload.Microbenchmarks(), system.Schemes(), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -196,9 +183,7 @@ func (r *runner) run(fig string) error {
 func main() {
 	figFlag := flag.String("fig", "all", "figure to regenerate (all, table4.1, 5.1a, 5.1b, 5.2a, 5.2b, 5.3, 5.4, 5.5, 5.6, 5.7, 5.8)")
 	scaleFlag := flag.String("scale", "small", "input scale (tiny, small, medium)")
-	shardsFlag := flag.String("shards", "0", "sharded simulation kernel: tile/cube groups per side (0 = sequential kernel, \"auto\" = resolve from topology and GOMAXPROCS; results are bit-identical)")
-	workersFlag := flag.String("workers", "0", "sharded kernel worker threads per simulation (0 = shards, \"auto\" = resolve with -shards)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (profile shard-scaling bottlenecks directly from the harness)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the figure runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
@@ -234,17 +219,7 @@ func main() {
 			}
 		}()
 	}
-	shards, err := system.ParseKernel(*shardsFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "arbench: -shards:", err)
-		os.Exit(2)
-	}
-	workers, err := system.ParseKernel(*workersFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "arbench: -workers:", err)
-		os.Exit(2)
-	}
-	r := &runner{scale: scale, out: os.Stdout, shards: shards, workers: workers}
+	r := &runner{scale: scale, out: os.Stdout}
 	figs := []string{*figFlag}
 	if *figFlag == "all" {
 		figs = []string{"table4.1", "5.1a", "5.1b", "5.2a", "5.2b", "5.3", "5.4", "5.5", "5.6", "5.7", "5.8"}

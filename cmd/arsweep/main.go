@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/store"
 	"repro/internal/sweep"
-	"repro/internal/system"
 	"repro/internal/workload"
 )
 
@@ -60,7 +59,6 @@ func main() {
 	jsonFlag := flag.String("json", "-", "JSON output path (- for stdout, empty to skip)")
 	csvFlag := flag.String("csv", "-", "CSV output path (- for stdout, empty to skip)")
 	workersFlag := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	shardsFlag := flag.String("shards", "0", "simulation kernel per grid point (0 = sequential, \"auto\" = resolve per point, N = force N shards); results are bit-identical, sharded points hold their resolved worker count in the pool")
 	prefixFlag := flag.Bool("prefix-share", false, "factor the grid into shared-prefix families and fork points from one checkpoint per family (results identical, wall clock lower)")
 	snapFlag := flag.String("snapshots", "", "snapshot store directory for prefix-share checkpoints (persists warm starts across runs)")
 	listFlag := flag.Bool("list", false, "list available studies and exit")
@@ -83,10 +81,6 @@ func main() {
 		os.Exit(2)
 	}
 	grid.Workers = *workersFlag
-	if grid.SimShards, err = system.ParseKernel(*shardsFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "arsweep: -shards:", err)
-		os.Exit(2)
-	}
 
 	// Ctrl-C cancels the pool: queued points never start.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -41,9 +41,6 @@ type WorkerOptions struct {
 	// budget (accepted but unstarted — exactly what a drain hands back),
 	// while the budget stays the authoritative backpressure.
 	Capacity int
-	// SimShards is applied to jobs that did not pin a kernel, exactly as
-	// service.Options.SimShards in single-process mode.
-	SimShards int
 	// JobTimeout bounds one job's simulation; 0 means none. A timed-out
 	// job is abandoned silently: the coordinator's lease expiry (attempt
 	// cap) is the authoritative straggler policy, and reporting a local
@@ -377,11 +374,7 @@ func (w *Worker) runJob(ctx context.Context, l *wlease, job service.Job, key str
 		ctx, cancel = context.WithTimeout(ctx, w.opts.JobTimeout)
 		defer cancel()
 	}
-	exec := &service.Local{
-		Budget:    w.budget,
-		SimShards: w.opts.SimShards,
-		Observer:  &jobObserver{w: w, l: l},
-	}
+	exec := &service.Local{Budget: w.budget, Observer: &jobObserver{w: w, l: l}}
 	res, err := exec.Execute(ctx, job)
 
 	w.mu.Lock()

@@ -20,7 +20,7 @@ type Controller struct {
 	geom      mem.HMCGeometry
 	fabric    *network.Fabric
 
-	pool     *network.Pool // the node's domain packet free list
+	pool     *network.Pool // the fabric's packet free list
 	queue    sim.FIFO[*network.Packet]
 	queueCap int
 	nextTag  uint64
@@ -53,7 +53,7 @@ func NewController(index, node, entryCube int, geom mem.HMCGeometry, fabric *net
 		geom:      geom,
 		fabric:    fabric,
 		queueCap:  queueCap,
-		pool:      fabric.PoolAt(node),
+		pool:      fabric.Pool,
 		pending:   make(map[uint64]func(uint64)),
 	}
 	fabric.SetEndpoint(node, c)

@@ -80,7 +80,7 @@ type Cube struct {
 	ID     int
 	cfg    CubeConfig
 	fabric *network.Fabric
-	pool   *network.Pool // the cube node's domain packet free list
+	pool   *network.Pool // the fabric's packet free list
 	store  *mem.Store
 	vaults []*dram.BankSet
 	are    *core.Engine
@@ -111,7 +111,7 @@ type Cube struct {
 // NewCube builds cube id attached to the fabric. The ARE is attached later
 // (AttachARE) for Active-Routing schemes.
 func NewCube(id int, cfg CubeConfig, fabric *network.Fabric, store *mem.Store) *Cube {
-	c := &Cube{ID: id, cfg: cfg, fabric: fabric, pool: fabric.PoolAt(id), store: store}
+	c := &Cube{ID: id, cfg: cfg, fabric: fabric, pool: fabric.Pool, store: store}
 	c.vaults = make([]*dram.BankSet, cfg.Geom.VaultsPerCube)
 	done := c.vaultDone // one completion hook shared by every vault
 	for v := range c.vaults {

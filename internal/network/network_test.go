@@ -304,6 +304,46 @@ func TestFabricBackpressureRefusedEndpoint(t *testing.T) {
 	}
 }
 
+// TestFabricCreditTurnaround pins the 1-cycle credit turnaround: a buffer
+// slot freed downstream in cycle C is first usable upstream in cycle C+1,
+// even though the upstream router forwards after the downstream one ejects
+// within C.
+func TestFabricCreditTurnaround(t *testing.T) {
+	cfg := DefaultNoCConfig()
+	cfg.QueueDepth = 1 // one credit per (port, VC): the second packet must wait
+	f := NewFabric(NewMesh(2, nil), cfg)
+	refuse := true
+	for n := 0; n < f.Topo.Nodes(); n++ {
+		f.SetEndpoint(n, EndpointFunc(func(*Packet, uint64) bool { return !refuse }))
+	}
+	if !f.Inject(0, NewPacket(1, MemReadReq, 0, 1), 0) {
+		t.Fatal("inject failed")
+	}
+	const c = 20 // the held packet ejects in cycle c
+	for cyc := uint64(0); cyc < c; cyc++ {
+		f.Tick(cyc)
+		if cyc == 0 && !f.Inject(0, NewPacket(2, MemReadReq, 0, 1), 0) {
+			t.Fatal("inject failed")
+		}
+	}
+	up := f.routers[0]
+	if up.injCount != 1 {
+		t.Fatalf("second packet left node 0 without a credit (injCount %d)", up.injCount)
+	}
+	refuse = false
+	f.Tick(c)
+	if f.Delivered != 1 {
+		t.Fatalf("delivered %d packets in cycle %d, want 1", f.Delivered, c)
+	}
+	if up.injCount != 1 {
+		t.Fatalf("credit freed in cycle %d was used in the same cycle", c)
+	}
+	f.Tick(c + 1)
+	if up.injCount != 0 {
+		t.Fatalf("credit freed in cycle %d was not usable in cycle %d", c, c+1)
+	}
+}
+
 func TestFabricInjectionBackpressure(t *testing.T) {
 	f, _ := newTestFabric(t)
 	n := 0
@@ -327,13 +367,13 @@ func TestFabricCountsMovement(t *testing.T) {
 	for cyc := uint64(0); len(cols[5].got) < 2 && cyc < 1000; cyc++ {
 		f.Tick(cyc)
 	}
-	if f.MovementTotal().ActiveReq != uint64(SizeOf(UpdateReq)) {
-		t.Fatalf("active req bytes = %d", f.MovementTotal().ActiveReq)
+	if f.Movement.ActiveReq != uint64(SizeOf(UpdateReq)) {
+		t.Fatalf("active req bytes = %d", f.Movement.ActiveReq)
 	}
-	if f.MovementTotal().NormResp != uint64(SizeOf(MemReadResp)) {
-		t.Fatalf("norm resp bytes = %d", f.MovementTotal().NormResp)
+	if f.Movement.NormResp != uint64(SizeOf(MemReadResp)) {
+		t.Fatalf("norm resp bytes = %d", f.Movement.NormResp)
 	}
-	if f.HopBytesTotal() == 0 {
+	if f.HopBytes == 0 {
 		t.Fatal("hop bytes not accumulated")
 	}
 }

@@ -91,8 +91,8 @@ func TestFabricNextWork(t *testing.T) {
 		t.Fatalf("queued-packet NextWork(3) = %d, want 4", w)
 	}
 	f.Tick(0) // injection queue drains onto the link
-	if f.doms[0].queued != 0 {
-		t.Fatalf("packet still queued after tick: %d", f.doms[0].queued)
+	if f.queued != 0 {
+		t.Fatalf("packet still queued after tick: %d", f.queued)
 	}
 	w := f.NextWork(2)
 	if w <= 2 || w == never {

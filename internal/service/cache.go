@@ -15,8 +15,11 @@ import (
 // waits on the same entry. Sharding keeps the lock a leader holds while
 // publishing an entry from serializing unrelated keys.
 type resultCache struct {
-	shards []cacheShard
+	shards [cacheShards]cacheShard
 }
+
+// cacheShards is the number of independently locked cache shards.
+const cacheShards = 16
 
 type cacheShard struct {
 	mu sync.Mutex
@@ -31,11 +34,8 @@ type cacheEntry struct {
 	err  error
 }
 
-func newResultCache(shards int) *resultCache {
-	if shards <= 0 {
-		shards = 16
-	}
-	c := &resultCache{shards: make([]cacheShard, shards)}
+func newResultCache() *resultCache {
+	c := &resultCache{}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]*cacheEntry)
 	}
@@ -45,7 +45,7 @@ func newResultCache(shards int) *resultCache {
 func (c *resultCache) shard(key string) *cacheShard {
 	h := fnv.New32a()
 	h.Write([]byte(key))
-	return &c.shards[h.Sum32()%uint32(len(c.shards))]
+	return &c.shards[h.Sum32()%cacheShards]
 }
 
 // do returns key's result, computing it at most once across concurrent

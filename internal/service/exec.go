@@ -36,14 +36,13 @@ type Executor interface {
 }
 
 // ExecObserver receives job lifecycle callbacks from a Local executor; the
-// Server implements it to keep the sims_started/sims_completed counters and
-// scheduling totals it has always reported.
+// Server implements it to keep its sims_started/sims_completed counters.
 type ExecObserver interface {
-	// JobStarted fires after the job's budget slots are acquired,
+	// JobStarted fires after the job's budget slot is acquired,
 	// immediately before the machine is built.
 	JobStarted()
-	// JobCompleted fires on success with the run's conductor scheduling
-	// counters (zero-valued for sequential-kernel runs).
+	// JobCompleted fires on success. Its argument is always the empty
+	// sim.SchedCounters (see its doc comment).
 	JobCompleted(sc sim.SchedCounters)
 }
 
@@ -53,9 +52,6 @@ type ExecObserver interface {
 type Local struct {
 	// Budget bounds total simulation parallelism; required.
 	Budget *sweep.Budget
-	// SimShards is applied to jobs that did not pin a kernel (see
-	// Options.SimShards).
-	SimShards int
 	// Observer, when non-nil, receives lifecycle callbacks.
 	Observer ExecObserver
 }
@@ -64,32 +60,16 @@ type Local struct {
 // budget provides backpressure, not unavailability).
 func (l *Local) Ready() bool { return true }
 
-// Execute runs one normalized job under the shared budget. Auto kernel
-// knobs resolve against the budget's free capacity at this moment: a busy
-// process prefers run-level parallelism (fewer shards per job), an idle one
-// gives the job the machine. The job then acquires exactly the worker count
-// its resolved kernel will occupy — weighted by the post-clamp pool size,
-// not the declared knobs, so a 4-shard job on a 2-thread host holds 2
-// slots, not 4.
+// Execute runs one normalized job holding one slot of the shared budget.
 func (l *Local) Execute(ctx context.Context, job Job) (*system.Results, error) {
-	cfg := *job.Config
-	if l.SimShards != 0 && cfg.Shards == 0 {
-		cfg.Shards = l.SimShards
-	}
-	free := l.Budget.Cap() - l.Budget.InUse()
-	if free < 1 {
-		free = 1
-	}
-	system.ResolveKernel(&cfg, free)
-	held, err := l.Budget.AcquireN(ctx, cfg.ResolvedWorkers())
-	if err != nil {
+	if err := l.Budget.Acquire(ctx); err != nil {
 		return nil, err
 	}
-	defer l.Budget.ReleaseN(held)
+	defer l.Budget.Release()
 	if l.Observer != nil {
 		l.Observer.JobStarted()
 	}
-	sys, err := system.New(cfg, job.Workload, job.Scale)
+	sys, err := system.New(*job.Config, job.Workload, job.Scale)
 	if err != nil {
 		return nil, fmt.Errorf("service: %s/%s: %w", job.Scheme, job.Workload, err)
 	}
@@ -98,11 +78,7 @@ func (l *Local) Execute(ctx context.Context, job Job) (*system.Results, error) {
 		return nil, fmt.Errorf("service: %s/%s: %w", job.Scheme, job.Workload, err)
 	}
 	if l.Observer != nil {
-		var sc sim.SchedCounters
-		if got, ok := sys.SchedCounters(); ok {
-			sc = got
-		}
-		l.Observer.JobCompleted(sc)
+		l.Observer.JobCompleted(sim.SchedCounters{})
 	}
 	return res, nil
 }

@@ -94,14 +94,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeError maps an error to a JSON problem body: request-shaped failures
-// (unknown workload/scheme/scale/figure, invalid config) are 400s, shed load
-// a 503 with Retry-After so well-behaved clients back off, everything else
-// a 500.
+// (unknown workload/scheme/scale/figure, invalid config) are 400s, an
+// oversized body a 413, shed load a 503 with Retry-After so well-behaved
+// clients back off, everything else a 500.
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, errBadRequest):
 		status = http.StatusBadRequest
+	case errors.Is(err, errTooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrOverloaded):
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", retryAfterSeconds)
@@ -119,10 +121,33 @@ var errBadRequest = errors.New("bad request")
 // badRequest wraps err so writeError reports 400.
 func badRequest(err error) error { return fmt.Errorf("%w: %w", errBadRequest, err) }
 
+// errTooLarge marks a request body over maxRequestBytes (413).
+var errTooLarge = errors.New("request body too large")
+
+// maxRequestBytes bounds a decoded request body. A RunRequest carrying a
+// full Config is a few KB, so the bound only stops malformed or hostile
+// clients from making the server buffer without limit.
+const maxRequestBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxRequestBytes;
+// what names the request type in the error.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &tooLarge):
+		return fmt.Errorf("%w: %s exceeds %d bytes", errTooLarge, what, tooLarge.Limit)
+	default:
+		return badRequest(fmt.Errorf("decoding %s: %w", what, err))
+	}
+}
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, badRequest(fmt.Errorf("decoding RunRequest: %w", err)))
+	if err := decodeBody(w, r, &req, "RunRequest"); err != nil {
+		writeError(w, err)
 		return
 	}
 	job, err := req.job()
@@ -152,8 +177,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, badRequest(fmt.Errorf("decoding SweepRequest: %w", err)))
+	if err := decodeBody(w, r, &req, "SweepRequest"); err != nil {
+		writeError(w, err)
 		return
 	}
 	scale, err := workload.ParseScale(req.Scale)

@@ -2,8 +2,10 @@ package service_test
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -225,35 +227,32 @@ func TestFigureHTTP(t *testing.T) {
 	}
 }
 
-// TestSimShardsKernelTransparent pins two contracts of the sharded-kernel
-// daemon option: results served off the sharded kernel are bit-identical
-// to direct sequential runs, and the kernel choice never fragments the
-// cache — a sequential re-request of the same job is a pure hit.
-func TestSimShardsKernelTransparent(t *testing.T) {
-	s := service.New(service.Options{Workers: 4, SimShards: 2})
-	job := service.Job{Workload: "mac", Scheme: system.SchemeARFtid, Scale: workload.ScaleTiny}
-	res, hit, err := s.Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
+// TestOversizedBodyRejected checks that /run and /sweep stop reading a
+// request body past the size bound and answer 413, while a small malformed
+// body is still a 400.
+func TestOversizedBodyRejected(t *testing.T) {
+	s := service.New(service.Options{Workers: 1})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	huge := `{"workload":"` + strings.Repeat("a", 2<<20) + `","scheme":"HMC","scale":"tiny"}`
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/run", huge, http.StatusRequestEntityTooLarge},
+		{"/sweep", huge, http.StatusRequestEntityTooLarge},
+		{"/run", `{"workload":`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(hs.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("POST %s with a %d-byte body: HTTP %d, want %d", tc.path, len(tc.body), resp.StatusCode, tc.want)
+		}
 	}
-	if hit {
-		t.Fatal("first run reported a cache hit")
-	}
-	if want := direct(t, system.SchemeARFtid, "mac"); !reflect.DeepEqual(res, want) {
-		t.Fatal("sharded-kernel served result differs from a direct sequential run")
-	}
-	// The same job with an explicitly sequential config must hit the cache:
-	// Shards/Workers are excluded from the key.
-	cfg := system.DefaultConfig(system.SchemeARFtid)
-	seqJob := service.Job{Workload: "mac", Scheme: system.SchemeARFtid, Scale: workload.ScaleTiny, Config: &cfg}
-	res2, hit2, err := s.Run(context.Background(), seqJob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit2 {
-		t.Fatal("sequential re-request of a sharded-kernel result missed the cache")
-	}
-	if !reflect.DeepEqual(res2, res) {
-		t.Fatal("cache returned a different result")
+	if st := s.Stats(); st.SimsStarted != 0 {
+		t.Errorf("rejected requests started %d simulations, want 0", st.SimsStarted)
 	}
 }

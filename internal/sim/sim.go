@@ -30,6 +30,11 @@ import (
 // cancelled run is still abandoned within a bounded, small number of steps.
 const cancelStride = 4096
 
+// SchedCounters has no fields. It remains only because the
+// ExecObserver.JobCompleted signature, which the benchmark module
+// implements, names it; it goes with the next change to that module.
+type SchedCounters struct{}
+
 // Ticker is a hardware component that advances by one clock cycle per call.
 type Ticker interface {
 	// Tick advances the component to the given cycle.
@@ -70,60 +75,23 @@ type Idler interface {
 	NextWork(now uint64) uint64
 }
 
-// wakeTable is the wake-state shared between the Waker handle and its
-// owning scheduler (the lockstep Engine or one Shard of the sharded
-// kernel): the cached-idle array, the active bitmask, and — for shards —
-// the per-segment work horizon a wake must also reset.
-type wakeTable struct {
-	// wakeAt[i] caches slot i's last future NextWork result (wake-aware
-	// components only): while cycle < wakeAt[i] the scheduler skips the
-	// poll. It lives in its own dense array so the per-cycle scan touches
-	// eight bytes per component instead of a whole slot.
-	wakeAt []uint64
-	// active is a bitmask over slots: bit i set means slot i must be
-	// polled/ticked this cycle. Cached-quiescent components clear their bit
-	// and are re-activated either by Waker.Wake or by the minWake sweep
-	// when their cached cycle arrives. Iterating set bits ascending
-	// preserves registration (tick) order exactly.
-	active []uint64
-	// segOf/segNext (sharded kernel only, nil on the Engine): segOf[i] is
-	// the wave segment slot i belongs to, segNext[s] the earliest cycle at
-	// which segment s can have work — the conductor skips a whole wave (and
-	// its barrier) while every shard's segment horizon is in the future.
-	segOf   []int32
-	segNext []uint64
-	// condNeed (single-worker sharded kernel only) aliases the conductor's
-	// per-wave need aggregate: a wake must also invalidate the aggregate,
-	// or the conductor's wave-skip check would miss the woken shard. It is
-	// installed only when every wake runs on the conductor goroutine (one
-	// effective worker), so plain stores suffice.
-	condNeed []uint64
-}
-
-// Waker is the scheduler-side handle a wake-aware component uses to
+// Waker is the engine-side handle a wake-aware component uses to
 // invalidate its cached idle hint. Wake is cheap (a few stores) and safe to
 // call redundantly or on a nil receiver.
 type Waker struct {
-	t   *wakeTable
+	e   *Engine
 	idx int
 }
 
-// Wake marks the component's cached quiescence stale so the scheduler
+// Wake marks the component's cached quiescence stale so the engine
 // re-polls its NextWork on the next step. Components call it from every
 // entry point through which the outside world hands them new work (a
 // Deliver, an Access, a completion callback).
 func (w *Waker) Wake() {
 	if w != nil {
-		t := w.t
-		t.wakeAt[w.idx] = 0
-		t.active[w.idx>>6] |= 1 << uint(w.idx&63)
-		if t.segOf != nil {
-			sg := t.segOf[w.idx]
-			t.segNext[sg] = 0
-			if t.condNeed != nil {
-				t.condNeed[sg] = 0
-			}
-		}
+		e := w.e
+		e.wakeAt[w.idx] = 0
+		e.active[w.idx>>6] |= 1 << uint(w.idx&63)
 	}
 }
 
@@ -145,18 +113,23 @@ type slot struct {
 	t         Ticker
 	i         Idler
 	cacheable bool
-	// parkable (sharded kernel, set at Seal) folds `cacheable ||
-	// shard.eventCleared` into one load for the per-slot poll branch.
-	parkable bool
 }
 
 // Engine owns the global clock and the ordered set of tickers.
 type Engine struct {
 	cycle uint64
 	slots []slot
-	// wakeTable holds the wakeAt cache and active bitmask shared with the
-	// Waker handles this engine hands out (segOf/segNext stay nil).
-	wakeTable
+	// wakeAt[i] caches slot i's last future NextWork result (wake-aware
+	// components only): while cycle < wakeAt[i] the engine skips the poll.
+	// It lives in its own dense array so the per-cycle scan touches eight
+	// bytes per component instead of a whole slot.
+	wakeAt []uint64
+	// active is a bitmask over slots: bit i set means slot i must be
+	// polled/ticked this cycle. Cached-quiescent components clear their bit
+	// and are re-activated either by Waker.Wake or by the minWake sweep
+	// when their cached cycle arrives. Iterating set bits ascending
+	// preserves registration (tick) order exactly.
+	active []uint64
 	// minWake is the earliest cached wakeAt among inactive slots; when the
 	// clock reaches it the engine sweeps wakeAt to re-activate due slots.
 	minWake uint64
@@ -191,7 +164,7 @@ func (e *Engine) Register(name string, t Ticker) {
 	e.minWake = 0
 	if ws, ok := t.(WakeSetter); ok && idler != nil {
 		e.slots[i].cacheable = true
-		ws.SetWaker(&Waker{t: &e.wakeTable, idx: i})
+		ws.SetWaker(&Waker{e: e, idx: i})
 	}
 }
 

@@ -105,6 +105,129 @@ func TestEngineRegisterNilPanics(t *testing.T) {
 	NewEngine().Register("bad", nil)
 }
 
+// pinger is a wake-aware test component: every interval cycles (before
+// until) it increments its counter and, optionally, sends a unit of work
+// through out. Deliveries land in its inbox and are received when their
+// cycle arrives; recvAt records the cycle of every receive.
+type pinger struct {
+	interval uint64
+	until    uint64
+	count    uint64
+	inbox    []uint64 // delivery cycles, drained on tick
+	recvAt   []uint64
+	waker    *Waker
+	out      func(cycle uint64) // nil: no sends
+}
+
+func (p *pinger) SetWaker(w *Waker) { p.waker = w }
+
+func (p *pinger) deliver(at uint64) {
+	p.inbox = append(p.inbox, at)
+	p.waker.Wake()
+}
+
+func (p *pinger) NextWork(now uint64) uint64 {
+	next := Never
+	if now < p.until {
+		if r := now % p.interval; r == 0 {
+			return now
+		} else if now+p.interval-r < next {
+			next = now + p.interval - r
+		}
+	}
+	for _, at := range p.inbox {
+		if at <= now {
+			return now
+		}
+		if at < next {
+			next = at
+		}
+	}
+	return next
+}
+
+func (p *pinger) Tick(cycle uint64) {
+	if cycle < p.until && cycle%p.interval == 0 {
+		p.count++
+		if p.out != nil {
+			p.out(cycle)
+		}
+	}
+	kept := p.inbox[:0]
+	for _, at := range p.inbox {
+		if at <= cycle {
+			p.recvAt = append(p.recvAt, cycle)
+		} else {
+			kept = append(kept, at)
+		}
+	}
+	p.inbox = kept
+}
+
+// mailStage buffers sends and hands them to their destination pinger when
+// it ticks: a plain (not wake-aware) idler with work while mail is queued.
+type mailStage struct {
+	mail []uint64 // delivery cycles
+	dest *pinger
+}
+
+func (ms *mailStage) Tick(uint64) {
+	for _, at := range ms.mail {
+		ms.dest.deliver(at)
+	}
+	ms.mail = ms.mail[:0]
+}
+
+func (ms *mailStage) NextWork(now uint64) uint64 {
+	if len(ms.mail) > 0 {
+		return now
+	}
+	return Never
+}
+
+// TestEngineWakeAtDelivery checks that a parked wake-aware component woken
+// by a delivery ticks exactly at the delivery cycle, even when the engine
+// jumps the clock over the idle stretch before it.
+func TestEngineWakeAtDelivery(t *testing.T) {
+	const latency = 50
+	recv := &pinger{interval: 1, until: 0} // no work of its own
+	ms := &mailStage{dest: recv}
+	send := &pinger{interval: 1000, until: 1001, out: func(cycle uint64) {
+		ms.mail = append(ms.mail, cycle+latency)
+	}}
+	e := NewEngine()
+	e.Register("recv", recv)
+	e.Register("send", send)
+	e.Register("mail", ms)
+	if _, err := e.RunUntil(func() bool { return len(recv.recvAt) == 2 }, 100000); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{latency, 1000 + latency}; len(recv.recvAt) != 2 || recv.recvAt[0] != want[0] || recv.recvAt[1] != want[1] {
+		t.Fatalf("received at %v, want %v", recv.recvAt, want)
+	}
+	if e.JumpedCycles == 0 {
+		t.Fatal("JumpedCycles = 0, want the idle stretches skipped")
+	}
+}
+
+// TestEngineJumpsIdleStretches checks that a machine with sparse timed work
+// advances the clock in jumps rather than cycle-by-cycle.
+func TestEngineJumpsIdleStretches(t *testing.T) {
+	e := NewEngine()
+	p := &pinger{interval: 1000, until: 5000}
+	e.Register("p", p)
+	cycles, err := e.RunUntil(func() bool { return p.count == 5 }, 100000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cycles == 0 || p.count != 5 {
+		t.Fatalf("cycles=%d count=%d", cycles, p.count)
+	}
+	if e.JumpedCycles < 3000 {
+		t.Fatalf("JumpedCycles = %d, want most of the idle stretch skipped", e.JumpedCycles)
+	}
+}
+
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(123), NewRand(123)
 	for i := 0; i < 1000; i++ {

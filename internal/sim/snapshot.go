@@ -216,42 +216,3 @@ func (e *Engine) StartAt(cycle uint64) {
 		e.active[i>>6] |= 1 << uint(i&63)
 	}
 }
-
-// StartAt moves the conductor clock to cycle and discards every cached
-// idle hint on every shard (parallel and serial), mirroring Engine.StartAt
-// for the sharded kernel. Call only between runs (workers parked).
-func (s *Sharded) StartAt(cycle uint64) {
-	s.cycle = cycle
-	reset := func(sh *Shard) {
-		if sh == nil {
-			return
-		}
-		sh.minWake = 0
-		sh.sweptAt = 0
-		sh.ranAt = 0
-		for i := range sh.wakeAt {
-			sh.wakeAt[i] = 0
-			sh.active[i>>6] |= 1 << uint(i&63)
-		}
-		for i := range sh.segNext {
-			if sh.segStart[i+1] > sh.segStart[i] {
-				sh.segNext[i] = 0
-				sh.segHorizon[i] = 0
-			} else {
-				// Empty segments stay permanently parked (Seal invariant).
-				sh.segNext[i] = Never
-				sh.segHorizon[i] = Never
-			}
-		}
-	}
-	for _, sh := range s.par {
-		reset(sh)
-	}
-	for _, sh := range s.serial {
-		reset(sh)
-	}
-	for i := range s.need {
-		s.need[i] = 0
-	}
-	s.needPark = 0
-}

@@ -76,35 +76,12 @@ func RunPrefixShared(ctx context.Context, g Grid, b *Budget, snaps *store.Store)
 		res, err := RunOn(ctx, g, b)
 		return res, &PrefixStats{}, err
 	}
-	if len(g.Workloads) == 0 || len(g.Schemes) == 0 {
-		return nil, nil, fmt.Errorf("sweep %s: grid needs at least one workload and one scheme", g.Name)
-	}
-	for _, ax := range g.Axes {
-		if len(ax.Values) == 0 {
-			return nil, nil, fmt.Errorf("sweep %s: axis %q has no values (would expand to an empty grid)", g.Name, ax.Name)
-		}
+	jobs, cfgs, err := g.prepare()
+	if err != nil {
+		return nil, nil, err
 	}
 	if b == nil {
 		b = NewBudget(g.Workers)
-	}
-
-	jobs := g.expand()
-	cfgs := make([]system.Config, len(jobs))
-	for i, j := range jobs {
-		cfg := system.DefaultConfig(j.scheme)
-		for _, mut := range j.mutators {
-			mut(&cfg)
-		}
-		if g.SimShards != 0 && cfg.Shards == 0 {
-			cfg.Shards = g.SimShards
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("sweep %s point %v %s/%s: %w", g.Name, j.coords, j.scheme, j.wl, err)
-		}
-		// Resolve before keying: Shards/Workers are hash- and prefix-
-		// invariant, and the resolved value weights budget acquisition.
-		system.ResolveKernel(&cfg, b.Cap())
-		cfgs[i] = cfg
 	}
 
 	// Factor into families. The leader is the member with the SMALLEST
@@ -141,8 +118,7 @@ func RunPrefixShared(ctx context.Context, g Grid, b *Budget, snaps *store.Store)
 	// the phase needs no locking; per-family outcome flags are summed after
 	// the pool drains (deterministic, no atomics).
 	warm := make([]bool, len(fams))
-	leaderWeight := func(fi int) int { return cfgs[fams[fi].members[0]].ResolvedWorkers() }
-	err := RunWeightedJobsOn(ctx, len(fams), b, leaderWeight, func(ctx context.Context, fi int) error {
+	err = RunJobsOn(ctx, len(fams), b, func(ctx context.Context, fi int) error {
 		f := fams[fi]
 		i := f.members[0]
 		j := jobs[i]
@@ -218,8 +194,7 @@ func RunPrefixShared(ctx context.Context, g Grid, b *Budget, snaps *store.Store)
 		}
 	}
 	resumed := make([]bool, len(forks))
-	forkWeight := func(k int) int { return cfgs[forks[k]].ResolvedWorkers() }
-	err = RunWeightedJobsOn(ctx, len(forks), b, forkWeight, func(ctx context.Context, k int) error {
+	err = RunJobsOn(ctx, len(forks), b, func(ctx context.Context, k int) error {
 		i := forks[k]
 		j := jobs[i]
 		cfg := cfgs[i]
@@ -256,9 +231,5 @@ func RunPrefixShared(ctx context.Context, g Grid, b *Budget, snaps *store.Store)
 		}
 	}
 
-	res := &Result{Study: g.Name, Scale: g.Scale.String(), Points: points}
-	for _, ax := range g.Axes {
-		res.AxisNames = append(res.AxisNames, ax.Name)
-	}
-	return res, st, nil
+	return g.result(points), st, nil
 }

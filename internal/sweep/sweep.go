@@ -60,13 +60,6 @@ type Grid struct {
 	Axes      []Axis
 	// Workers bounds pool parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// SimShards selects the simulation kernel for every grid point that no
-	// axis pins: 0 (default) keeps the sequential kernel,
-	// system.KernelAuto resolves per point against the budget capacity,
-	// positive values force that shard count. Results are bit-identical in
-	// every case — the kernel choice is outside the config hash — so this
-	// only trades intra-point against run-level parallelism.
-	SimShards int
 	// PrefixCycle, when nonzero, marks the cycle up to which grid points
 	// whose configurations are prefix-compatible (system.Config.PrefixHash)
 	// provably simulate identically. RunPrefixShared checkpoints one family
@@ -153,6 +146,42 @@ func (g *Grid) expand() []jobSpec {
 	return jobs
 }
 
+// prepare validates the grid, expands it, and builds every point's
+// configuration: the scheme's defaults with the point's axis mutators
+// applied, validated.
+func (g *Grid) prepare() ([]jobSpec, []system.Config, error) {
+	if len(g.Workloads) == 0 || len(g.Schemes) == 0 {
+		return nil, nil, fmt.Errorf("sweep %s: grid needs at least one workload and one scheme", g.Name)
+	}
+	for _, ax := range g.Axes {
+		if len(ax.Values) == 0 {
+			return nil, nil, fmt.Errorf("sweep %s: axis %q has no values (would expand to an empty grid)", g.Name, ax.Name)
+		}
+	}
+	jobs := g.expand()
+	cfgs := make([]system.Config, len(jobs))
+	for i, j := range jobs {
+		cfg := system.DefaultConfig(j.scheme)
+		for _, mut := range j.mutators {
+			mut(&cfg)
+		}
+		if err := cfg.Validate(); err != nil {
+			return nil, nil, fmt.Errorf("sweep %s point %v %s/%s: %w", g.Name, j.coords, j.scheme, j.wl, err)
+		}
+		cfgs[i] = cfg
+	}
+	return jobs, cfgs, nil
+}
+
+// result assembles a completed sweep from its points in grid order.
+func (g *Grid) result(points []Point) *Result {
+	res := &Result{Study: g.Name, Scale: g.Scale.String(), Points: points}
+	for _, ax := range g.Axes {
+		res.AxisNames = append(res.AxisNames, ax.Name)
+	}
+	return res
+}
+
 // Run executes the grid on a private worker budget sized by g.Workers. On
 // the first failing point (or context cancellation) the pool cancels:
 // queued points never start and the error propagates with the point's
@@ -166,45 +195,14 @@ func Run(ctx context.Context, g Grid) (*Result, error) {
 // service layer competes for the same slots as every other job instead of
 // oversubscribing the machine.
 func RunOn(ctx context.Context, g Grid, b *Budget) (*Result, error) {
-	if len(g.Workloads) == 0 || len(g.Schemes) == 0 {
-		return nil, fmt.Errorf("sweep %s: grid needs at least one workload and one scheme", g.Name)
-	}
-	for _, ax := range g.Axes {
-		if len(ax.Values) == 0 {
-			return nil, fmt.Errorf("sweep %s: axis %q has no values (would expand to an empty grid)", g.Name, ax.Name)
-		}
-	}
-	jobs := g.expand()
-	// Configs are built up front so each job's budget weight — the resolved
-	// sharded worker count — is known before its slots are acquired. Auto
-	// kernel knobs resolve against the whole budget cap: with grid points
-	// outnumbering slots, run-level parallelism beats intra-run parallelism,
-	// and the weighted acquisition below keeps the combination bounded
-	// either way.
-	if b == nil {
-		b = NewBudget(0)
-	}
-	cfgs := make([]system.Config, len(jobs))
-	for i, j := range jobs {
-		cfg := system.DefaultConfig(j.scheme)
-		for _, mut := range j.mutators {
-			mut(&cfg)
-		}
-		if g.SimShards != 0 && cfg.Shards == 0 {
-			cfg.Shards = g.SimShards
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("sweep %s point %v %s/%s: %w", g.Name, j.coords, j.scheme, j.wl, err)
-		}
-		system.ResolveKernel(&cfg, b.Cap())
-		cfgs[i] = cfg
+	jobs, cfgs, err := g.prepare()
+	if err != nil {
+		return nil, err
 	}
 	points := make([]Point, len(jobs))
-	weight := func(i int) int { return cfgs[i].ResolvedWorkers() }
-	err := RunWeightedJobsOn(ctx, len(jobs), b, weight, func(ctx context.Context, i int) error {
+	err = RunJobsOn(ctx, len(jobs), b, func(ctx context.Context, i int) error {
 		j := jobs[i]
-		cfg := cfgs[i]
-		sys, err := system.New(cfg, j.wl, g.Scale)
+		sys, err := system.New(cfgs[i], j.wl, g.Scale)
 		if err != nil {
 			return fmt.Errorf("sweep %s point %v: %w", g.Name, j.coords, err)
 		}
@@ -212,17 +210,13 @@ func RunOn(ctx context.Context, g Grid, b *Budget) (*Result, error) {
 		if err != nil {
 			return fmt.Errorf("sweep %s point %v: %w", g.Name, j.coords, err)
 		}
-		points[i] = newPoint(i, j, &cfg, r)
+		points[i] = newPoint(i, j, &cfgs[i], r)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Study: g.Name, Scale: g.Scale.String(), Points: points}
-	for _, ax := range g.Axes {
-		res.AxisNames = append(res.AxisNames, ax.Name)
-	}
-	return res, nil
+	return g.result(points), nil
 }
 
 // PointRunner executes one expanded grid point's simulation: cfg is the
@@ -237,38 +231,17 @@ type PointRunner func(ctx context.Context, cfg *system.Config, wl string, scale 
 // determinism. parallel bounds concurrent in-flight points (<= 0 means
 // g.Workers, then GOMAXPROCS); the runner is expected to provide its own
 // backpressure (a dispatcher queues on fleet capacity), so the bound only
-// caps goroutines. Kernel knobs are left for the executing side to resolve:
-// results are bit-identical regardless (the kernel choice is outside the
-// config hash).
+// caps goroutines.
 func RunVia(ctx context.Context, g Grid, parallel int, run PointRunner) (*Result, error) {
-	if len(g.Workloads) == 0 || len(g.Schemes) == 0 {
-		return nil, fmt.Errorf("sweep %s: grid needs at least one workload and one scheme", g.Name)
-	}
-	for _, ax := range g.Axes {
-		if len(ax.Values) == 0 {
-			return nil, fmt.Errorf("sweep %s: axis %q has no values (would expand to an empty grid)", g.Name, ax.Name)
-		}
-	}
-	jobs := g.expand()
-	cfgs := make([]system.Config, len(jobs))
-	for i, j := range jobs {
-		cfg := system.DefaultConfig(j.scheme)
-		for _, mut := range j.mutators {
-			mut(&cfg)
-		}
-		if g.SimShards != 0 && cfg.Shards == 0 {
-			cfg.Shards = g.SimShards
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("sweep %s point %v %s/%s: %w", g.Name, j.coords, j.scheme, j.wl, err)
-		}
-		cfgs[i] = cfg
+	jobs, cfgs, err := g.prepare()
+	if err != nil {
+		return nil, err
 	}
 	if parallel <= 0 {
 		parallel = g.Workers
 	}
 	points := make([]Point, len(jobs))
-	err := RunJobsOn(ctx, len(jobs), NewBudget(parallel), func(ctx context.Context, i int) error {
+	err = RunJobsOn(ctx, len(jobs), NewBudget(parallel), func(ctx context.Context, i int) error {
 		j := jobs[i]
 		r, err := run(ctx, &cfgs[i], j.wl, g.Scale)
 		if err != nil {
@@ -280,11 +253,7 @@ func RunVia(ctx context.Context, g Grid, parallel int, run PointRunner) (*Result
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Study: g.Name, Scale: g.Scale.String(), Points: points}
-	for _, ax := range g.Axes {
-		res.AxisNames = append(res.AxisNames, ax.Name)
-	}
-	return res, nil
+	return g.result(points), nil
 }
 
 // newPoint records one completed grid point's measurements.

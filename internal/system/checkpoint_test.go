@@ -10,11 +10,9 @@ import (
 )
 
 // buildSys constructs a fresh machine for a checkpoint test case.
-func buildSys(t *testing.T, scheme system.Scheme, wl string, shards int) *system.System {
+func buildSys(t *testing.T, scheme system.Scheme, wl string) *system.System {
 	t.Helper()
-	cfg := system.DefaultConfig(scheme)
-	cfg.Shards = shards
-	sys, err := system.New(cfg, wl, workload.ScaleTiny)
+	sys, err := system.New(system.DefaultConfig(scheme), wl, workload.ScaleTiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,9 +20,9 @@ func buildSys(t *testing.T, scheme system.Scheme, wl string, shards int) *system
 }
 
 // runStraight simulates a fresh machine to completion.
-func runStraight(t *testing.T, scheme system.Scheme, wl string, shards int) *system.Results {
+func runStraight(t *testing.T, scheme system.Scheme, wl string) *system.Results {
 	t.Helper()
-	res, err := buildSys(t, scheme, wl, shards).Run()
+	res, err := buildSys(t, scheme, wl).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +33,7 @@ func runStraight(t *testing.T, scheme system.Scheme, wl string, shards int) *sys
 // run at a mid-run quiescent point, restore into a fresh machine, run to
 // completion, and require Results bit-identical (reflect.DeepEqual) to the
 // straight-through run — for every scheme shape (DRAM backend, plain HMC,
-// Active-Routing) and under both kernels, including cross-kernel restores
-// (sequential snapshot into a sharded machine and vice versa).
+// Active-Routing).
 func TestCheckpointRoundTrip(t *testing.T) {
 	cases := []struct {
 		workload string
@@ -54,44 +51,29 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		{"backprop", system.SchemeARFtid},
 		{"pagerank", system.SchemeARFtid},
 	}
-	kernels := []struct {
-		name               string
-		snapShards, resume int
-	}{
-		{"seq-seq", 0, 0},
-		{"shard4-shard4", 4, 4},
-		{"seq-shard4", 0, 4},
-		{"shard4-seq", 4, 0},
-	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.workload+"/"+c.scheme.String(), func(t *testing.T) {
 			t.Parallel()
-			want := runStraight(t, c.scheme, c.workload, 0)
-			at := want.Cycles / 2
-			for _, k := range kernels {
-				k := k
-				t.Run(k.name, func(t *testing.T) {
-					src := buildSys(t, c.scheme, c.workload, k.snapShards)
-					snap, err := src.RunToCheckpoint(context.Background(), at, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if snap == nil {
-						t.Fatalf("no quiescent point found at or after cycle %d", at)
-					}
-					dst := buildSys(t, c.scheme, c.workload, k.resume)
-					if err := dst.Restore(snap); err != nil {
-						t.Fatal(err)
-					}
-					got, err := dst.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("restored run diverged from straight-through run:\n got: %+v\nwant: %+v", got, want)
-					}
-				})
+			want := runStraight(t, c.scheme, c.workload)
+			src := buildSys(t, c.scheme, c.workload)
+			snap, err := src.RunToCheckpoint(context.Background(), want.Cycles/2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap == nil {
+				t.Fatalf("no quiescent point found at or after cycle %d", want.Cycles/2)
+			}
+			dst := buildSys(t, c.scheme, c.workload)
+			if err := dst.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			got, err := dst.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("restored run diverged from straight-through run:\n got: %+v\nwant: %+v", got, want)
 			}
 		})
 	}
@@ -101,8 +83,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // perturb the source machine: after RunToCheckpoint, the same machine runs
 // on to completion with Results identical to a straight-through run.
 func TestCheckpointSourceContinues(t *testing.T) {
-	want := runStraight(t, system.SchemeARFtid, "mac", 0)
-	src := buildSys(t, system.SchemeARFtid, "mac", 0)
+	want := runStraight(t, system.SchemeARFtid, "mac")
+	src := buildSys(t, system.SchemeARFtid, "mac")
 	snap, err := src.RunToCheckpoint(context.Background(), want.Cycles/2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -123,8 +105,8 @@ func TestCheckpointSourceContinues(t *testing.T) {
 // checkpoint requested past the end of the run returns nil and the run is
 // simply complete.
 func TestCheckpointFinishBeforePoint(t *testing.T) {
-	want := runStraight(t, system.SchemeHMC, "mac", 0)
-	src := buildSys(t, system.SchemeHMC, "mac", 0)
+	want := runStraight(t, system.SchemeHMC, "mac")
+	src := buildSys(t, system.SchemeHMC, "mac")
 	snap, err := src.RunToCheckpoint(context.Background(), want.Cycles*10, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +126,7 @@ func TestCheckpointFinishBeforePoint(t *testing.T) {
 // TestRestoreRejectsMismatch checks restore validation: wrong workload,
 // wrong scheme and a prefix-incompatible configuration are all refused.
 func TestRestoreRejectsMismatch(t *testing.T) {
-	src := buildSys(t, system.SchemeARFtid, "mac", 0)
+	src := buildSys(t, system.SchemeARFtid, "mac")
 	snap, err := src.RunToCheckpoint(context.Background(), 500, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -153,10 +135,10 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		t.Fatal("no checkpoint found")
 	}
 
-	if err := buildSys(t, system.SchemeARFtid, "reduce", 0).Restore(snap); err == nil {
+	if err := buildSys(t, system.SchemeARFtid, "reduce").Restore(snap); err == nil {
 		t.Error("restore into a different workload succeeded")
 	}
-	if err := buildSys(t, system.SchemeART, "mac", 0).Restore(snap); err == nil {
+	if err := buildSys(t, system.SchemeART, "mac").Restore(snap); err == nil {
 		t.Error("restore into a different scheme succeeded")
 	}
 	cfg := system.DefaultConfig(system.SchemeARFtid)
@@ -184,7 +166,7 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 // TestRestoreRejectsCorrupt checks that a truncated or bit-flipped
 // snapshot never restores (it must error, not panic or silently succeed).
 func TestRestoreRejectsCorrupt(t *testing.T) {
-	src := buildSys(t, system.SchemeARFtid, "mac", 0)
+	src := buildSys(t, system.SchemeARFtid, "mac")
 	snap, err := src.RunToCheckpoint(context.Background(), 500, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +175,7 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 		t.Fatal("no checkpoint found")
 	}
 	for _, cut := range []int{0, 1, len(snap) / 2, len(snap) - 1} {
-		if err := buildSys(t, system.SchemeARFtid, "mac", 0).Restore(snap[:cut]); err == nil {
+		if err := buildSys(t, system.SchemeARFtid, "mac").Restore(snap[:cut]); err == nil {
 			t.Errorf("truncation to %d bytes restored successfully", cut)
 		}
 	}

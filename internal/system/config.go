@@ -9,8 +9,6 @@ package system
 import (
 	"fmt"
 	"hash/fnv"
-	"runtime"
-	"strconv"
 	"strings"
 
 	"repro/internal/cache"
@@ -154,118 +152,6 @@ type Config struct {
 	MaxCycles uint64
 	// IPCSampleCycles sets the Fig 5.8 sampling window.
 	IPCSampleCycles uint64
-
-	// Shards selects the sharded (multicore) simulation kernel: the machine
-	// is partitioned into Shards tile groups plus Shards cube groups that
-	// tick on a worker pool with bit-identical results to the sequential
-	// kernel (DESIGN.md "Sharded kernel"). 0 (the default) runs the
-	// sequential kernel; KernelAuto (-1) resolves from topology and host
-	// occupancy at New time (ResolveKernel). Shards and Workers never
-	// change simulated results and are excluded from Hash.
-	//ar:exempt(hash) kernel choice is result-invariant (pinned by the sharded determinism tests); one cache entry serves every kernel
-	Shards int
-	// Workers bounds the sharded kernel's OS-thread pool; 0 defaults to
-	// Shards, KernelAuto (-1) resolves alongside Shards. Ignored when
-	// Shards is 0.
-	//ar:exempt(hash) worker-pool width is result-invariant, same contract as Shards
-	Workers int
-}
-
-// KernelAuto, assigned to Config.Shards or Config.Workers, asks the host to
-// pick the kernel and pool size from topology, GOMAXPROCS, and — in the
-// service — the worker budget's free capacity (ResolveKernel). Resolution
-// happens outside the config hash, like every Shards/Workers choice.
-const KernelAuto = -1
-
-// ResolveKernel replaces KernelAuto in cfg.Shards/cfg.Workers with concrete
-// values. slots bounds the CPUs this run should occupy (the caller's free
-// worker-budget share; <= 0 means unconstrained) and is combined with
-// GOMAXPROCS. With one available CPU the sequential kernel wins (the
-// sharded kernel's single-worker mode is close, but never ahead); otherwise
-// shards track the usable CPUs, capped by the tile-group limit and the
-// topology (computePlan clamps to Threads, mirrored here so Workers lands
-// on the resolved shard count).
-func ResolveKernel(cfg *Config, slots int) {
-	avail := runtime.GOMAXPROCS(0)
-	if slots > 0 && slots < avail {
-		avail = slots
-	}
-	if cfg.Shards == KernelAuto {
-		if avail <= 1 {
-			cfg.Shards = 0
-		} else {
-			s := avail
-			if s > cfg.Threads {
-				s = cfg.Threads
-			}
-			if s > 16 {
-				s = 16
-			}
-			cfg.Shards = s
-		}
-	}
-	if cfg.Workers == KernelAuto {
-		if cfg.Shards <= 0 {
-			cfg.Workers = 0
-		} else {
-			w := avail
-			if w > cfg.Shards {
-				w = cfg.Shards
-			}
-			if w < 1 {
-				w = 1
-			}
-			cfg.Workers = w
-		}
-	}
-}
-
-// ResolvedWorkers reports the OS threads a run of this configuration will
-// actually occupy — the sharded conductor's effective pool size after every
-// clamp (shard count, topology, GOMAXPROCS), or 1 for the sequential
-// kernel. KernelAuto resolves against an unconstrained host first. Used to
-// weight worker-budget acquisition so concurrent sharded runs cannot
-// oversubscribe the host.
-func (c *Config) ResolvedWorkers() int {
-	cfg := *c
-	ResolveKernel(&cfg, 0)
-	if cfg.Shards <= 0 {
-		return 1
-	}
-	s := cfg.Shards
-	if s > cfg.Threads {
-		s = cfg.Threads
-	}
-	w := cfg.Workers
-	if w <= 0 {
-		w = s
-	}
-	if w > s {
-		w = s
-	}
-	if p := runtime.GOMAXPROCS(0); w > p {
-		w = p
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// ParseKernel parses a -shards / -workers style flag value: "auto" (or
-// "-1") selects KernelAuto, anything else must be a non-negative integer.
-func ParseKernel(s string) (int, error) {
-	if s == "auto" {
-		return KernelAuto, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("system: kernel knob %q: want \"auto\" or a non-negative integer", s)
-	}
-	if n < KernelAuto {
-		return 0, fmt.Errorf("system: kernel knob %d out of range", n)
-	}
-	return n, nil
 }
 
 // Validate rejects configurations the machine cannot be built or run with.
@@ -301,8 +187,6 @@ func (c *Config) Validate() error {
 		{c.DRAMTiming.BL > 0, "DRAM timing burst length must be positive"},
 		{c.MaxCycles > 0, "MaxCycles must be positive"},
 		{c.IPCSampleCycles > 0, "IPCSampleCycles must be positive"},
-		{c.Shards >= KernelAuto && c.Shards <= 16, "Shards must be auto (-1) or in [0, 16]"},
-		{c.Workers >= KernelAuto, "Workers must be auto (-1) or non-negative"},
 	}
 	for _, ch := range checks {
 		if !ch.ok {
@@ -321,7 +205,9 @@ func (c *Config) Validate() error {
 // explicit field-by-field enumeration so the hashcov analyzer can prove
 // coverage per field — a new Config field that is not added here (or
 // //ar:exempt(hash)-ed with a reviewed reason) now fails `arlint ./...`
-// instead of silently fragmenting or poisoning the result cache.
+// instead of silently fragmenting or poisoning the result cache. Removing
+// Shards/Workers later left the v4 rendering unchanged (neither was ever
+// rendered), so v4 keys stay valid.
 const cfgHashVersion = "cfg/v4|"
 
 // Hash returns a stable 64-bit digest of the full configuration, used to
@@ -329,11 +215,8 @@ const cfgHashVersion = "cfg/v4|"
 // result-affecting configuration field (including nested component
 // configs) is identical and the schema version matches. Every field is
 // rendered explicitly — the hashcov analyzer enforces that this list and
-// the Config struct never drift apart. Shards and Workers are the only
-// exclusions: kernel choice is result-invariant (see the field
-// exemptions), so one cache entry serves every kernel configuration of
-// the same machine. The nested component configs are plain value types,
-// so their %#v renderings are deterministic.
+// the Config struct never drift apart. The nested component configs are
+// plain value types, so their %#v renderings are deterministic.
 func (c *Config) Hash() string {
 	h := fnv.New64a()
 	h.Write([]byte(cfgHashVersion))
@@ -368,10 +251,6 @@ const prefixHashVersion = "prefix/v1|"
 //     guard (leader peak below the fork's capacity, zero capacity stalls)
 //     refuses the warm start whenever the prefix could have noticed the
 //     difference. Every other ARE field is prefix-live.
-//   - Shards and Workers are excluded with the same justification as in
-//     Hash: kernel choice is result-invariant, and checkpoints are
-//     kernel-portable by construction (cross-kernel restore is pinned by
-//     the checkpoint golden tests).
 func (c *Config) PrefixHash(cycle uint64) uint64 {
 	pc := *c
 	pc.ARE.MaxFlows = 0

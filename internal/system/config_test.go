@@ -1,7 +1,6 @@
 package system
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -128,115 +127,27 @@ func TestConfigHashDistinctFromOldSchemas(t *testing.T) {
 	}
 }
 
-// TestConfigHashKernelInvariant pins the cache-key contract for the sharded
-// kernel: Shards/Workers select an execution strategy with bit-identical
-// results, so they must not fragment the result cache.
-func TestConfigHashKernelInvariant(t *testing.T) {
-	seq := DefaultConfig(SchemeARFtid)
-	sh := seq
-	sh.Shards, sh.Workers = 4, 4
-	if seq.Hash() != sh.Hash() {
-		t.Fatalf("sharded config hash %s differs from sequential %s", sh.Hash(), seq.Hash())
-	}
+// v4ConfigHashes records Config.Hash() of DefaultConfig(scheme) under the
+// current cfg/v4 schema, captured while Config still carried the
+// Shards/Workers kernel knobs (which Hash never rendered). Removing those
+// fields must not move any result-cache, sweep or store key.
+var v4ConfigHashes = map[Scheme]string{
+	SchemeDRAM:           "6d62f9fdc68e9b27",
+	SchemeHMC:            "548e27c3f8b7ccde",
+	SchemeART:            "035bc80be1b41375",
+	SchemeARFtid:         "09ca665c2e9e39ac",
+	SchemeARFaddr:        "79cdfe68e33da7f3",
+	SchemeARFtidAdaptive: "23d59b80207ccf0a",
+	SchemeARFea:          "6eb0ae0b6e4a65a1",
 }
 
-// TestResolveKernelAuto pins the auto-tune resolution rules: one available
-// CPU picks the sequential kernel; more pick shards = min(avail, Threads,
-// 16) with workers matching; concrete values pass through untouched; the
-// slots bound (free budget capacity) caps availability below GOMAXPROCS.
-func TestResolveKernelAuto(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-
-	cfg := DefaultConfig(SchemeARFtid)
-	cfg.Shards, cfg.Workers = KernelAuto, KernelAuto
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("auto knobs must validate: %v", err)
-	}
-
-	// slots=1: sequential.
-	c := cfg
-	ResolveKernel(&c, 1)
-	if c.Shards != 0 || c.Workers != 0 {
-		t.Fatalf("slots=1: resolved to Shards=%d Workers=%d, want sequential", c.Shards, c.Workers)
-	}
-
-	// slots=4 on an 8-proc host: 4 shards, 4 workers.
-	c = cfg
-	ResolveKernel(&c, 4)
-	if c.Shards != 4 || c.Workers != 4 {
-		t.Fatalf("slots=4: resolved to Shards=%d Workers=%d, want 4/4", c.Shards, c.Workers)
-	}
-
-	// Unconstrained: bounded by GOMAXPROCS and the topology.
-	c = cfg
-	ResolveKernel(&c, 0)
-	want := 8
-	if cfg.Threads < want {
-		want = cfg.Threads
-	}
-	if want > 16 {
-		want = 16
-	}
-	if c.Shards != want || c.Workers != want {
-		t.Fatalf("unconstrained: resolved to Shards=%d Workers=%d, want %d/%d", c.Shards, c.Workers, want, want)
-	}
-
-	// Concrete values pass through.
-	c = cfg
-	c.Shards, c.Workers = 2, 1
-	ResolveKernel(&c, 0)
-	if c.Shards != 2 || c.Workers != 1 {
-		t.Fatalf("concrete knobs mutated: Shards=%d Workers=%d", c.Shards, c.Workers)
-	}
-
-	// Auto workers with concrete shards.
-	c = cfg
-	c.Shards, c.Workers = 3, KernelAuto
-	ResolveKernel(&c, 2)
-	if c.Shards != 3 || c.Workers != 2 {
-		t.Fatalf("auto workers: Shards=%d Workers=%d, want 3/2", c.Shards, c.Workers)
-	}
-}
-
-// TestResolvedWorkers pins the budget weight: the post-clamp pool size the
-// conductor will actually use, not the declared knobs.
-func TestResolvedWorkers(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	cfg := DefaultConfig(SchemeARFtid)
-	cases := []struct {
-		shards, workers, want int
-	}{
-		{0, 0, 1},            // sequential
-		{4, 0, 4},            // workers default to shards
-		{4, 2, 2},            // explicit worker bound
-		{8, 16, 8},           // workers clamp to shards
-		{KernelAuto, KernelAuto, 8}, // auto on an 8-proc host
-	}
-	for _, tc := range cases {
-		c := cfg
-		c.Shards, c.Workers = tc.shards, tc.workers
-		if got := c.ResolvedWorkers(); got != tc.want {
-			t.Errorf("Shards=%d Workers=%d: ResolvedWorkers=%d, want %d", tc.shards, tc.workers, got, tc.want)
+// TestConfigHashPinned pins the cfg/v4 hash of every scheme's default
+// configuration.
+func TestConfigHashPinned(t *testing.T) {
+	for _, s := range AllSchemes() {
+		cfg := DefaultConfig(s)
+		if got, want := cfg.Hash(), v4ConfigHashes[s]; got != want {
+			t.Errorf("%s: Hash() = %s, want %s", s, got, want)
 		}
-	}
-}
-
-// TestParseKernel pins the flag grammar shared by arsim/arbench/arsweep/
-// arserved.
-func TestParseKernel(t *testing.T) {
-	if n, err := ParseKernel("auto"); err != nil || n != KernelAuto {
-		t.Errorf("ParseKernel(auto) = %d, %v", n, err)
-	}
-	if n, err := ParseKernel("4"); err != nil || n != 4 {
-		t.Errorf("ParseKernel(4) = %d, %v", n, err)
-	}
-	if n, err := ParseKernel("0"); err != nil || n != 0 {
-		t.Errorf("ParseKernel(0) = %d, %v", n, err)
-	}
-	if _, err := ParseKernel("-2"); err == nil {
-		t.Error("ParseKernel(-2) succeeded, want error")
-	}
-	if _, err := ParseKernel("many"); err == nil {
-		t.Error("ParseKernel(many) succeeded, want error")
 	}
 }

@@ -21,9 +21,9 @@ import (
 //
 // Refreshing these values is a machine-definition change: regenerate only
 // when a PR deliberately alters simulated timing, and say so in DESIGN.md.
-// Last regenerated for the sharded-kernel PR's two timing-model changes
-// (DESIGN.md "Sharded kernel"): 1-cycle credit turnaround on fabric links
-// and next-cycle barrier release.
+// Last regenerated for two timing-model changes (DESIGN.md "Simulation
+// kernel: tick order"): 1-cycle credit turnaround on fabric links and
+// next-cycle barrier release.
 func TestGoldenCycleCounts(t *testing.T) {
 	golden := []struct {
 		workload string

@@ -17,14 +17,13 @@ import (
 // set is parsed from config.go itself, so the test can never drift from the
 // annotations the analyzer enforces.
 func TestConfigHashCoversEveryField(t *testing.T) {
-	exempt := hashExemptFields(t)
-	if len(exempt) == 0 {
-		t.Fatal("no //ar:exempt(hash) fields parsed from config.go; the parser is broken")
-	}
-
+	exempt, parsed := hashExemptFields(t)
 	base := DefaultConfig(SchemeARFtid)
 	baseHash := base.Hash()
 	rt := reflect.TypeOf(base)
+	if parsed != rt.NumField() {
+		t.Fatalf("parsed %d Config fields from config.go, reflection sees %d; the parser is broken", parsed, rt.NumField())
+	}
 	for i := 0; i < rt.NumField(); i++ {
 		name := rt.Field(i).Name
 		cfg := base
@@ -46,8 +45,9 @@ func TestConfigHashCoversEveryField(t *testing.T) {
 
 // hashExemptFields parses config.go and returns the Config field names whose
 // declarations carry an //ar:exempt(hash) annotation (trailing or on the
-// line above, the same coverage rule the analyzer applies).
-func hashExemptFields(t *testing.T) map[string]bool {
+// line above, the same coverage rule the analyzer applies), plus the number
+// of fields the parsed declaration has.
+func hashExemptFields(t *testing.T) (map[string]bool, int) {
 	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "config.go", nil, parser.ParseComments)
@@ -79,14 +79,16 @@ func hashExemptFields(t *testing.T) map[string]bool {
 		return false
 	}
 	out := make(map[string]bool)
+	n := 0
 	for _, field := range st.Fields.List {
+		n += len(field.Names)
 		if isExempt(field.Doc) || isExempt(field.Comment) {
 			for _, name := range field.Names {
 				out[name.Name] = true
 			}
 		}
 	}
-	return out
+	return out, n
 }
 
 // mutateLeaf flips the first primitive leaf reachable inside v, descending

@@ -13,20 +13,18 @@ import (
 // Machine-state checkpointing (DESIGN.md "Checkpointing").
 //
 // A snapshot is taken only at a quiescent point: a cycle boundary where
-// every cross-component transient has drained — networks empty with no
-// staged effects, caches idle, no outstanding memory accesses, ARE and
+// every cross-component transient has drained — networks empty, caches
+// idle, no outstanding memory accesses, ARE and
 // coordinator holding only mid-construction flow state, cores blocked
 // solely on fences or timed compute completions. At such a point the
 // machine is plain data: no closure needs serializing, because every live
 // callback is recoverable from structure (compute completions from the
 // ROB timed-call list, fence wakes from recorded fence provenance).
 //
-// Restore never rebases the clock: the kernel restarts at the snapshot
+// Restore never rebases the clock: the engine restarts at the snapshot
 // cycle (StartAt), so absolute-cycle state — DRAM freeAt/activatedAt,
 // link busy horizons, core lastSeen, timed-call deadlines — serializes
-// verbatim. Snapshots are kernel-portable: per-domain fabric counters are
-// merged on encode, so a snapshot taken under the sequential kernel
-// restores exactly under the sharded kernel and vice versa.
+// verbatim.
 
 // snapshotVersion is the wire-format version of a system snapshot blob.
 // Bump on any layout change; restore rejects other versions.
@@ -87,16 +85,6 @@ func (s *System) Snapshotable() bool {
 	if s.barrier.Pending() {
 		return false
 	}
-	for _, fx := range s.fx {
-		if fx.Pending() {
-			return false
-		}
-	}
-	for _, stage := range s.coordStage {
-		if len(stage) > 0 {
-			return false
-		}
-	}
 	for _, c := range s.cores {
 		if !c.Snapshotable() {
 			return false
@@ -109,7 +97,7 @@ func (s *System) Snapshotable() bool {
 // (allocation-free when buf has capacity) and returns the extended slice.
 // The caller must have checked Snapshotable.
 func (s *System) Snapshot(buf []byte) []byte {
-	cycle := s.now()
+	cycle := s.engine.Cycle()
 	e := &sim.Enc{B: buf}
 	e.Tag("arsys")
 	e.Int(snapshotVersion)
@@ -185,12 +173,11 @@ func snapshotSum(b []byte) uint64 {
 // Restore rebuilds a freshly constructed, never-run machine from a
 // snapshot blob. The machine must have been built with a prefix-compatible
 // configuration (PrefixHash at the snapshot cycle matches) and the same
-// workload; the kernel (sequential or sharded) may differ from the
-// snapshot source's. On success the clock stands at the snapshot cycle and
+// workload. On success the clock stands at the snapshot cycle and
 // RunCtx continues bit-identically to the run the snapshot was taken from.
 func (s *System) Restore(data []byte) error {
-	if s.now() != 0 {
-		return fmt.Errorf("system: restore target has already run (cycle %d)", s.now())
+	if s.engine.Cycle() != 0 {
+		return fmt.Errorf("system: restore target has already run (cycle %d)", s.engine.Cycle())
 	}
 	if len(data) < 8 {
 		return fmt.Errorf("system: snapshot too short (%d bytes)", len(data))
@@ -298,11 +285,7 @@ func (s *System) Restore(data []byte) error {
 
 	// Restart the clock at the snapshot cycle. All cached idle hints are
 	// discarded; the first step re-polls every component exactly.
-	if s.cond != nil {
-		s.cond.StartAt(cycle)
-	} else {
-		s.engine.StartAt(cycle)
-	}
+	s.engine.StartAt(cycle)
 	return nil
 }
 
@@ -312,7 +295,7 @@ func (s *System) Restore(data []byte) error {
 // point, it returns snap == nil and the run is complete — the caller can
 // collect Results via RunCtx, which will return immediately.
 //
-// The snapshot cycle may exceed `at`: the kernels fast-forward over
+// The snapshot cycle may exceed `at`: the engine fast-forwards over
 // quiescent stretches, and the machine stops at the first cycle it
 // actually examines that satisfies the predicate.
 func (s *System) RunToCheckpoint(ctx context.Context, at uint64, buf []byte) (snap []byte, err error) {
@@ -321,19 +304,13 @@ func (s *System) RunToCheckpoint(ctx context.Context, at uint64, buf []byte) (sn
 		if s.done() {
 			return true
 		}
-		if s.now() >= at && s.Snapshotable() {
+		if s.engine.Cycle() >= at && s.Snapshotable() {
 			checkpointed = true
 			return true
 		}
 		return false
 	}
-	kernel := func() (uint64, error) {
-		if s.cond != nil {
-			return s.cond.RunUntilCtx(ctx, pred, s.remainingBudget())
-		}
-		return s.engine.RunUntilCtx(ctx, pred, s.remainingBudget())
-	}
-	if _, err := kernel(); err != nil {
+	if _, err := s.engine.RunUntilCtx(ctx, pred, s.remainingBudget()); err != nil {
 		return nil, fmt.Errorf("system: %s/%s: %w", s.cfg.Scheme, s.wl.Name(), err)
 	}
 	if !checkpointed {
@@ -372,11 +349,11 @@ func SnapshotKey(cfg *Config, cycle uint64, workload, scale string) string {
 }
 
 // remainingBudget is the cycle budget left under cfg.MaxCycles for a
-// machine whose clock stands at now() — MaxCycles for a fresh machine, the
+// machine at its current cycle — MaxCycles for a fresh machine, the
 // difference for a restored or checkpointed one, so a resumed run times
 // out at exactly the same absolute cycle as a straight-through run.
 func (s *System) remainingBudget() uint64 {
-	now := s.now()
+	now := s.engine.Cycle()
 	if now >= s.cfg.MaxCycles {
 		return 0
 	}
