@@ -56,25 +56,29 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Run(c.workload+"/"+c.scheme.String(), func(t *testing.T) {
 			t.Parallel()
 			want := runStraight(t, c.scheme, c.workload)
-			src := buildSys(t, c.scheme, c.workload)
-			snap, err := src.RunToCheckpoint(context.Background(), want.Cycles/2, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if snap == nil {
-				t.Fatalf("no quiescent point found at or after cycle %d", want.Cycles/2)
-			}
-			dst := buildSys(t, c.scheme, c.workload)
-			if err := dst.Restore(snap); err != nil {
-				t.Fatal(err)
-			}
-			got, err := dst.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("restored run diverged from straight-through run:\n got: %+v\nwant: %+v", got, want)
-			}
+			// "seq-seq": the snapshot is taken and resumed on the
+			// sequential engine.
+			t.Run("seq-seq", func(t *testing.T) {
+				src := buildSys(t, c.scheme, c.workload)
+				snap, err := src.RunToCheckpoint(context.Background(), want.Cycles/2, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if snap == nil {
+					t.Fatalf("no quiescent point found at or after cycle %d", want.Cycles/2)
+				}
+				dst := buildSys(t, c.scheme, c.workload)
+				if err := dst.Restore(snap); err != nil {
+					t.Fatal(err)
+				}
+				got, err := dst.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("restored run diverged from straight-through run:\n got: %+v\nwant: %+v", got, want)
+				}
+			})
 		})
 	}
 }

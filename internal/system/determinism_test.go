@@ -2,6 +2,7 @@ package system_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/system"
@@ -49,6 +50,70 @@ func TestDeterministicResults(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestShardedDeterminism checks that machines running at the same time in
+// one process do not disturb each other: for every suite workload under
+// every scheme, two identical machines simulated concurrently each produce
+// Results bit-identical to a machine run alone. Sweeps and the service
+// gain their parallelism only by running whole machines side by side, so
+// no state (traces, message pools, package-level caches) may leak between
+// them. The name dates from when this test compared the since-removed
+// sharded kernel with the sequential one.
+func TestShardedDeterminism(t *testing.T) {
+	for _, wl := range append(append([]string{}, workload.Benchmarks()...), workload.Microbenchmarks()...) {
+		for _, sch := range system.AllSchemes() {
+			wl, sch := wl, sch
+			t.Run(wl+"/"+sch.String(), func(t *testing.T) {
+				t.Parallel()
+				ref := runAlone(t, sch, wl)
+				var (
+					got  [2]*system.Results
+					errs [2]error
+					wg   sync.WaitGroup
+				)
+				for i := range got {
+					sys, err := system.New(system.DefaultConfig(sch), wl, workload.ScaleTiny)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						got[i], errs[i] = sys.Run()
+					}(i)
+				}
+				wg.Wait()
+				for i := range got {
+					if errs[i] != nil {
+						t.Fatalf("concurrent run %d: %v", i, errs[i])
+					}
+					if got[i].Cycles != ref.Cycles || got[i].Instructions != ref.Instructions {
+						t.Errorf("concurrent run %d: cycles/insts = %d/%d, want %d/%d",
+							i, got[i].Cycles, got[i].Instructions, ref.Cycles, ref.Instructions)
+						continue
+					}
+					if !reflect.DeepEqual(got[i], ref) {
+						t.Errorf("concurrent run %d: Results not bit-identical to a lone run", i)
+					}
+				}
+			})
+		}
+	}
+}
+
+// runAlone builds and runs one machine at ScaleTiny.
+func runAlone(t *testing.T, sch system.Scheme, wl string) *system.Results {
+	t.Helper()
+	sys, err := system.New(system.DefaultConfig(sch), wl, workload.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // TestRegisteredConstructs keeps workload.Registered in sync with New's
