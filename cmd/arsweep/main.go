@@ -7,13 +7,18 @@
 //	arsweep -study linkbw -scale small -csv grid.csv -json grid.json
 //	arsweep -study flowtable -csv ''                 # JSON only (jq-friendly)
 //	arsweep -study flowtable -json ''                # CSV only
-//	arsweep -study flowtable -prefix-share           # fork points from shared checkpoints
-//	arsweep -study flowtable -prefix-share -snapshots ckpt/   # persist warm starts
+//	arsweep -study flowtable -snapshots ckpt/        # persist warm starts
 //	arsweep -list                                    # available studies
 //
 // The default emits both renderings concatenated to stdout (a human-
 // readable record); pipe into jq or a CSV reader by skipping the other
 // emitter (pass an empty -csv or -json value).
+//
+// Studies that declare a shared-prefix checkpoint cycle (flowtable) always
+// run prefix-shared: points that provably simulate identically up to that
+// cycle fork from one checkpoint per family, with results identical to
+// plain runs. -snapshots persists those checkpoints, so a repeated study
+// skips the shared prefixes entirely.
 //
 // A sweep point is executed exactly like a standalone system.New + Run with
 // the same mutated configuration, so grid cycle counts are directly
@@ -59,8 +64,7 @@ func main() {
 	jsonFlag := flag.String("json", "-", "JSON output path (- for stdout, empty to skip)")
 	csvFlag := flag.String("csv", "-", "CSV output path (- for stdout, empty to skip)")
 	workersFlag := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	prefixFlag := flag.Bool("prefix-share", false, "factor the grid into shared-prefix families and fork points from one checkpoint per family (results identical, wall clock lower)")
-	snapFlag := flag.String("snapshots", "", "snapshot store directory for prefix-share checkpoints (persists warm starts across runs)")
+	snapFlag := flag.String("snapshots", "", "snapshot store directory for shared-prefix checkpoints (persists warm starts across runs)")
 	listFlag := flag.Bool("list", false, "list available studies and exit")
 	flag.Parse()
 
@@ -86,29 +90,23 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	var res *sweep.Result
-	if *prefixFlag {
-		var snaps *store.Store
-		if *snapFlag != "" {
-			snaps, err = store.Open(*snapFlag, store.Options{SegmentPrefix: "snap"})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "arsweep:", err)
-				os.Exit(1)
-			}
-			defer snaps.Close()
+	var snaps *store.Store
+	if *snapFlag != "" {
+		snaps, err = store.Open(*snapFlag, store.Options{SegmentPrefix: "snap"})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "arsweep:", err)
+			os.Exit(1)
 		}
-		var st *sweep.PrefixStats
-		res, st, err = sweep.RunPrefixShared(ctx, grid, nil, snaps)
-		if err == nil {
-			fmt.Fprintf(os.Stderr, "arsweep: prefix-share: %d families, %d leader runs, %d store hits, %d forks, %d cold fallbacks\n",
-				st.Families, st.LeaderRuns, st.StoreHits, st.ForkResumes, st.ColdFallbacks)
-		}
-	} else {
-		res, err = sweep.Run(ctx, grid)
+		defer snaps.Close()
 	}
+	res, st, err := sweep.RunPrefixShared(ctx, grid, nil, snaps)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arsweep:", err)
 		os.Exit(1)
+	}
+	if st.Families > 0 {
+		fmt.Fprintf(os.Stderr, "arsweep: prefix-share: %d families, %d leader runs, %d store hits, %d forks, %d cold fallbacks\n",
+			st.Families, st.LeaderRuns, st.StoreHits, st.ForkResumes, st.ColdFallbacks)
 	}
 	if err := emit(*jsonFlag, func(w io.Writer) error { return sweep.WriteJSON(w, res) }); err != nil {
 		fmt.Fprintln(os.Stderr, "arsweep:", err)

@@ -44,51 +44,12 @@ func RunSuite(scale workload.Scale, workloads []string, schemes []system.Scheme,
 	return RunSuiteCtx(context.Background(), scale, workloads, schemes, conf)
 }
 
-// RunSuiteCtx is RunSuite on the sweep worker pool: runs are scheduled on
-// bounded workers, the first failing run (or a cancelled ctx) cancels the
-// pool, and queued runs never start — a failed suite aborts promptly
+// RunSuiteCtx is RunSuite on the grid executor: at most GOMAXPROCS runs
+// simulate at once, the first failing run (or a cancelled ctx) cancels the
+// rest, and queued runs never start — a failed suite aborts promptly
 // instead of simulating the remaining cross product to completion.
 func RunSuiteCtx(ctx context.Context, scale workload.Scale, workloads []string, schemes []system.Scheme, conf Configure) (*Suite, error) {
-	s := &Suite{
-		Scale:     scale,
-		Workloads: workloads,
-		Schemes:   schemes,
-		Results:   make(map[Key]*system.Results),
-	}
-	keys := make([]Key, 0, len(workloads)*len(schemes))
-	for _, wl := range workloads {
-		for _, sch := range schemes {
-			keys = append(keys, Key{wl, sch})
-		}
-	}
-	results := make([]*system.Results, len(keys))
-	err := sweep.RunJobs(ctx, len(keys), 0, func(ctx context.Context, i int) error {
-		k := keys[i]
-		cfg := system.DefaultConfig(k.Scheme)
-		if conf != nil {
-			conf(&cfg)
-		}
-		if err := cfg.Validate(); err != nil {
-			return fmt.Errorf("experiments: %s/%s: %w", k.Scheme, k.Workload, err)
-		}
-		sys, err := system.New(cfg, k.Workload, scale)
-		if err != nil {
-			return fmt.Errorf("experiments: %s/%s: %w", k.Scheme, k.Workload, err)
-		}
-		r, err := sys.RunCtx(ctx)
-		if err != nil {
-			return fmt.Errorf("experiments: %s/%s: %w", k.Scheme, k.Workload, err)
-		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, k := range keys {
-		s.Results[k] = results[i]
-	}
-	return s, nil
+	return runSuite(ctx, scale, SuiteSpec{workloads, schemes}, conf, sweep.Direct(nil, nil))
 }
 
 // Get returns the run for (workload, scheme); it panics if the suite did
@@ -468,41 +429,26 @@ type IPCSample struct {
 	IPC    float64
 }
 
-// Fig58Schemes lists the case study's schemes in trace order.
-func Fig58Schemes() []system.Scheme {
-	return []system.Scheme{system.SchemeHMC, system.SchemeARFtid, system.SchemeARFtidAdaptive}
-}
-
-// Fig58 runs the case study at the given scale.
+// Fig58 runs the case study at the given scale: figure 5.8 of the figure
+// table, on in-process runs.
 func Fig58(scale workload.Scale) (*Fig58Result, error) {
-	schemes := Fig58Schemes()
-	runs := make([]*system.Results, len(schemes))
-	for i, sch := range schemes {
-		cfg := system.DefaultConfig(sch)
-		sys, err := system.New(cfg, "lud_phase", scale)
-		if err != nil {
-			return nil, err
-		}
-		if runs[i], err = sys.Run(); err != nil {
-			return nil, err
-		}
+	f, _ := FigureByID("5.8")
+	data, err := f.Compute(context.Background(), scale, sweep.Direct(nil, nil))
+	if err != nil {
+		return nil, err
 	}
-	return Fig58From(schemes, runs)
+	return data.(*Fig58Result), nil
 }
 
-// Fig58From derives the case study tables from completed lud_phase runs,
-// one per scheme in order. The direct Fig58 path and the service layer's
-// cache-resolved /figures/5.8 path share this derivation, so a fix here
-// reaches both. Speedups derive only after every run completed: an earlier
-// version read the HMC cycle count before it was guaranteed set, so any
-// scheme ordered ahead of HMC got 0/cycles = +Inf.
-func Fig58From(schemes []system.Scheme, runs []*system.Results) (*Fig58Result, error) {
-	if len(runs) != len(schemes) {
-		return nil, fmt.Errorf("experiments: Fig 5.8: %d runs for %d schemes", len(runs), len(schemes))
-	}
-	out := &Fig58Result{Schemes: schemes}
-	cycles := make([]uint64, len(schemes))
-	for i, r := range runs {
+// fig58From derives the case study tables from a suite of lud_phase runs,
+// one per scheme in trace order. Speedups derive only after every run
+// completed: an earlier version read the HMC cycle count before it was
+// guaranteed set, so any scheme ordered ahead of HMC got 0/cycles = +Inf.
+func fig58From(s *Suite) (*Fig58Result, error) {
+	out := &Fig58Result{Schemes: s.Schemes}
+	cycles := make([]uint64, len(s.Schemes))
+	for i, sch := range s.Schemes {
+		r := s.Get("lud_phase", sch)
 		var tr []IPCSample
 		for _, p := range r.IPCTrace {
 			tr = append(tr, IPCSample{MInsts: float64(p.Insts) / 1e6, IPC: p.IPC})
@@ -510,7 +456,7 @@ func Fig58From(schemes []system.Scheme, runs []*system.Results) (*Fig58Result, e
 		out.Traces = append(out.Traces, tr)
 		cycles[i] = r.Cycles
 	}
-	sp, err := fig58Speedups(schemes, cycles)
+	sp, err := fig58Speedups(s.Schemes, cycles)
 	if err != nil {
 		return nil, err
 	}
@@ -558,8 +504,10 @@ func (f *Fig58Result) Print(w io.Writer) {
 }
 
 // Table41 renders the Table 4.1 system configuration actually simulated.
-func Table41(w io.Writer) {
-	cfg := system.DefaultConfig(system.SchemeARFtid)
+func Table41(w io.Writer) { printTable41(w, system.DefaultConfig(system.SchemeARFtid)) }
+
+// printTable41 renders Table 4.1 for cfg.
+func printTable41(w io.Writer, cfg system.Config) {
 	rows := [][2]string{
 		{"CPU Core", fmt.Sprintf("%d O3cores @ 2 GHz, issue/commit width %d, ROB %d",
 			cfg.Threads, cfg.Core.IssueWidth, cfg.Core.ROBSize)},

@@ -56,7 +56,7 @@ func TestOccupancyCountersMatchScan(t *testing.T) {
 				t.Fatalf("cycle %d node %d: inCount=%d (scan %d), injCount=%d (scan %d)",
 					cyc, r.node, r.inCount, in, r.injCount, inj)
 			}
-			if r.maskable && occ != r.occ {
+			if occ != r.occ {
 				t.Fatalf("cycle %d node %d: occ mask %b, scan %b", cyc, r.node, r.occ, occ)
 			}
 		}

@@ -31,7 +31,7 @@ func (f EndpointFunc) Deliver(p *Packet, cycle uint64) bool { return f(p, cycle)
 // the fixed ring-buffer capacities of the router input and injection queues
 // (rounded up to powers of two), so the steady-state fabric never allocates.
 type Config struct {
-	VCs           int    // virtual channels (request/response × 2 hop classes)
+	VCs           int    // virtual channels: must be NumVCs
 	QueueDepth    int    // packets per (port, VC) input queue
 	InjDepth      int    // packets per injection queue
 	LinkLatency   uint64 // link traversal latency, network cycles
@@ -68,6 +68,12 @@ func DefaultNoCConfig() Config {
 		ClockDiv:      1,
 	}
 }
+
+// NumVCs is the virtual-channel count every fabric is built with: vcBase's
+// three traffic classes times the topologies' two hop classes. vcBase plus
+// a hop class addresses VCs 0..NumVCs-1, so a fabric with fewer VCs would
+// index past its queues.
+const NumVCs = 6
 
 // vcBase maps a packet kind to its VC class pair. Three classes break
 // request-generates-request protocol deadlock: plain requests (updates,
@@ -136,8 +142,6 @@ type router struct {
 	injCount int    // packets across all injection queues
 	occ      uint64 // bit q set iff queue q non-empty; in queues at
 	// [0, ports*VCs), injection queues at [ports*VCs, ports*VCs+VCs).
-	// Valid only when maskable (nin <= 64); all our topologies qualify.
-	maskable bool
 
 	// Head metadata cache, maintained on every head change (push to an
 	// empty queue, pop, landing): the arbitration loops compare small
@@ -217,12 +221,10 @@ type Fabric struct {
 	inflight int
 	queued   int
 
-	// Router-level occupancy masks, bit = node id (valid while
-	// nodeMaskable): busyNodes marks routers holding queued packets,
-	// pendingNodes routers with in-flight arrivals.
+	// Router-level occupancy masks, bit = node id: busyNodes marks routers
+	// holding queued packets, pendingNodes routers with in-flight arrivals.
 	busyNodes    uint64
 	pendingNodes uint64
-	nodeMaskable bool
 
 	// waker invalidates the engine's cached idle hint; Inject is the
 	// fabric's only external entry point.
@@ -257,9 +259,12 @@ type Fabric struct {
 }
 
 // NewFabric builds a network over topo. Endpoints are attached later with
-// SetEndpoint.
+// SetEndpoint. The occupancy masks are single words, so the topology may
+// have at most 64 nodes and a router at most 64 input queues (ports*VCs
+// link inputs plus VCs injection queues); every topology in this package
+// fits.
 func NewFabric(topo Topology, cfg Config) *Fabric {
-	if cfg.VCs <= 0 || cfg.QueueDepth <= 0 || cfg.LinkBandwidth <= 0 || cfg.ClockDiv == 0 {
+	if cfg.VCs != NumVCs || cfg.QueueDepth <= 0 || cfg.LinkBandwidth <= 0 || cfg.ClockDiv == 0 {
 		panic("network: invalid fabric config")
 	}
 	f := &Fabric{Topo: topo, Cfg: cfg, Pool: NewPool(), Counters: stats.NewSet()}
@@ -267,7 +272,9 @@ func NewFabric(topo Topology, cfg Config) *Fabric {
 		f.deliveredH[k] = f.Counters.Register("delivered_" + k.String())
 	}
 	n := topo.Nodes()
-	f.nodeMaskable = n <= 64
+	if n > 64 {
+		panic(fmt.Sprintf("network: %d nodes exceed the 64-bit occupancy masks", n))
+	}
 	if cfg.ClockDiv&(cfg.ClockDiv-1) == 0 {
 		f.clockPow2 = true
 		f.clockMask = cfg.ClockDiv - 1
@@ -285,6 +292,9 @@ func NewFabric(topo Topology, cfg Config) *Fabric {
 	f.endpoints = make([]Endpoint, n)
 	for i := 0; i < n; i++ {
 		ports := topo.Ports(i)
+		if ports*cfg.VCs+cfg.VCs > 64 {
+			panic(fmt.Sprintf("network: node %d has %d input queues, over the 64-bit occupancy mask", i, ports*cfg.VCs+cfg.VCs))
+		}
 		r := &router{
 			node:       i,
 			ports:      ports,
@@ -298,7 +308,6 @@ func NewFabric(topo Topology, cfg Config) *Fabric {
 			links:      make([]link, ports),
 			routeTo:    make([]int8, n),
 			hopClass:   make([]int8, n),
-			maskable:   ports*cfg.VCs+cfg.VCs <= 64,
 		}
 		for q := range r.in {
 			r.in[q] = newPacketRing(cfg.QueueDepth)
@@ -453,19 +462,11 @@ func (f *Fabric) NextWork(now uint64) uint64 {
 		return f.alignUp(now)
 	}
 	next := sim.Never
-	if f.nodeMaskable {
-		for m := f.pendingNodes; m != 0; {
-			node := bits.TrailingZeros64(m)
-			m &= m - 1
-			if pm := f.routers[node].pendingMin; pm < next {
-				next = pm
-			}
-		}
-	} else {
-		for _, r := range f.routers {
-			if r.pendingMin < next {
-				next = r.pendingMin
-			}
+	for m := f.pendingNodes; m != 0; {
+		node := bits.TrailingZeros64(m)
+		m &= m - 1
+		if pm := f.routers[node].pendingMin; pm < next {
+			next = pm
 		}
 	}
 	if next <= now {
@@ -523,51 +524,29 @@ func (f *Fabric) Tick(cycle uint64) {
 	// The scan compacts the ring in place; routers whose earliest arrival
 	// is still on the wire are skipped entirely via pendingMin, and only
 	// routers with any pending arrival are visited at all.
-	if f.nodeMaskable {
-		for m := f.pendingNodes; m != 0; {
-			node := bits.TrailingZeros64(m)
-			m &= m - 1
-			f.land(f.routers[node], cycle)
-		}
-	} else {
-		for _, r := range f.routers {
-			f.land(r, cycle)
-		}
+	for m := f.pendingNodes; m != 0; {
+		node := bits.TrailingZeros64(m)
+		m &= m - 1
+		f.land(f.routers[node], cycle)
 	}
 	// Phase 2: ejection — deliver packets that reached their destination.
 	// Ejection handlers may synchronously inject new packets (marking more
 	// routers busy), but injection never adds input-queue packets, so the
 	// snapshot covers every router with ejectable state.
-	if f.nodeMaskable {
-		for m := f.busyNodes; m != 0; {
-			node := bits.TrailingZeros64(m)
-			m &= m - 1
-			if r := f.routers[node]; r.inCount > 0 {
-				f.eject(r, cycle)
-			}
-		}
-	} else {
-		for _, r := range f.routers {
-			if r.inCount > 0 {
-				f.eject(r, cycle)
-			}
+	for m := f.busyNodes; m != 0; {
+		node := bits.TrailingZeros64(m)
+		m &= m - 1
+		if r := f.routers[node]; r.inCount > 0 {
+			f.eject(r, cycle)
 		}
 	}
 	// Phase 3: switch allocation and forwarding (forwarding only moves
 	// packets onto pending wheels, so the snapshot is complete).
-	if f.nodeMaskable {
-		for m := f.busyNodes; m != 0; {
-			node := bits.TrailingZeros64(m)
-			m &= m - 1
-			if r := f.routers[node]; r.inCount+r.injCount > 0 {
-				f.forward(r, cycle)
-			}
-		}
-	} else {
-		for _, r := range f.routers {
-			if r.inCount+r.injCount > 0 {
-				f.forward(r, cycle)
-			}
+	for m := f.busyNodes; m != 0; {
+		node := bits.TrailingZeros64(m)
+		m &= m - 1
+		if r := f.routers[node]; r.inCount+r.injCount > 0 {
+			f.forward(r, cycle)
 		}
 	}
 }
@@ -613,44 +592,30 @@ func (f *Fabric) land(r *router, cycle uint64) {
 // drain order matches the deadlock-freedom argument. Each queue gets one
 // delivery attempt per cycle; endpoint refusals backpressure the network.
 // Ejection bandwidth is otherwise unbounded — a modeling simplification the
-// simulated results depend on (see DESIGN.md). Only occupied (port, VC)
-// queues are visited; the visit order (class descending, then port then VC
-// ascending) matches the plain scan.
+// simulated results depend on (see DESIGN.md). Only occupied link-input
+// queues whose cached head ejects here are visited, class descending, then
+// port then VC ascending.
 //
 //ar:hotpath
 func (f *Fabric) eject(r *router, cycle uint64) {
 	ep := f.endpoints[r.node]
 	for pass := 0; pass < 3; pass++ {
 		class := 2 - pass // 2=response, 1=operand, 0=request
-		if r.maskable {
-			// Only queues whose cached head actually ejects here are
-			// candidates; the plain scan's other visits were guaranteed
-			// no-ops (head destined elsewhere).
-			m := r.occ & f.classMask[class] & r.ejectHead
-			for m != 0 {
-				idx := bits.TrailingZeros64(m)
-				m &= m - 1
-				if idx >= r.ports*f.Cfg.VCs {
-					break // injection-queue bits: not ejectable
-				}
-				f.ejectQueue(r, ep, idx, cycle)
+		m := r.occ & f.classMask[class] & r.ejectHead
+		for m != 0 {
+			idx := bits.TrailingZeros64(m)
+			m &= m - 1
+			if idx >= r.ports*f.Cfg.VCs {
+				break // injection-queue bits: not ejectable
 			}
-			continue
-		}
-		for port := 0; port < r.ports; port++ {
-			for vc := 0; vc < f.Cfg.VCs; vc++ {
-				if vc/2 != class {
-					continue
-				}
-				f.ejectQueue(r, ep, port*f.Cfg.VCs+vc, cycle)
-			}
+			f.ejectQueue(r, ep, idx, cycle)
 		}
 	}
 }
 
 // ejectQueue delivers at most one packet from input queue idx (each queue
-// gets one ejection attempt per class pass, exactly like the plain scan);
-// it reports whether a packet was popped. A successful Deliver is the
+// gets one ejection attempt per class pass); it reports whether a packet
+// was popped. A successful Deliver is the
 // ejection commit: ownership passes to the endpoint, which releases the
 // packet to the fabric's pool at its final consumption point.
 //
@@ -691,9 +656,8 @@ func (f *Fabric) ejectQueue(r *router, ep Endpoint, idx int, cycle uint64) bool 
 }
 
 // forward performs output-port arbitration: for every output port pick one
-// eligible head packet (round-robin over inputs including injection). Only
-// occupied queues are visited, in exactly the round-robin order of the
-// plain scan.
+// eligible head packet, round-robin over the occupied inputs (link inputs,
+// then injection queues) starting at rrPort.
 //
 //ar:hotpath
 func (f *Fabric) forward(r *router, cycle uint64) {
@@ -712,40 +676,31 @@ func (f *Fabric) forward(r *router, cycle uint64) {
 		if !l.ok {
 			continue
 		}
-		if r.maskable {
-			// Visit occupied queues in (rrPort + k) % nin order: the bits
-			// at and above rrPort first, then the wrapped-around low bits.
-			// The cached headOut filters ineligible queues with one int8
-			// compare before any packet dereference.
-			high := r.occ & (^uint64(0) << uint(r.rrPort))
-			low := r.occ &^ (^uint64(0) << uint(r.rrPort))
-			done := false
-			for _, m := range [2]uint64{high, low} {
-				for m != 0 {
-					idx := bits.TrailingZeros64(m)
-					m &= m - 1
-					if int(r.headOut[idx]) != out {
-						continue
-					}
-					// Cached head VC: refuse on missing credits without
-					// touching the packet at all.
-					if r.credits[out*f.Cfg.VCs+int(r.headVC[idx])] <= 0 {
-						continue
-					}
-					if f.tryForward(r, out, idx, l, cycle, nin) {
-						done = true
-						break
-					}
+		// Visit occupied queues in (rrPort + k) % nin order: the bits at
+		// and above rrPort first, then the wrapped-around low bits. The
+		// cached headOut filters ineligible queues with one int8 compare
+		// before any packet dereference.
+		high := r.occ & (^uint64(0) << uint(r.rrPort))
+		low := r.occ &^ (^uint64(0) << uint(r.rrPort))
+		done := false
+		for _, m := range [2]uint64{high, low} {
+			for m != 0 {
+				idx := bits.TrailingZeros64(m)
+				m &= m - 1
+				if int(r.headOut[idx]) != out {
+					continue
 				}
-				if done {
+				// Cached head VC: refuse on missing credits without
+				// touching the packet at all.
+				if r.credits[out*f.Cfg.VCs+int(r.headVC[idx])] <= 0 {
+					continue
+				}
+				if f.tryForward(r, out, idx, l, cycle, nin) {
+					done = true
 					break
 				}
 			}
-			continue
-		}
-		for k := 0; k < nin; k++ {
-			idx := (r.rrPort + k) % nin
-			if f.tryForward(r, out, idx, l, cycle, nin) {
+			if done {
 				break
 			}
 		}
@@ -753,10 +708,9 @@ func (f *Fabric) forward(r *router, cycle uint64) {
 }
 
 // tryForward attempts to transmit the head of input queue idx through
-// output port out; it reports whether a packet was sent. On the maskable
-// path the caller has already matched the cached headOut, so the plain
-// checks below only run for the non-maskable fallback (and stay correct
-// either way).
+// output port out; it reports whether a packet was sent. forward has
+// already matched the cached head metadata; the checks below confirm it
+// against the head packet itself.
 func (f *Fabric) tryForward(r *router, out, idx int, l link, cycle uint64, nin int) bool {
 	q := r.queueAt(idx, f.Cfg.VCs)
 	injected := idx >= r.ports*f.Cfg.VCs

@@ -168,6 +168,10 @@ func (m *Mesh) Route(cur, dst int) int {
 // HopClass implements Topology. XY routing is deadlock free in one class.
 func (m *Mesh) HopClass(cur, dst int) int { return 0 }
 
+// MemNetCubes is the cube count of both memory-network topologies: the
+// dragonfly below and the 4×4 mesh ablation.
+const MemNetCubes = 16
+
 // Dragonfly is the 16-cube dragonfly memory network of Table 4.1: 4 groups
 // of 4 routers, fully connected within a group, one global link per router
 // for routers 0..2 (router r of group g connects to group (g+r+1) mod 4).

@@ -60,20 +60,14 @@ type Local struct {
 // budget provides backpressure, not unavailability).
 func (l *Local) Ready() bool { return true }
 
-// Execute runs one normalized job holding one slot of the shared budget.
+// Execute runs one normalized job holding one slot of the shared budget:
+// the grid executor's direct runner, with the observer's callbacks.
 func (l *Local) Execute(ctx context.Context, job Job) (*system.Results, error) {
-	if err := l.Budget.Acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer l.Budget.Release()
+	var started func()
 	if l.Observer != nil {
-		l.Observer.JobStarted()
+		started = l.Observer.JobStarted
 	}
-	sys, err := system.New(*job.Config, job.Workload, job.Scale)
-	if err != nil {
-		return nil, fmt.Errorf("service: %s/%s: %w", job.Scheme, job.Workload, err)
-	}
-	res, err := sys.RunCtx(ctx)
+	res, err := sweep.Direct(l.Budget, started)(ctx, job.Config, job.Workload, job.Scale)
 	if err != nil {
 		return nil, fmt.Errorf("service: %s/%s: %w", job.Scheme, job.Workload, err)
 	}

@@ -2,170 +2,43 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/experiments"
 	"repro/internal/system"
 	"repro/internal/workload"
 )
 
-// Suite assembles an experiments.Suite by routing every (workload, scheme)
-// run through the cached Run path: repeat figure requests re-simulate
-// nothing, and a cold suite's runs are bounded by the shared budget. The
-// assembled suite is bit-identical to experiments.RunSuiteCtx because both
-// run system.New(DefaultConfig(scheme)) + Run on a deterministic machine.
-func (s *Server) Suite(ctx context.Context, scale workload.Scale, workloads []string, schemes []system.Scheme) (*experiments.Suite, error) {
-	suite := &experiments.Suite{
-		Scale:     scale,
-		Workloads: workloads,
-		Schemes:   schemes,
-		Results:   make(map[experiments.Key]*system.Results),
-	}
-	keys := make([]experiments.Key, 0, len(workloads)*len(schemes))
-	for _, wl := range workloads {
-		for _, sch := range schemes {
-			keys = append(keys, experiments.Key{Workload: wl, Scheme: sch})
-		}
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// One goroutine per key, not a worker pool: Run acquires the shared
-	// budget itself, so simulation parallelism stays bounded while cache
-	// hits resolve without queueing behind a pool slot. (Wrapping Run in
-	// RunJobsOn would hold two budget slots per run and deadlock at cap 1.)
-	results := make([]*system.Results, len(keys))
-	errs := make([]error, len(keys))
-	var wg sync.WaitGroup
-	for i := range keys {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, _, err := s.Run(ctx, Job{Workload: keys[i].Workload, Scheme: keys[i].Scheme, Scale: scale})
-			if err != nil {
-				errs[i] = err
-				cancel()
-				return
-			}
-			results[i] = res
-		}(i)
-	}
-	wg.Wait()
-	var firstCancel error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if firstCancel == nil {
-				firstCancel = err
-			}
-			continue
-		}
-		return nil, err
-	}
-	if firstCancel != nil {
-		return nil, firstCancel
-	}
-	for i, k := range keys {
-		suite.Results[k] = results[i]
-	}
-	return suite, nil
-}
-
-// FigureIDs lists the figure ids Figure accepts, in thesis order.
+// FigureIDs lists the figure ids /figures serves, in thesis order: every
+// entry of the experiments figure table that derives from runs (Table 4.1
+// is the machine configuration itself).
 func FigureIDs() []string {
-	return []string{"5.1a", "5.1b", "5.2a", "5.2b", "5.3", "5.4", "5.5", "5.6", "5.7", "5.8"}
+	var ids []string
+	for _, f := range experiments.Figures() {
+		if len(f.Suites) > 0 {
+			ids = append(ids, f.ID)
+		}
+	}
+	return ids
 }
 
-// Figure derives one evaluation figure at the given scale, running (or
-// cache-resolving) whatever suite it needs. The returned value is the
-// figure's JSON-marshalable data table, mirroring cmd/arbench's ids.
+// Figure derives one entry of the experiments figure table at the given
+// scale. Every run resolves through the cached Run path, so repeat figure
+// requests re-simulate nothing and figures sharing runs simulate them
+// once; a suite's runs are all in flight at once, so cache hits never
+// queue and the shared budget alone bounds the simulations. The returned
+// value is the figure's JSON-marshalable data table.
 func (s *Server) Figure(ctx context.Context, id string, scale workload.Scale) (any, error) {
-	bench := func() (*experiments.Suite, error) {
-		return s.Suite(ctx, scale, workload.Benchmarks(), system.Schemes())
-	}
-	micro := func() (*experiments.Suite, error) {
-		return s.Suite(ctx, scale, workload.Microbenchmarks(), system.Schemes())
-	}
-	pair := func(derive func(*experiments.Suite) (any, error)) (any, error) {
-		b, err := bench()
-		if err != nil {
-			return nil, err
-		}
-		tb, err := derive(b)
-		if err != nil {
-			return nil, err
-		}
-		m, err := micro()
-		if err != nil {
-			return nil, err
-		}
-		tm, err := derive(m)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"benchmarks": tb, "microbenchmarks": tm}, nil
-	}
-	switch id {
-	case "5.1a":
-		su, err := bench()
-		if err != nil {
-			return nil, err
-		}
-		return experiments.Fig51(su)
-	case "5.1b":
-		su, err := micro()
-		if err != nil {
-			return nil, err
-		}
-		return experiments.Fig51(su)
-	case "5.2a":
-		su, err := bench()
-		if err != nil {
-			return nil, err
-		}
-		return experiments.Fig52(su), nil
-	case "5.2b":
-		su, err := micro()
-		if err != nil {
-			return nil, err
-		}
-		return experiments.Fig52(su), nil
-	case "5.3":
-		su, err := s.Suite(ctx, scale, []string{"lud"},
-			[]system.Scheme{system.SchemeARFtid, system.SchemeARFaddr})
-		if err != nil {
-			return nil, err
-		}
-		return experiments.Fig53(su), nil
-	case "5.4":
-		return pair(func(su *experiments.Suite) (any, error) { return experiments.Fig54(su) })
-	case "5.5":
-		return pair(func(su *experiments.Suite) (any, error) { return experiments.Fig55to57(su, true) })
-	case "5.6", "5.7":
-		return pair(func(su *experiments.Suite) (any, error) { return experiments.Fig55to57(su, false) })
-	case "5.8":
-		return s.fig58(ctx, scale)
-	default:
+	f, ok := experiments.FigureByID(id)
+	if !ok {
 		return nil, fmt.Errorf("service: unknown figure %q (want one of %v)", id, FigureIDs())
 	}
+	return f.Compute(ctx, scale, s.runPoint)
 }
 
-// fig58 is the §5.4 dynamic-offloading case study through the cache: the
-// three lud_phase runs resolve as ordinary jobs, then the traces and
-// HMC-relative speedups derive via the same experiments.Fig58From code the
-// direct path uses.
-func (s *Server) fig58(ctx context.Context, scale workload.Scale) (*experiments.Fig58Result, error) {
-	schemes := experiments.Fig58Schemes()
-	runs := make([]*system.Results, len(schemes))
-	for i, sch := range schemes {
-		r, _, err := s.Run(ctx, Job{Workload: "lud_phase", Scheme: sch, Scale: scale})
-		if err != nil {
-			return nil, err
-		}
-		runs[i] = r
-	}
-	return experiments.Fig58From(schemes, runs)
+// runPoint is the cached sweep.PointRunner: a default-configuration point
+// shares its cache key with the same /run job.
+func (s *Server) runPoint(ctx context.Context, cfg *system.Config, wl string, scale workload.Scale) (*system.Results, error) {
+	res, _, err := s.Run(ctx, Job{Workload: wl, Scheme: cfg.Scheme, Scale: scale, Config: cfg})
+	return res, err
 }

@@ -330,10 +330,11 @@ func (s *Server) simulate(ctx context.Context, job Job) (*system.Results, error)
 // Sweep executes a named built-in study at the given scale on the shared
 // budget. Sweep points mutate configurations away from the defaults and are
 // not routed through the result cache (the cache serves the repeat-heavy
-// /run and /figures traffic; a sweep is a one-shot grid). Studies that
-// declare a PrefixCycle run prefix-shared: grid points fork from one
-// checkpoint per shared-prefix family (bit-identical results, lower wall
-// clock), warm-starting from the snapshot store when one is configured.
+// /run and /figures traffic; a sweep is a one-shot grid). Locally, every
+// study runs through RunPrefixShared: studies that declare a PrefixCycle
+// fork grid points from one checkpoint per shared-prefix family
+// (bit-identical results, lower wall clock), warm-starting from the
+// snapshot store when one is configured; the others run plainly.
 //
 // With a cluster executor installed, every grid point dispatches to the
 // worker fleet instead (prefix sharing is a single-process optimization;
@@ -355,17 +356,14 @@ func (s *Server) Sweep(ctx context.Context, study string, scale workload.Scale) 
 			return s.simulate(ctx, norm)
 		})
 	}
-	if grid.PrefixCycle > 0 {
-		res, st, err := sweep.RunPrefixShared(ctx, grid, s.budget, s.snaps)
-		if err == nil {
-			s.mu.Lock()
-			s.sweepForks += uint64(st.ForkResumes)
-			s.sweepWarm += uint64(st.StoreHits)
-			s.mu.Unlock()
-		}
-		return res, err
+	res, st, err := sweep.RunPrefixShared(ctx, grid, s.budget, s.snaps)
+	if err == nil {
+		s.mu.Lock()
+		s.sweepForks += uint64(st.ForkResumes)
+		s.sweepWarm += uint64(st.StoreHits)
+		s.mu.Unlock()
 	}
-	return sweep.RunOn(ctx, grid, s.budget)
+	return res, err
 }
 
 // sweepParallelism bounds how many sweep points a cluster sweep keeps in

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"repro/internal/store"
@@ -72,6 +71,9 @@ func (f *family) forkValid(cfg *system.Config) bool {
 // bit-identical to Run — point order, values and hashes — only wall-clock
 // differs. A zero PrefixCycle degenerates to plain RunOn.
 func RunPrefixShared(ctx context.Context, g Grid, b *Budget, snaps *store.Store) (*Result, *PrefixStats, error) {
+	if b == nil {
+		b = NewBudget(g.Workers)
+	}
 	if g.PrefixCycle == 0 {
 		res, err := RunOn(ctx, g, b)
 		return res, &PrefixStats{}, err
@@ -79,9 +81,6 @@ func RunPrefixShared(ctx context.Context, g Grid, b *Budget, snaps *store.Store)
 	jobs, cfgs, err := g.prepare()
 	if err != nil {
 		return nil, nil, err
-	}
-	if b == nil {
-		b = NewBudget(g.Workers)
 	}
 
 	// Factor into families. The leader is the member with the SMALLEST
@@ -125,7 +124,7 @@ func RunPrefixShared(ctx context.Context, g Grid, b *Budget, snaps *store.Store)
 		cfg := cfgs[i]
 		sys, err := system.New(cfg, j.wl, g.Scale)
 		if err != nil {
-			return fmt.Errorf("sweep %s point %v: %w", g.Name, j.coords, err)
+			return g.pointErr(j, err)
 		}
 		if snaps != nil {
 			if blob, ok := snaps.Get(f.key); ok {
@@ -139,7 +138,7 @@ func RunPrefixShared(ctx context.Context, g Grid, b *Budget, snaps *store.Store)
 					// restore it); this family just re-derives its own.
 					sys, err = system.New(cfg, j.wl, g.Scale)
 					if err != nil {
-						return fmt.Errorf("sweep %s point %v: %w", g.Name, j.coords, err)
+						return g.pointErr(j, err)
 					}
 				}
 			}
@@ -147,7 +146,7 @@ func RunPrefixShared(ctx context.Context, g Grid, b *Budget, snaps *store.Store)
 		if f.snap == nil {
 			blob, err := sys.RunToCheckpoint(ctx, g.PrefixCycle, nil)
 			if err != nil {
-				return fmt.Errorf("sweep %s point %v: %w", g.Name, j.coords, err)
+				return g.pointErr(j, err)
 			}
 			f.snap = blob // nil when the run finished before any quiescent point
 			if blob != nil && snaps != nil {
@@ -165,7 +164,7 @@ func RunPrefixShared(ctx context.Context, g Grid, b *Budget, snaps *store.Store)
 		}
 		r, err := sys.RunCtx(ctx)
 		if err != nil {
-			return fmt.Errorf("sweep %s point %v: %w", g.Name, j.coords, err)
+			return g.pointErr(j, err)
 		}
 		points[i] = newPoint(i, j, &cfg, r)
 		return nil
@@ -201,7 +200,7 @@ func RunPrefixShared(ctx context.Context, g Grid, b *Budget, snaps *store.Store)
 		f := famOf[i]
 		sys, err := system.New(cfg, j.wl, g.Scale)
 		if err != nil {
-			return fmt.Errorf("sweep %s point %v: %w", g.Name, j.coords, err)
+			return g.pointErr(j, err)
 		}
 		if f.forkValid(&cfg) {
 			if rerr := sys.Restore(f.snap); rerr == nil {
@@ -209,13 +208,13 @@ func RunPrefixShared(ctx context.Context, g Grid, b *Budget, snaps *store.Store)
 			} else {
 				sys, err = system.New(cfg, j.wl, g.Scale)
 				if err != nil {
-					return fmt.Errorf("sweep %s point %v: %w", g.Name, j.coords, err)
+					return g.pointErr(j, err)
 				}
 			}
 		}
 		r, err := sys.RunCtx(ctx)
 		if err != nil {
-			return fmt.Errorf("sweep %s point %v: %w", g.Name, j.coords, err)
+			return g.pointErr(j, err)
 		}
 		points[i] = newPoint(i, j, &cfg, r)
 		return nil

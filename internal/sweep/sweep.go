@@ -108,7 +108,7 @@ type Result struct {
 	Points    []Point  `json:"points"`
 }
 
-// point is one expanded grid coordinate before execution.
+// jobSpec is one expanded grid coordinate before execution.
 type jobSpec struct {
 	coords   []string
 	mutators []Mutator
@@ -166,7 +166,7 @@ func (g *Grid) prepare() ([]jobSpec, []system.Config, error) {
 			mut(&cfg)
 		}
 		if err := cfg.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("sweep %s point %v %s/%s: %w", g.Name, j.coords, j.scheme, j.wl, err)
+			return nil, nil, g.pointErr(j, err)
 		}
 		cfgs[i] = cfg
 	}
@@ -182,6 +182,80 @@ func (g *Grid) result(points []Point) *Result {
 	return res
 }
 
+// PointRunner executes one expanded grid point's simulation: cfg is the
+// fully mutated, validated configuration (its Scheme field matches the
+// point's scheme). Implementations must be deterministic in cfg — the grid
+// engine assumes any two executions of a point produce identical Results.
+type PointRunner func(ctx context.Context, cfg *system.Config, wl string, scale workload.Scale) (*system.Results, error)
+
+// Direct returns the in-process PointRunner: each point holds one slot of
+// b (nil means a private GOMAXPROCS-sized budget) while it builds and runs
+// its machine. started, when non-nil, fires once the slot is held, just
+// before the machine is built.
+func Direct(b *Budget, started func()) PointRunner {
+	if b == nil {
+		b = NewBudget(0)
+	}
+	return func(ctx context.Context, cfg *system.Config, wl string, scale workload.Scale) (*system.Results, error) {
+		if err := b.Acquire(ctx); err != nil {
+			return nil, err
+		}
+		defer b.Release()
+		if started != nil {
+			started()
+		}
+		sys, err := system.New(*cfg, wl, scale)
+		if err != nil {
+			return nil, err
+		}
+		return sys.RunCtx(ctx)
+	}
+}
+
+// Exec is the grid executor every suite, sweep and figure runs on: it
+// expands the grid, then runs each point through run with at most parallel
+// points in flight (<= 0 means g.Workers, then GOMAXPROCS), and returns
+// every point's Results in grid order. A cancelled ctx fails before any
+// axis mutator runs; the first failing point cancels the rest, and its
+// error carries the point's coordinates.
+func Exec(ctx context.Context, g Grid, parallel int, run PointRunner) ([]*system.Results, error) {
+	_, _, results, err := g.exec(ctx, parallel, run)
+	return results, err
+}
+
+// exec is Exec, also returning the expanded points and their configs.
+func (g *Grid) exec(ctx context.Context, parallel int, run PointRunner) ([]jobSpec, []system.Config, []*system.Results, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, nil, err
+	}
+	jobs, cfgs, err := g.prepare()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if parallel <= 0 {
+		parallel = g.Workers
+	}
+	results := make([]*system.Results, len(jobs))
+	err = RunJobs(ctx, len(jobs), parallel, func(ctx context.Context, i int) error {
+		r, err := run(ctx, &cfgs[i], jobs[i].wl, g.Scale)
+		if err != nil {
+			return g.pointErr(jobs[i], err)
+		}
+		results[i] = r
+		return nil
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return jobs, cfgs, results, nil
+}
+
+// pointErr attaches a point's coordinates, scheme and workload to its
+// error.
+func (g *Grid) pointErr(j jobSpec, err error) error {
+	return fmt.Errorf("sweep %s point %v %s/%s: %w", g.Name, j.coords, j.scheme, j.wl, err)
+}
+
 // Run executes the grid on a private worker budget sized by g.Workers. On
 // the first failing point (or context cancellation) the pool cancels:
 // queued points never start and the error propagates with the point's
@@ -195,63 +269,26 @@ func Run(ctx context.Context, g Grid) (*Result, error) {
 // service layer competes for the same slots as every other job instead of
 // oversubscribing the machine.
 func RunOn(ctx context.Context, g Grid, b *Budget) (*Result, error) {
-	jobs, cfgs, err := g.prepare()
-	if err != nil {
-		return nil, err
+	if b == nil {
+		b = NewBudget(0)
 	}
-	points := make([]Point, len(jobs))
-	err = RunJobsOn(ctx, len(jobs), b, func(ctx context.Context, i int) error {
-		j := jobs[i]
-		sys, err := system.New(cfgs[i], j.wl, g.Scale)
-		if err != nil {
-			return fmt.Errorf("sweep %s point %v: %w", g.Name, j.coords, err)
-		}
-		r, err := sys.RunCtx(ctx)
-		if err != nil {
-			return fmt.Errorf("sweep %s point %v: %w", g.Name, j.coords, err)
-		}
-		points[i] = newPoint(i, j, &cfgs[i], r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return g.result(points), nil
+	return RunVia(ctx, g, b.Cap(), Direct(b, nil))
 }
 
-// PointRunner executes one expanded grid point's simulation: cfg is the
-// fully mutated, validated configuration (its Scheme field matches the
-// point's scheme). Implementations must be deterministic in cfg — the grid
-// engine assumes any two executions of a point produce identical Results.
-type PointRunner func(ctx context.Context, cfg *system.Config, wl string, scale workload.Scale) (*system.Results, error)
-
-// RunVia executes the grid like RunOn but delegates each point's simulation
-// to run — the cluster coordinator dispatches points to remote workers this
-// way, so a sweep survives worker loss without losing grid order or
-// determinism. parallel bounds concurrent in-flight points (<= 0 means
-// g.Workers, then GOMAXPROCS); the runner is expected to provide its own
-// backpressure (a dispatcher queues on fleet capacity), so the bound only
-// caps goroutines.
+// RunVia executes the grid delegating each point's simulation to run — the
+// cluster coordinator dispatches points to remote workers this way, so a
+// sweep survives worker loss without losing grid order or determinism.
+// parallel bounds concurrent in-flight points (<= 0 means g.Workers, then
+// GOMAXPROCS); the runner is expected to provide its own backpressure (a
+// dispatcher queues on fleet capacity), so the bound only caps goroutines.
 func RunVia(ctx context.Context, g Grid, parallel int, run PointRunner) (*Result, error) {
-	jobs, cfgs, err := g.prepare()
+	jobs, cfgs, results, err := g.exec(ctx, parallel, run)
 	if err != nil {
 		return nil, err
-	}
-	if parallel <= 0 {
-		parallel = g.Workers
 	}
 	points := make([]Point, len(jobs))
-	err = RunJobsOn(ctx, len(jobs), NewBudget(parallel), func(ctx context.Context, i int) error {
-		j := jobs[i]
-		r, err := run(ctx, &cfgs[i], j.wl, g.Scale)
-		if err != nil {
-			return fmt.Errorf("sweep %s point %v: %w", g.Name, j.coords, err)
-		}
-		points[i] = newPoint(i, j, &cfgs[i], r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	for i, j := range jobs {
+		points[i] = newPoint(i, j, &cfgs[i], results[i])
 	}
 	return g.result(points), nil
 }

@@ -169,14 +169,14 @@ func (c *Config) Validate() error {
 		{c.L1.SizeBytes > 0 && c.L1.Ways > 0, "L1 geometry must be positive"},
 		{c.L2.BankSizeBytes > 0 && c.L2.Ways > 0, "L2 geometry must be positive"},
 		{c.NoC.LinkBandwidth > 0, "NoC.LinkBandwidth must be positive"},
-		{c.NoC.VCs > 0 && c.NoC.QueueDepth > 0, "NoC queues must be positive"},
+		{c.NoC.QueueDepth > 0, "NoC.QueueDepth must be positive"},
 		{c.MemNet.LinkBandwidth > 0, "MemNet.LinkBandwidth must be positive"},
-		{c.MemNet.VCs > 0 && c.MemNet.QueueDepth > 0, "MemNet queues must be positive"},
+		{c.MemNet.QueueDepth > 0, "MemNet.QueueDepth must be positive"},
 		{c.ARE.MaxFlows > 0, "ARE.MaxFlows must be positive"},
 		{c.ARE.OperandBufs > 0, "ARE.OperandBufs must be positive"},
 		{c.ARE.DecodeRate > 0 && c.ARE.ALURate > 0, "ARE decode/ALU rates must be positive"},
 		{c.DRAMGeom.Channels > 0, "DRAM channels must be positive"},
-		{c.HMCGeom.Cubes > 0 && c.HMCGeom.VaultsPerCube > 0, "HMC geometry must be positive"},
+		{c.HMCGeom.VaultsPerCube > 0, "HMCGeom.VaultsPerCube must be positive"},
 		{c.CoordQueue > 0, "CoordQueue must be positive"},
 		{c.MIQueue > 0 && c.MIWindow > 0, "MI queue/window must be positive"},
 		{c.Cube.VaultQueue > 0 && c.Cube.XbarRate > 0, "cube vault queue and crossbar rate must be positive"},
@@ -192,6 +192,20 @@ func (c *Config) Validate() error {
 		if !ch.ok {
 			return fmt.Errorf("system: invalid config: %s", ch.what)
 		}
+	}
+	// The fabrics and topologies are built for exactly these values.
+	for _, f := range [...]struct {
+		name string
+		vcs  int
+	}{{"NoC", c.NoC.VCs}, {"MemNet", c.MemNet.VCs}} {
+		if f.vcs != network.NumVCs {
+			return fmt.Errorf("system: invalid config: %s.VCs must be %d (three traffic classes times two hop classes), got %d",
+				f.name, network.NumVCs, f.vcs)
+		}
+	}
+	if c.HMCGeom.Cubes != network.MemNetCubes {
+		return fmt.Errorf("system: invalid config: HMCGeom.Cubes must be %d (both memory-network topologies have %d cubes), got %d",
+			network.MemNetCubes, network.MemNetCubes, c.HMCGeom.Cubes)
 	}
 	return nil
 }

@@ -39,6 +39,37 @@ func TestValidateRejectsBadFields(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUnbuildableFabrics: every value here once passed
+// Validate and then panicked in the network or the HMC controllers, or (12
+// VCs) ran on a fabric code path nothing else exercised. The fabric's VC
+// count and the memory network's cube count are fixed by its topologies.
+func TestValidateRejectsUnbuildableFabrics(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Config)
+		want string
+	}{
+		{"NoC 4 VCs", func(c *Config) { c.NoC.VCs = 4 }, "NoC.VCs must be 6"},
+		{"MemNet 4 VCs", func(c *Config) { c.MemNet.VCs = 4 }, "MemNet.VCs must be 6"},
+		{"MemNet 12 VCs", func(c *Config) { c.MemNet.VCs = 12 }, "MemNet.VCs must be 6"},
+		{"8 cubes", func(c *Config) { c.HMCGeom.Cubes = 8 }, "HMCGeom.Cubes must be 16"},
+		{"32 cubes", func(c *Config) { c.HMCGeom.Cubes = 32 }, "HMCGeom.Cubes must be 16"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(SchemeARFtid)
+			tc.mut(&cfg)
+			err := cfg.Validate()
+			if err == nil {
+				t.Fatal("unbuildable config accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not contain %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestConfigHashStability(t *testing.T) {
 	a := DefaultConfig(SchemeARFtid)
 	b := DefaultConfig(SchemeARFtid)
