@@ -52,14 +52,16 @@ func TestDeterministicResults(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunsIsolated checks that machines running at the same time in
+// TestShardedDeterminism checks that machines running at the same time in
 // one process do not disturb each other: for every suite workload under
 // every scheme, two identical machines simulated concurrently each produce
 // Results bit-identical to a machine run alone. Sweeps and the service
 // gain their parallelism only by running whole machines side by side, so
 // no state (traces, message pools, package-level caches) may leak between
-// them.
-func TestConcurrentRunsIsolated(t *testing.T) {
+// them. The name dates from when this test compared the since-removed
+// sharded kernel with the sequential one; it is kept so the test keeps its
+// identity across changes.
+func TestShardedDeterminism(t *testing.T) {
 	for _, wl := range append(append([]string{}, workload.Benchmarks()...), workload.Microbenchmarks()...) {
 		for _, sch := range system.AllSchemes() {
 			wl, sch := wl, sch
