@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -551,16 +550,4 @@ func (b *L2Bank) finish(t *txn, cycle uint64) {
 	}
 	*t = txn{queued: t.queued[:0]}
 	b.txnFree = append(b.txnFree, t) //ar:exempt(hotpath) free list reaches steady-state capacity; append stops growing after warm-up
-}
-
-// Busy2 exposes in-flight transaction blocks (debug tooling), sorted so
-// the output is stable across runs.
-func (b *L2Bank) Busy2() []mem.PAddr {
-	out := make([]mem.PAddr, 0, len(b.busy))
-	//ar:exempt(determinism) key collection only; the slice is sorted before it leaves
-	for k := range b.busy {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -167,20 +167,17 @@ type Stats struct {
 	MemWrites    uint64
 }
 
+// counters lists the Stats fields in snapshot order.
+func (s *Stats) counters() []*uint64 {
+	return []*uint64{&s.L1Accesses, &s.L1Hits, &s.L1Misses, &s.L1Evictions,
+		&s.L2Accesses, &s.L2Hits, &s.L2Misses, &s.L2Evictions, &s.Invals, &s.Fetches,
+		&s.BackInvalQ, &s.BackInvalHit, &s.MemReads, &s.MemWrites}
+}
+
 // Merge adds other into s.
 func (s *Stats) Merge(o Stats) {
-	s.L1Accesses += o.L1Accesses
-	s.L1Hits += o.L1Hits
-	s.L1Misses += o.L1Misses
-	s.L1Evictions += o.L1Evictions
-	s.L2Accesses += o.L2Accesses
-	s.L2Hits += o.L2Hits
-	s.L2Misses += o.L2Misses
-	s.L2Evictions += o.L2Evictions
-	s.Invals += o.Invals
-	s.Fetches += o.Fetches
-	s.BackInvalQ += o.BackInvalQ
-	s.BackInvalHit += o.BackInvalHit
-	s.MemReads += o.MemReads
-	s.MemWrites += o.MemWrites
+	dst, src := s.counters(), o.counters()
+	for i, p := range dst {
+		*p += *src[i]
+	}
 }

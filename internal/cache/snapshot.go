@@ -13,17 +13,13 @@ import (
 // simulated behavior; see DESIGN.md "Checkpointing").
 
 func encCacheStats(e *sim.Enc, s *Stats) {
-	for _, v := range []uint64{s.L1Accesses, s.L1Hits, s.L1Misses, s.L1Evictions,
-		s.L2Accesses, s.L2Hits, s.L2Misses, s.L2Evictions, s.Invals, s.Fetches,
-		s.BackInvalQ, s.BackInvalHit, s.MemReads, s.MemWrites} {
-		e.U64(v)
+	for _, p := range s.counters() {
+		e.U64(*p)
 	}
 }
 
 func decCacheStats(d *sim.Dec, s *Stats) {
-	for _, p := range []*uint64{&s.L1Accesses, &s.L1Hits, &s.L1Misses, &s.L1Evictions,
-		&s.L2Accesses, &s.L2Hits, &s.L2Misses, &s.L2Evictions, &s.Invals, &s.Fetches,
-		&s.BackInvalQ, &s.BackInvalHit, &s.MemReads, &s.MemWrites} {
+	for _, p := range s.counters() {
 		*p = d.U64()
 	}
 }

@@ -92,7 +92,6 @@ type coordFlow struct {
 	pendingTree int
 	partial     float64
 	wake        []func(cycle uint64)
-	finalTag    uint64
 }
 
 // CoordStats counts coordinator activity.
@@ -103,6 +102,12 @@ type CoordStats struct {
 	FlowsComplete  uint64
 	PortStalls     uint64 // cycles a port queue head could not inject
 	EnqueueRejects uint64
+}
+
+// counters lists the CoordStats fields in snapshot order.
+func (s *CoordStats) counters() []*uint64 {
+	return []*uint64{&s.Updates, &s.Gathers, &s.ActiveStores, &s.FlowsComplete,
+		&s.PortStalls, &s.EnqueueRejects}
 }
 
 // Coordinator is the Active-Routing runtime at the host's HMC controllers:

@@ -13,10 +13,10 @@ import (
 // injection into the memory network, and routing/geometry queries. The hmc
 // package implements it.
 type Cube interface {
-	// VaultAccess enqueues a word-granularity access to the local vault
-	// holding pa. It reports false on vault queue backpressure. For reads
-	// onDone receives the value.
-	VaultAccess(pa mem.PAddr, write bool, value float64, onDone func(v float64, cycle uint64)) bool
+	// VaultReadTag enqueues a word read at the local vault holding pa,
+	// whose value arrives through the engine's OperandResp(tag, ...). It
+	// reports false on vault queue backpressure.
+	VaultReadTag(pa mem.PAddr, tag uint64) bool
 	// Inject offers a packet to the local router; false means the
 	// injection queue is full.
 	Inject(p *network.Packet) bool
@@ -27,15 +27,6 @@ type Cube interface {
 	// NextHopToCube returns the next node id on the minimal route from
 	// this cube to the given cube.
 	NextHopToCube(cube int) int
-}
-
-// TagReader is an optional Cube extension: a tag-routed local operand read
-// whose completion arrives through OperandResp(tag, value, cycle) instead
-// of a per-access callback. The hmc cube implements it so the engine's
-// local-fetch hot path allocates nothing; plain Cube implementations (test
-// fakes) fall back to VaultAccess.
-type TagReader interface {
-	VaultReadTag(pa mem.PAddr, tag uint64) bool
 }
 
 // EngineConfig sizes one Active-Routing Engine.
@@ -80,16 +71,34 @@ type EngineStats struct {
 	VaultAccessesSent uint64
 }
 
+// counters lists the EngineStats counter fields in snapshot order: every
+// uint64 field (PeakOperandInUse, a high-water mark, is not a counter).
+func (s *EngineStats) counters() []*uint64 {
+	return []*uint64{&s.UpdatesCommitted, &s.UpdatesForwarded, &s.OperandReqsSent,
+		&s.OperandBufStalls, &s.FlowTableStalls, &s.InjectStalls, &s.GatherReqs, &s.GatherResps,
+		&s.FlowsCompleted, &s.SingleOpBypasses, &s.DecodedPackets, &s.VaultAccessesSent}
+}
+
+// Merge folds o into s: counters add, PeakOperandInUse keeps the maximum.
+func (s *EngineStats) Merge(o EngineStats) {
+	dst, src := s.counters(), o.counters()
+	for i, p := range dst {
+		*p += *src[i]
+	}
+	if o.PeakOperandInUse > s.PeakOperandInUse {
+		s.PeakOperandInUse = o.PeakOperandInUse
+	}
+}
+
 // Engine is one Active-Routing Engine (Fig 3.3(a)): packet decoder, Active
 // Flow Table, operand buffer pool and ALU, attached to the cube's intra-
 // cube switch.
 type Engine struct {
-	CubeID    int
-	Node      int // network node id of the host cube
-	cfg       EngineConfig
-	cube      Cube
-	tagReader TagReader     // non-nil when cube supports tag-routed reads
-	pool      *network.Pool // packet free list shared with the host fabric
+	CubeID int
+	Node   int // network node id of the host cube
+	cfg    EngineConfig
+	cube   Cube
+	pool   *network.Pool // packet free list shared with the host fabric
 
 	Flows *FlowTable
 
@@ -118,13 +127,11 @@ func NewEngine(cubeID, node int, cfg EngineConfig, cube Cube, pool *network.Pool
 	if pool == nil {
 		pool = network.NewPool()
 	}
-	tagReader, _ := cube.(TagReader)
 	return &Engine{
 		CubeID:    cubeID,
 		Node:      node,
 		cfg:       cfg,
 		cube:      cube,
-		tagReader: tagReader,
 		pool:      pool,
 		Flows:     NewFlowTable(cfg.MaxFlows),
 		byTag:     make(map[uint64]*OperandEntry),
@@ -133,10 +140,6 @@ func NewEngine(cubeID, node int, cfg EngineConfig, cube Cube, pool *network.Pool
 		clockPow2: cfg.ClockDiv&(cfg.ClockDiv-1) == 0,
 	}
 }
-
-// SetBypass enables or disables the single-operand operand-buffer bypass
-// (§3.2.3); used by the ablation benchmark.
-func (e *Engine) SetBypass(on bool) { e.bypassOff = !on }
 
 // Busy reports whether the engine still holds any in-flight state.
 func (e *Engine) Busy() bool {
@@ -280,20 +283,12 @@ func (e *Engine) tryIssue(oe *OperandEntry, cycle uint64) {
 func (e *Engine) issueOne(oe *OperandEntry, addr mem.PAddr, tag uint64) bool {
 	home := e.cube.CubeOf(addr)
 	if home == e.CubeID {
-		var ok bool
-		if e.tagReader != nil {
-			// Tag-routed fast path: completion arrives via OperandResp, no
-			// per-access callback allocation.
-			ok = e.tagReader.VaultReadTag(addr, tag)
-		} else {
-			ok = e.cube.VaultAccess(addr, false, 0, func(v float64, c uint64) { //ar:exempt(hotpath) one completion callback per vault access; the vault API is callback-shaped and the allocs/op ceiling bounds it
-				e.operandArrived(tag, v, c)
-			})
+		// The value arrives through OperandResp, like a remote operand's.
+		if !e.cube.VaultReadTag(addr, tag) {
+			return false
 		}
-		if ok {
-			e.Stats.VaultAccessesSent++
-		}
-		return ok
+		e.Stats.VaultAccessesSent++
+		return true
 	}
 	p := e.pool.Get(network.OperandReq, e.Node, e.cube.NodeOfCube(home))
 	p.Addr = addr
@@ -303,15 +298,10 @@ func (e *Engine) issueOne(oe *OperandEntry, addr mem.PAddr, tag uint64) bool {
 	return true
 }
 
-// OperandResp delivers a remote operand value (an OperandResp packet that
-// arrived at the host cube).
+// OperandResp records a fetched operand value — a local vault read's or a
+// remote OperandResp packet's — and moves the entry to the ALU queue when
+// complete.
 func (e *Engine) OperandResp(tag uint64, v float64, cycle uint64) {
-	e.operandArrived(tag, v, cycle)
-}
-
-// operandArrived records a fetched operand value and moves the entry to the
-// ALU queue when complete.
-func (e *Engine) operandArrived(tag uint64, v float64, cycle uint64) {
 	oe, ok := e.byTag[tag]
 	if !ok {
 		panic(fmt.Sprintf("core: operand response for unknown tag %d at cube %d", tag, e.CubeID))
@@ -575,9 +565,4 @@ func (e *Engine) maybeComplete(fe *FlowEntry) {
 	e.emit(p)
 	e.Flows.Release(fe.Key)
 	e.Stats.FlowsCompleted++
-}
-
-// DebugState reports internal queue depths (debug tooling).
-func (e *Engine) DebugState() (inQ int, out0, out1, out2 int, pendingTags int, sendQ int, readyQ int) {
-	return e.inQ.Len(), e.outQ[0].Len(), e.outQ[1].Len(), e.outQ[2].Len(), len(e.byTag), len(e.sendQ), e.readyQ.Len()
 }

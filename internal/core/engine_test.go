@@ -8,17 +8,23 @@ import (
 	"repro/internal/network"
 )
 
-// mockCube drives an Engine without a network: vault reads complete after
-// a fixed delay, injections are captured for inspection.
+// mockCube drives an Engine without a network: vault reads complete when
+// the test flushes them, injections are captured for inspection.
 type mockCube struct {
 	id      int
 	geom    mem.HMCGeometry
 	store   *mem.Store
 	t       *testing.T
-	pending []func()
+	pending []vaultRead
 	out     []*network.Packet
 	injCap  int
 	vaultOK bool
+}
+
+// vaultRead is one accepted VaultReadTag awaiting flush.
+type vaultRead struct {
+	pa  mem.PAddr
+	tag uint64
 }
 
 func newMockCube(t *testing.T, id int) *mockCube {
@@ -32,18 +38,11 @@ func newMockCube(t *testing.T, id int) *mockCube {
 	}
 }
 
-func (m *mockCube) VaultAccess(pa mem.PAddr, write bool, value float64, onDone func(v float64, cycle uint64)) bool {
+func (m *mockCube) VaultReadTag(pa mem.PAddr, tag uint64) bool {
 	if !m.vaultOK {
 		return false
 	}
-	m.pending = append(m.pending, func() {
-		if write {
-			m.store.WriteF64(pa, value)
-			onDone(0, 0)
-			return
-		}
-		onDone(m.store.ReadF64(pa), 0)
-	})
+	m.pending = append(m.pending, vaultRead{pa, tag})
 	return true
 }
 
@@ -59,12 +58,12 @@ func (m *mockCube) CubeOf(pa mem.PAddr) int { return m.geom.CubeOf(pa) }
 func (m *mockCube) NodeOfCube(cube int) int { return cube }
 func (m *mockCube) NextHopToCube(c int) int { return c } // direct hop in tests
 
-// flush completes all pending vault operations.
-func (m *mockCube) flush() {
+// flush completes all pending vault reads into e, in issue order.
+func (m *mockCube) flush(e *Engine) {
 	for len(m.pending) > 0 {
-		f := m.pending[0]
+		r := m.pending[0]
 		m.pending = m.pending[1:]
-		f()
+		e.OperandResp(r.tag, m.store.ReadF64(r.pa), 0)
 	}
 }
 
@@ -158,7 +157,7 @@ func TestSingleOperandUpdateCommitsLocally(t *testing.T) {
 	p := updatePacket(flow, isa.OpAdd, 3, -1, 19, mc.geom)
 	deliver(t, e, p)
 	tick(e, 2)
-	mc.flush()
+	mc.flush(e)
 	tick(e, 2)
 
 	fe := e.Flows.Lookup(flow)
@@ -192,7 +191,7 @@ func TestTwoOperandLocalUpdate(t *testing.T) {
 	p.Src2 = b
 	deliver(t, e, p)
 	tick(e, 2)
-	mc.flush()
+	mc.flush(e)
 	tick(e, 2)
 
 	fe := e.Flows.Lookup(flow)
@@ -293,7 +292,7 @@ func TestGatherTeardownSingleNode(t *testing.T) {
 		deliver(t, e, updatePacket(flow, isa.OpAdd, 3, -1, 16, mc.geom))
 	}
 	tick(e, 4)
-	mc.flush()
+	mc.flush(e)
 	tick(e, 4)
 
 	g := network.NewPacket(0, network.GatherReq, 16, 3)
@@ -340,7 +339,7 @@ func TestGatherWaitsForPendingUpdates(t *testing.T) {
 	if e.Flows.Lookup(flow) == nil {
 		t.Fatal("flow released while an update is in flight (req != resp)")
 	}
-	mc.flush()
+	mc.flush(e)
 	tick(e, 2)
 	if e.Flows.Lookup(flow) != nil {
 		t.Fatal("flow not released after the pending update committed")
@@ -469,8 +468,9 @@ func TestUpdateAfterGatherPanics(t *testing.T) {
 
 func TestBypassDisabledAblation(t *testing.T) {
 	mc := newMockCube(t, 3)
-	e := NewEngine(3, 3, DefaultEngineConfig(), mc, nil)
-	e.SetBypass(false)
+	cfg := DefaultEngineConfig()
+	cfg.BypassOff = true
+	e := NewEngine(3, 3, cfg, mc, nil)
 	pa := addrInCube(mc.geom, 3)
 	mc.store.WriteF64(pa, 1)
 	deliver(t, e, updatePacket(network.FlowKey{Flow: 1}, isa.OpAdd, 3, -1, 16, mc.geom))
@@ -498,7 +498,7 @@ func TestVectoredUpdateExpands(t *testing.T) {
 	p.Count = 4
 	deliver(t, e, p)
 	tick(e, 4)
-	mc.flush()
+	mc.flush(e)
 	tick(e, 4)
 
 	fe := e.Flows.Lookup(flow)
@@ -534,9 +534,9 @@ func TestVectoredUpdateResumesOnBufferExhaustion(t *testing.T) {
 	if e.Stats.OperandBufStalls == 0 {
 		t.Fatal("no stall counted for mid-vector buffer exhaustion")
 	}
-	mc.flush() // free the first two buffers
+	mc.flush(e) // free the first two buffers
 	tick(e, 4)
-	mc.flush()
+	mc.flush(e)
 	tick(e, 4)
 	if fe.ReqCount != 4 || fe.RespCnt != 4 {
 		t.Fatalf("vector never finished: %+v", fe)

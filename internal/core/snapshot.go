@@ -47,13 +47,10 @@ func (e *Engine) Snapshot(enc *sim.Enc) {
 	enc.Tag("are")
 	enc.Int(e.CubeID)
 	enc.U64(e.nextTag)
-	s := &e.Stats
-	for _, v := range []uint64{s.UpdatesCommitted, s.UpdatesForwarded, s.OperandReqsSent,
-		s.OperandBufStalls, s.FlowTableStalls, s.InjectStalls, s.GatherReqs, s.GatherResps,
-		s.FlowsCompleted, s.SingleOpBypasses, s.DecodedPackets, s.VaultAccessesSent} {
-		enc.U64(v)
+	for _, p := range e.Stats.counters() {
+		enc.U64(*p)
 	}
-	enc.Int(s.PeakOperandInUse)
+	enc.Int(e.Stats.PeakOperandInUse)
 	enc.U64(e.Breakdown.Count)
 	enc.U64(e.Breakdown.Req)
 	enc.U64(e.Breakdown.Stall)
@@ -100,13 +97,10 @@ func (e *Engine) Restore(d *sim.Dec) {
 		d.Fail("are cube id mismatch: snapshot %d, machine %d", id, e.CubeID)
 	}
 	e.nextTag = d.U64()
-	s := &e.Stats
-	for _, p := range []*uint64{&s.UpdatesCommitted, &s.UpdatesForwarded, &s.OperandReqsSent,
-		&s.OperandBufStalls, &s.FlowTableStalls, &s.InjectStalls, &s.GatherReqs, &s.GatherResps,
-		&s.FlowsCompleted, &s.SingleOpBypasses, &s.DecodedPackets, &s.VaultAccessesSent} {
+	for _, p := range e.Stats.counters() {
 		*p = d.U64()
 	}
-	s.PeakOperandInUse = d.Int()
+	e.Stats.PeakOperandInUse = d.Int()
 	e.Breakdown.Count = d.U64()
 	e.Breakdown.Req = d.U64()
 	e.Breakdown.Stall = d.U64()
@@ -173,10 +167,8 @@ func (c *Coordinator) SnapshotReady() bool {
 func (c *Coordinator) Snapshot(e *sim.Enc) {
 	e.Tag("coord")
 	e.U64(c.nextTag)
-	s := &c.Stats
-	for _, v := range []uint64{s.Updates, s.Gathers, s.ActiveStores, s.FlowsComplete,
-		s.PortStalls, s.EnqueueRejects} {
-		e.U64(v)
+	for _, p := range c.Stats.counters() {
+		e.U64(*p)
 	}
 	e.Int(len(c.ports))
 	targets := make([]mem.PAddr, 0, len(c.flows))
@@ -206,9 +198,7 @@ func (c *Coordinator) Snapshot(e *sim.Enc) {
 func (c *Coordinator) Restore(d *sim.Dec) {
 	d.Tag("coord")
 	c.nextTag = d.U64()
-	s := &c.Stats
-	for _, p := range []*uint64{&s.Updates, &s.Gathers, &s.ActiveStores, &s.FlowsComplete,
-		&s.PortStalls, &s.EnqueueRejects} {
+	for _, p := range c.Stats.counters() {
 		*p = d.U64()
 	}
 	if np := d.Int(); d.Err() == nil && np != len(c.ports) {

@@ -75,6 +75,13 @@ type Stats struct {
 	DoneCycle     uint64
 }
 
+// counters lists the Stats fields in snapshot order.
+func (s *Stats) counters() []*uint64 {
+	return []*uint64{&s.Retired, &s.Loads, &s.Stores, &s.Updates, &s.Gathers,
+		&s.Computes, &s.Barriers, &s.ROBFullCycles, &s.OffloadStalls, &s.MemStalls,
+		&s.FenceCycles, &s.DoneCycle}
+}
+
 // robEntry is one ROB slot. Slots live in a fixed ring allocated at core
 // construction and are recycled in FIFO order, so the steady-state core
 // allocates nothing per instruction. The completion callbacks are created

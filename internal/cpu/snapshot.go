@@ -123,11 +123,8 @@ func (c *Core) Snapshot(e *sim.Enc) {
 	e.U64(uint64(ft))
 	e.U64(c.lastSeen)
 	e.U32(uint32(c.skipReason))
-	st := &c.Stats
-	for _, v := range []uint64{st.Retired, st.Loads, st.Stores, st.Updates, st.Gathers,
-		st.Computes, st.Barriers, st.ROBFullCycles, st.OffloadStalls, st.MemStalls,
-		st.FenceCycles, st.DoneCycle} {
-		e.U64(v)
+	for _, p := range c.Stats.counters() {
+		e.U64(*p)
 	}
 	c.IPC.Snapshot(e)
 }
@@ -183,10 +180,7 @@ func (c *Core) Restore(d *sim.Dec) {
 	c.fenceTarget = mem.PAddr(d.U64())
 	c.lastSeen = d.U64()
 	c.skipReason = skipReason(d.U32())
-	st := &c.Stats
-	for _, p := range []*uint64{&st.Retired, &st.Loads, &st.Stores, &st.Updates, &st.Gathers,
-		&st.Computes, &st.Barriers, &st.ROBFullCycles, &st.OffloadStalls, &st.MemStalls,
-		&st.FenceCycles, &st.DoneCycle} {
+	for _, p := range c.Stats.counters() {
 		*p = d.U64()
 	}
 	c.IPC.Restore(d)

@@ -65,7 +65,12 @@ type Stats struct {
 	RowMisses    uint64
 	RowConflicts uint64
 	QueueFullRej uint64
-	BusyCycles   uint64
+}
+
+// counters lists the Stats fields in snapshot order.
+func (s *Stats) counters() []*uint64 {
+	return []*uint64{&s.Reads, &s.Writes, &s.RowHits, &s.RowMisses,
+		&s.RowConflicts, &s.QueueFullRej}
 }
 
 type bankState struct {
@@ -147,10 +152,11 @@ func (b *BankSet) Enqueue(r Request, cycle uint64) bool {
 // Pending reports queued plus in-flight requests.
 func (b *BankSet) Pending() int { return len(b.queue) + len(b.inflight) }
 
-// NextWork implements sim.Idler: with requests queued the scheduler must
-// run every cycle (FR-FCFS decisions and the BusyCycles counter depend on
-// it); with only in-flight transfers the next work is the earliest
-// completion; empty bank sets are quiescent until Enqueue.
+// NextWork implements sim.Idler: with requests queued the bank set reports
+// work every cycle, a conservative hint (while banksBlockedUntil is ahead,
+// Tick only retires transfers due by earliestDone); with only in-flight
+// transfers the next work is the earliest completion; empty bank sets are
+// quiescent until Enqueue.
 func (b *BankSet) NextWork(now uint64) uint64 {
 	if len(b.queue) > 0 {
 		return now
@@ -200,7 +206,6 @@ func (b *BankSet) Tick(cycle uint64) {
 	if len(b.queue) == 0 {
 		return
 	}
-	b.Stats.BusyCycles++
 	if b.banksBlockedUntil > cycle {
 		return // every candidate bank still busy; nothing to re-scan
 	}

@@ -20,10 +20,8 @@ func (b *BankSet) Snapshot(e *sim.Enc) {
 		e.U64(bk.activatedAt)
 	}
 	e.U64(b.busFreeAt)
-	s := &b.Stats
-	for _, v := range []uint64{s.Reads, s.Writes, s.RowHits, s.RowMisses,
-		s.RowConflicts, s.QueueFullRej, s.BusyCycles} {
-		e.U64(v)
+	for _, p := range b.Stats.counters() {
+		e.U64(*p)
 	}
 }
 
@@ -44,9 +42,7 @@ func (b *BankSet) Restore(d *sim.Dec) {
 		bk.activatedAt = d.U64()
 	}
 	b.busFreeAt = d.U64()
-	s := &b.Stats
-	for _, p := range []*uint64{&s.Reads, &s.Writes, &s.RowHits, &s.RowMisses,
-		&s.RowConflicts, &s.QueueFullRej, &s.BusyCycles} {
+	for _, p := range b.Stats.counters() {
 		*p = d.U64()
 	}
 	b.earliestDone = sim.Never

@@ -34,10 +34,6 @@ type Controller struct {
 	// Coordinator callbacks (nil outside Active-Routing schemes).
 	OnGatherResp func(p *network.Packet, cycle uint64)
 	OnActiveAck  func(p *network.Packet, cycle uint64)
-
-	// Stats.
-	Reads  uint64
-	Writes uint64
 }
 
 // NewController builds controller index attached at node with the given
@@ -87,9 +83,6 @@ func (c *Controller) Access(pa mem.PAddr, write bool, done func(cycle uint64)) b
 	kind := network.MemReadReq
 	if write {
 		kind = network.MemWriteReq
-		c.Writes++
-	} else {
-		c.Reads++
 	}
 	p := c.pool.Get(kind, c.node, c.geom.CubeOf(pa))
 	p.Addr = pa

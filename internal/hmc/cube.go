@@ -42,9 +42,12 @@ type CubeStats struct {
 	MemReads      uint64
 	MemWrites     uint64
 	OperandServes uint64
-	ActiveStores  uint64
 	VaultAccesses uint64
-	XbarStalls    uint64
+}
+
+// counters lists the CubeStats fields in snapshot order.
+func (s *CubeStats) counters() []*uint64 {
+	return []*uint64{&s.MemReads, &s.MemWrites, &s.OperandServes, &s.VaultAccesses}
 }
 
 // cubeOpKind discriminates the staged intra-cube operations.
@@ -202,7 +205,6 @@ func (c *Cube) Deliver(p *network.Packet, cycle uint64) bool {
 // is bounded to model crossbar input buffering.
 func (c *Cube) stage(cycle uint64, op cubeOp) bool {
 	if c.staged.Len() >= 4*c.cfg.XbarRate {
-		c.Stats.XbarStalls++
 		return false
 	}
 	op.readyAt = cycle + c.cfg.XbarDelay
@@ -330,7 +332,6 @@ func (c *Cube) vaultDone(token uint64, cycle uint64) {
 		c.outbox.Push(fwd)
 	case opStoreWrite:
 		c.store.WriteF64(op.target, op.value)
-		c.Stats.ActiveStores++
 		ack := c.pool.Get(network.ActiveStoreAck, c.ID, op.origin)
 		ack.Tag = op.tag
 		c.outbox.Push(ack)
@@ -387,37 +388,8 @@ func (c *Cube) Tick(cycle uint64) {
 
 // --- core.Cube interface -------------------------------------------------
 
-// VaultAccess implements core.Cube for the attached ARE (and tests): the
-// callback-based path, kept for interface compatibility. The engine's hot
-// local-operand path uses VaultReadTag instead.
-func (c *Cube) VaultAccess(pa mem.PAddr, write bool, value float64, onDone func(v float64, cycle uint64)) bool {
-	v := c.cfg.Geom.VaultOf(pa)
-	ok := c.vaults[v].Enqueue(dram.Request{
-		Addr:  pa,
-		Write: write,
-		Bank:  c.cfg.Geom.BankOf(pa),
-		Row:   c.cfg.Geom.RowOf(pa),
-		OnDone: func(done uint64) {
-			c.vaultWork--
-			if write {
-				c.store.WriteF64(pa, value)
-				onDone(0, done)
-				return
-			}
-			onDone(c.store.ReadF64(pa&^7), done)
-		},
-	}, 0)
-	if !ok {
-		return false
-	}
-	c.vaultWork++
-	c.vaultBusy |= 1 << uint(v)
-	c.Stats.VaultAccesses++
-	return true
-}
-
-// VaultReadTag implements core.TagReader: an allocation-free local operand
-// read whose completion is routed to the ARE via OperandResp(tag).
+// VaultReadTag implements core.Cube: an allocation-free local operand read
+// whose completion is routed to the ARE via OperandResp(tag).
 func (c *Cube) VaultReadTag(pa mem.PAddr, tag uint64) bool {
 	return c.startVault(cubeOp{kind: opAREOperand, addr: pa, tag: tag})
 }
@@ -436,12 +408,4 @@ func (c *Cube) NodeOfCube(cube int) int { return cube }
 // NextHopToCube implements core.Cube.
 func (c *Cube) NextHopToCube(cube int) int {
 	return network.NextHop(c.fabric.Topo, c.ID, cube)
-}
-
-// DebugState reports internal queue depths (debug tooling).
-func (c *Cube) DebugState() (staged, outbox, vaultPending int) {
-	for _, v := range c.vaults {
-		vaultPending += v.Pending()
-	}
-	return c.staged.Len(), c.outbox.Len(), vaultPending
 }

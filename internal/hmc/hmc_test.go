@@ -189,32 +189,6 @@ func TestActiveStoreMovThroughNetwork(t *testing.T) {
 	}
 }
 
-func TestVaultFunctionalValues(t *testing.T) {
-	r := newRig(t, true)
-	pa := mem.PAddr(2 * mem.PageSize)
-	r.store.WriteF64(pa, 2.5)
-	var got float64
-	done := false
-	ok := r.cubes[2].VaultAccess(pa, false, 0, func(v float64, cycle uint64) {
-		got = v
-		done = true
-	})
-	if !ok {
-		t.Fatal("vault access rejected")
-	}
-	r.run(2000)
-	if !done || got != 2.5 {
-		t.Fatalf("vault read = %v (done=%v)", got, done)
-	}
-	// Vault write updates the store at completion.
-	done = false
-	r.cubes[2].VaultAccess(pa, true, 0, func(v float64, cycle uint64) { done = true })
-	r.run(2000)
-	if !done {
-		t.Fatal("vault write never completed")
-	}
-}
-
 func TestCubeGeometryHelpers(t *testing.T) {
 	r := newRig(t, false)
 	c := r.cubes[3]

@@ -24,10 +24,8 @@ func (c *Cube) SnapshotReady() bool {
 func (c *Cube) Snapshot(e *sim.Enc) {
 	e.Tag("cube")
 	e.Int(c.ID)
-	s := &c.Stats
-	for _, v := range []uint64{s.MemReads, s.MemWrites, s.OperandServes,
-		s.ActiveStores, s.VaultAccesses, s.XbarStalls} {
-		e.U64(v)
+	for _, p := range c.Stats.counters() {
+		e.U64(*p)
 	}
 	e.Int(len(c.vaults))
 	for _, v := range c.vaults {
@@ -46,9 +44,7 @@ func (c *Cube) Restore(d *sim.Dec) {
 	if id := d.Int(); d.Err() == nil && id != c.ID {
 		d.Fail("cube id mismatch: snapshot %d, machine %d", id, c.ID)
 	}
-	s := &c.Stats
-	for _, p := range []*uint64{&s.MemReads, &s.MemWrites, &s.OperandServes,
-		&s.ActiveStores, &s.VaultAccesses, &s.XbarStalls} {
+	for _, p := range c.Stats.counters() {
 		*p = d.U64()
 	}
 	if n := d.Int(); d.Err() == nil && n != len(c.vaults) {
@@ -82,8 +78,6 @@ func (c *Controller) Snapshot(e *sim.Enc) {
 	e.Tag("hmcctl")
 	e.Int(c.Index)
 	e.U64(c.nextTag)
-	e.U64(c.Reads)
-	e.U64(c.Writes)
 }
 
 // Restore implements sim.Snapshotter for a freshly constructed controller.
@@ -93,6 +87,4 @@ func (c *Controller) Restore(d *sim.Dec) {
 		d.Fail("hmc controller index mismatch: snapshot %d, machine %d", idx, c.Index)
 	}
 	c.nextTag = d.U64()
-	c.Reads = d.U64()
-	c.Writes = d.U64()
 }

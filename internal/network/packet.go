@@ -45,9 +45,6 @@ const (
 	// split into request and response classes for VC assignment.
 	HostMsg
 	HostMsgResp
-
-	// kindCount bounds the Kind space for per-kind lookup tables.
-	kindCount
 )
 
 // String returns the packet kind mnemonic.
@@ -194,9 +191,8 @@ type Packet struct {
 	Target mem.PAddr // physical address of the reduction target
 
 	// Latency bookkeeping for Fig 5.2.
-	InjectCycle  uint64
-	ArriveCycle  uint64
-	OperandCycle uint64
+	InjectCycle uint64
+	ArriveCycle uint64
 
 	Hops int
 

@@ -30,12 +30,6 @@ const (
 type Pool struct {
 	free  []*Packet
 	guard bool
-
-	// Gets/Puts/News count pool traffic (News is the slow path: Gets that
-	// had to heap-allocate). Diagnostics only, not simulated state.
-	Gets uint64
-	Puts uint64
-	News uint64
 }
 
 // NewPool returns an empty packet pool.
@@ -50,7 +44,6 @@ func (pl *Pool) SetGuard(on bool) { pl.guard = on }
 //
 //ar:hotpath
 func (pl *Pool) Get(k Kind, src, dst int) *Packet {
-	pl.Gets++
 	var p *Packet
 	if n := len(pl.free); n > 0 {
 		p = pl.free[n-1]
@@ -58,7 +51,6 @@ func (pl *Pool) Get(k Kind, src, dst int) *Packet {
 		pl.free = pl.free[:n-1]
 		*p = Packet{}
 	} else {
-		pl.News++
 		p = &Packet{} //ar:exempt(hotpath) pool slow path: allocates only when the free list is empty, cold after warm-up
 	}
 	p.Kind, p.Src, p.Dst, p.Size = k, src, dst, SizeOf(k)
@@ -75,7 +67,6 @@ func (pl *Pool) Put(p *Packet) {
 	if p.poolState == poolFree {
 		panic(fmt.Sprintf("network: double release of packet id=%d kind=%s", p.ID, p.Kind))
 	}
-	pl.Puts++
 	p.poolState = poolFree
 	if pl.guard {
 		// Poison so a stale alias blows up at its next use instead of

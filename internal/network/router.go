@@ -209,10 +209,6 @@ type Fabric struct {
 	// fabric acquire and release packets here.
 	Pool *Pool
 
-	// Counters holds the per-kind delivery counters.
-	Counters   *stats.Set
-	deliveredH [kindCount]stats.Handle
-
 	routers   []*router
 	endpoints []Endpoint
 
@@ -250,12 +246,10 @@ type Fabric struct {
 	classMask [3]uint64
 
 	// Counters for Fig 5.4 and the energy model.
-	HopBytes     uint64
-	Delivered    uint64
-	Injected     uint64
-	Movement     stats.DataMovement
-	ejectStalled uint64
-	nextID       uint64
+	HopBytes  uint64
+	Delivered uint64
+	Movement  stats.DataMovement
+	nextID    uint64
 }
 
 // NewFabric builds a network over topo. Endpoints are attached later with
@@ -267,10 +261,7 @@ func NewFabric(topo Topology, cfg Config) *Fabric {
 	if cfg.VCs != NumVCs || cfg.QueueDepth <= 0 || cfg.LinkBandwidth <= 0 || cfg.ClockDiv == 0 {
 		panic("network: invalid fabric config")
 	}
-	f := &Fabric{Topo: topo, Cfg: cfg, Pool: NewPool(), Counters: stats.NewSet()}
-	for k := Kind(0); k < kindCount; k++ {
-		f.deliveredH[k] = f.Counters.Register("delivered_" + k.String())
-	}
+	f := &Fabric{Topo: topo, Cfg: cfg, Pool: NewPool()}
 	n := topo.Nodes()
 	if n > 64 {
 		panic(fmt.Sprintf("network: %d nodes exceed the 64-bit occupancy masks", n))
@@ -409,7 +400,6 @@ func (f *Fabric) Inject(n int, p *Packet, cycle uint64) bool {
 	f.waker.Wake()
 	f.inflight++
 	f.queued++
-	f.Injected++
 	f.account(p)
 	return true
 }
@@ -631,11 +621,8 @@ func (f *Fabric) ejectQueue(r *router, ep Endpoint, idx int, cycle uint64) bool 
 	}
 	p.ArriveCycle = cycle
 	// A successful Deliver transfers ownership — synchronous consumers
-	// release the packet before returning — so everything the fabric still
-	// needs must be read first.
-	kind := p.Kind
+	// release the packet before returning — so p must not be touched after.
 	if !ep.Deliver(p, cycle) {
-		f.ejectStalled++
 		return false
 	}
 	q.pop()
@@ -651,7 +638,6 @@ func (f *Fabric) ejectQueue(r *router, ep Endpoint, idx int, cycle uint64) bool 
 	f.updateHead(r, idx)
 	f.returnCredit(r, idx/f.Cfg.VCs, idx%f.Cfg.VCs)
 	f.Delivered++
-	f.Counters.IncH(f.deliveredH[kind])
 	return true
 }
 
@@ -775,31 +761,4 @@ func (f *Fabric) returnCredit(r *router, port, vc int) {
 		return
 	}
 	f.pendingCredits = append(f.pendingCredits, credRef{node: int32(up.node), idx: int32(up.port*f.Cfg.VCs + vc)}) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
-}
-
-// DebugQueues renders non-empty queue occupancy with head packet info
-// (debug tooling).
-func (f *Fabric) DebugQueues() string {
-	out := ""
-	for _, r := range f.routers {
-		for port := 0; port < r.ports; port++ {
-			for vc := 0; vc < f.Cfg.VCs; vc++ {
-				q := &r.in[port*f.Cfg.VCs+vc]
-				if q.len() > 0 {
-					h := q.peek()
-					out += fmt.Sprintf("node %d in[p%d vc%d] len=%d head=%s dst=%d\n", r.node, port, vc, q.len(), h.Kind, h.Dst)
-				}
-			}
-		}
-		for vc := 0; vc < f.Cfg.VCs; vc++ {
-			if r.inj[vc].len() > 0 {
-				h := r.inj[vc].peek()
-				out += fmt.Sprintf("node %d inj[vc%d] len=%d head=%s dst=%d\n", r.node, vc, r.inj[vc].len(), h.Kind, h.Dst)
-			}
-		}
-		if r.pending.len() > 0 {
-			out += fmt.Sprintf("node %d pending=%d\n", r.node, r.pending.len())
-		}
-	}
-	return out
 }

@@ -47,14 +47,11 @@ func (f *Fabric) Snapshot(e *sim.Enc) {
 
 	e.U64(f.HopBytes)
 	e.U64(f.Delivered)
-	e.U64(f.Injected)
-	e.U64(f.ejectStalled)
 	e.U64(f.nextID)
 	e.U64(f.Movement.NormReq)
 	e.U64(f.Movement.NormResp)
 	e.U64(f.Movement.ActiveReq)
 	e.U64(f.Movement.ActiveResp)
-	f.Counters.Snapshot(e)
 }
 
 // Restore implements sim.Snapshotter for a freshly constructed (traffic-
@@ -93,12 +90,9 @@ func (f *Fabric) Restore(d *sim.Dec) {
 	}
 	f.HopBytes = d.U64()
 	f.Delivered = d.U64()
-	f.Injected = d.U64()
-	f.ejectStalled = d.U64()
 	f.nextID = d.U64()
 	f.Movement.NormReq = d.U64()
 	f.Movement.NormResp = d.U64()
 	f.Movement.ActiveReq = d.U64()
 	f.Movement.ActiveResp = d.U64()
-	f.Counters.Restore(d)
 }

@@ -3,25 +3,17 @@ package service
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"repro/internal/system"
 )
 
-// resultCache is a sharded, content-addressed map from job key to simulation
-// result with singleflight de-duplication: the first requester of a key
-// becomes the leader and computes; everyone else arriving before completion
-// waits on the same entry. Sharding keeps the lock a leader holds while
-// publishing an entry from serializing unrelated keys.
+// resultCache is a content-addressed map from job key to simulation result
+// with singleflight de-duplication: the first requester of a key becomes
+// the leader and computes; everyone else arriving before completion waits
+// on the same entry. The lock covers map operations only, never a
+// computation.
 type resultCache struct {
-	shards [cacheShards]cacheShard
-}
-
-// cacheShards is the number of independently locked cache shards.
-const cacheShards = 16
-
-type cacheShard struct {
 	mu sync.Mutex
 	m  map[string]*cacheEntry
 }
@@ -35,17 +27,7 @@ type cacheEntry struct {
 }
 
 func newResultCache() *resultCache {
-	c := &resultCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]*cacheEntry)
-	}
-	return c
-}
-
-func (c *resultCache) shard(key string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &c.shards[h.Sum32()%cacheShards]
+	return &resultCache{m: make(map[string]*cacheEntry)}
 }
 
 // do returns key's result, computing it at most once across concurrent
@@ -55,10 +37,9 @@ func (c *resultCache) shard(key string) *cacheShard {
 // the entry is removed before waiters are released, so the next request
 // retries — but in-flight waiters do observe the leader's error.
 func (c *resultCache) do(ctx context.Context, key string, compute func() (*system.Results, error)) (*system.Results, bool, error) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	if e, ok := sh.m[key]; ok {
-		sh.mu.Unlock()
+	c.mu.Lock()
+	if e, ok := c.m[key]; ok {
+		c.mu.Unlock()
 		select {
 		case <-e.done:
 			return e.res, e.err == nil, e.err
@@ -67,8 +48,8 @@ func (c *resultCache) do(ctx context.Context, key string, compute func() (*syste
 		}
 	}
 	e := &cacheEntry{done: make(chan struct{})}
-	sh.m[key] = e
-	sh.mu.Unlock()
+	c.m[key] = e
+	c.mu.Unlock()
 
 	// The cleanup runs via defer so a panicking compute (net/http recovers
 	// handler panics and keeps the daemon up) still releases waiters with
@@ -80,9 +61,9 @@ func (c *resultCache) do(ctx context.Context, key string, compute func() (*syste
 			e.err = fmt.Errorf("service: computation for key %s panicked", key)
 		}
 		if e.err != nil {
-			sh.mu.Lock()
-			delete(sh.m, key)
-			sh.mu.Unlock()
+			c.mu.Lock()
+			delete(c.m, key)
+			c.mu.Unlock()
 		}
 		close(e.done)
 	}()
@@ -95,10 +76,9 @@ func (c *resultCache) do(ctx context.Context, key string, compute func() (*syste
 // load-shedding probe: requests resolvable without a new simulation are
 // admitted even when the queue is full.
 func (c *resultCache) has(key string) bool {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	_, ok := sh.m[key]
-	sh.mu.Unlock()
+	c.mu.Lock()
+	_, ok := c.m[key]
+	c.mu.Unlock()
 	return ok
 }
 
@@ -106,25 +86,20 @@ func (c *resultCache) has(key string) bool {
 // store at boot). First writer wins; a concurrent in-flight computation for
 // the key is left alone. Reports whether the entry was installed.
 func (c *resultCache) seed(key string, res *system.Results) bool {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.m[key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.m[key]; ok {
 		return false
 	}
 	e := &cacheEntry{done: make(chan struct{}), res: res}
 	close(e.done)
-	sh.m[key] = e
+	c.m[key] = e
 	return true
 }
 
-// len counts completed and in-flight entries across shards.
+// len counts completed and in-flight entries.
 func (c *resultCache) len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		n += len(c.shards[i].m)
-		c.shards[i].mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
 }

@@ -1,93 +1,14 @@
-// Package stats provides the performance counters used across the
-// simulator: scalar counters, latency breakdown accumulators, per-cube
-// heatmaps (Fig 5.3) and windowed IPC series (Fig 5.8).
+// Package stats provides the measurement accumulators used across the
+// simulator: latency breakdowns (Fig 5.2), per-cube heatmaps (Fig 5.3),
+// data movement tallies (Fig 5.4) and windowed IPC series (Fig 5.8).
 package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/sim"
 )
-
-// Handle is a dense index into a Set, returned by Register. Components on
-// hot paths register their counter names once at construction and bump the
-// slot by handle — a bounds-checked slice increment with no hashing — while
-// the string-keyed view is rebuilt only at export time (Names/Get/Merge/
-// String).
-type Handle int
-
-// Set is a named collection of integer counters. The zero value is not
-// usable; construct with NewSet.
-type Set struct {
-	vals  []uint64
-	index map[string]Handle
-	order []string
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set { return &Set{index: make(map[string]Handle)} }
-
-// Register returns the dense handle for name, allocating the slot on first
-// use. Registering the same name twice returns the same handle, so
-// components may pre-register unconditionally.
-func (s *Set) Register(name string) Handle {
-	h, ok := s.index[name]
-	if !ok {
-		h = Handle(len(s.vals))
-		s.vals = append(s.vals, 0)
-		s.index[name] = h
-		s.order = append(s.order, name)
-	}
-	return h
-}
-
-// AddH increments the counter behind a registered handle by v — the hot-path
-// fast path: no map lookup, no string handling.
-//
-//ar:hotpath
-func (s *Set) AddH(h Handle, v uint64) { s.vals[h] += v }
-
-// IncH increments the counter behind a registered handle by one.
-//
-//ar:hotpath
-func (s *Set) IncH(h Handle) { s.vals[h]++ }
-
-// Add increments the named counter by v, creating it on first use.
-func (s *Set) Add(name string, v uint64) { s.vals[s.Register(name)] += v }
-
-// Inc increments the named counter by one.
-func (s *Set) Inc(name string) { s.Add(name, 1) }
-
-// Get returns the counter's value (zero if never touched).
-func (s *Set) Get(name string) uint64 {
-	if h, ok := s.index[name]; ok {
-		return s.vals[h]
-	}
-	return 0
-}
-
-// Names returns counter names in first-use (registration) order.
-func (s *Set) Names() []string { return append([]string(nil), s.order...) }
-
-// Merge adds every counter of other into s.
-func (s *Set) Merge(other *Set) {
-	for i, n := range other.order {
-		s.Add(n, other.vals[i])
-	}
-}
-
-// String renders the counters sorted by name, one per line.
-func (s *Set) String() string {
-	names := append([]string(nil), s.order...)
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		fmt.Fprintf(&b, "%-32s %12d\n", n, s.vals[s.index[n]])
-	}
-	return b.String()
-}
 
 // LatencyBreakdown accumulates the three-component update roundtrip latency
 // of Fig 5.2: request (injection to arrival at the commit cube), stall
@@ -271,32 +192,6 @@ func (d *DataMovement) Merge(other DataMovement) {
 	d.NormResp += other.NormResp
 	d.ActiveReq += other.ActiveReq
 	d.ActiveResp += other.ActiveResp
-}
-
-// Snapshot appends the set's counters (registration order, name + value
-// pairs) for checkpointing.
-func (s *Set) Snapshot(e *sim.Enc) {
-	e.Tag("stats.set")
-	e.Int(len(s.order))
-	for i, n := range s.order {
-		e.Str(n)
-		e.U64(s.vals[i])
-	}
-}
-
-// Restore folds snapshotted counters back into s (fresh slots are created
-// for names the restored machine has not registered yet; pre-registered
-// slots are overwritten from zero by addition).
-func (s *Set) Restore(d *sim.Dec) {
-	d.Tag("stats.set")
-	n := d.Len(1<<20, "stats counters")
-	for i := 0; i < n && d.Err() == nil; i++ {
-		name := d.Str()
-		v := d.U64()
-		if d.Err() == nil {
-			s.Add(name, v)
-		}
-	}
 }
 
 // Snapshot appends the series state for checkpointing.

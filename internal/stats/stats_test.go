@@ -6,39 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestSetBasics(t *testing.T) {
-	s := NewSet()
-	s.Inc("a")
-	s.Add("a", 2)
-	s.Add("b", 5)
-	if s.Get("a") != 3 || s.Get("b") != 5 || s.Get("zzz") != 0 {
-		t.Fatalf("counters wrong: %v", s)
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
-func TestSetMerge(t *testing.T) {
-	a, b := NewSet(), NewSet()
-	a.Add("x", 1)
-	b.Add("x", 2)
-	b.Add("y", 3)
-	a.Merge(b)
-	if a.Get("x") != 3 || a.Get("y") != 3 {
-		t.Fatalf("merge wrong: %v", a)
-	}
-}
-
-func TestSetString(t *testing.T) {
-	s := NewSet()
-	s.Add("hits", 7)
-	if !strings.Contains(s.String(), "hits") {
-		t.Fatal("String() missing counter name")
-	}
-}
-
 func TestLatencyBreakdownMeans(t *testing.T) {
 	var l LatencyBreakdown
 	l.AddSample(10, 20, 30)

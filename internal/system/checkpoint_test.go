@@ -1,6 +1,7 @@
 package system_test
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -70,6 +71,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				dst := buildSys(t, c.scheme, c.workload)
 				if err := dst.Restore(snap); err != nil {
 					t.Fatal(err)
+				}
+				// Every encoded field must be restored: re-encoding the
+				// restored machine reproduces the blob byte for byte.
+				if again := dst.Snapshot(nil); !bytes.Equal(again, snap) {
+					t.Fatalf("re-snapshot after restore differs from the blob (%d vs %d bytes)", len(again), len(snap))
 				}
 				got, err := dst.Run()
 				if err != nil {

@@ -34,12 +34,6 @@ type MessageInterface struct {
 	// waker invalidates the engine's cached idle hint on external input
 	// (Update/Gather from the core, OnBackInvalDone from the directory).
 	waker *sim.Waker
-
-	// Stats.
-	QueriesSent  uint64
-	UpdatesSent  uint64
-	GathersSent  uint64
-	QueueFullRej uint64
 }
 
 type miEntry struct {
@@ -94,7 +88,6 @@ func (mi *MessageInterface) SetWaker(w *sim.Waker) { mi.waker = w }
 // backpressure).
 func (mi *MessageInterface) Update(cmd core.UpdateCmd, cycle uint64) bool {
 	if mi.queue.Len() >= mi.cap {
-		mi.QueueFullRej++
 		return false
 	}
 	e := mi.getEntry()
@@ -108,7 +101,6 @@ func (mi *MessageInterface) Update(cmd core.UpdateCmd, cycle uint64) bool {
 // Gather implements cpu.OffloadPort.
 func (mi *MessageInterface) Gather(cmd core.GatherCmd, cycle uint64) bool {
 	if mi.queue.Len() >= mi.cap {
-		mi.QueueFullRej++
 		return false
 	}
 	e := mi.getEntry()
@@ -180,7 +172,6 @@ func (mi *MessageInterface) Tick(cycle uint64) {
 		mi.byTag[tag] = e
 		mi.unqueried--
 		mi.scanFrom = i + 1
-		mi.QueriesSent++
 	}
 	for mi.queue.Len() > 0 {
 		e := mi.queue.Peek()
@@ -188,7 +179,6 @@ func (mi *MessageInterface) Tick(cycle uint64) {
 			if !mi.coord.EnqueueGather(e.gather, cycle) {
 				return
 			}
-			mi.GathersSent++
 		} else {
 			if !e.cleared {
 				return
@@ -196,7 +186,6 @@ func (mi *MessageInterface) Tick(cycle uint64) {
 			if !mi.coord.EnqueueUpdate(e.upd, cycle) {
 				return
 			}
-			mi.UpdatesSent++
 		}
 		mi.queue.Pop()
 		if mi.scanFrom > 0 {

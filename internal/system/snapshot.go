@@ -28,7 +28,7 @@ import (
 
 // snapshotVersion is the wire-format version of a system snapshot blob.
 // Bump on any layout change; restore rejects other versions.
-const snapshotVersion = 1
+const snapshotVersion = 2
 
 // Snapshotable reports whether the machine is at a quiescent point where
 // Snapshot can capture it exactly.
@@ -132,10 +132,6 @@ func (s *System) Snapshot(buf []byte) []byte {
 		if mi != nil {
 			e.Tag("mi")
 			e.U64(mi.nextTag)
-			e.U64(mi.QueriesSent)
-			e.U64(mi.UpdatesSent)
-			e.U64(mi.GathersSent)
-			e.U64(mi.QueueFullRej)
 		}
 	}
 	s.noc.Snapshot(e)
@@ -236,10 +232,6 @@ func (s *System) Restore(data []byte) error {
 		if mi != nil {
 			d.Tag("mi")
 			mi.nextTag = d.U64()
-			mi.QueriesSent = d.U64()
-			mi.UpdatesSent = d.U64()
-			mi.GathersSent = d.U64()
-			mi.QueueFullRej = d.U64()
 		}
 	}
 	s.noc.Restore(d)

@@ -596,7 +596,7 @@ func (s *System) collect() *Results {
 			r.OperandHeat.Add(i, are.Stats.VaultAccessesSent)
 			r.StallHeat.Add(i, are.Stats.OperandBufStalls)
 			r.Breakdown.Merge(are.Breakdown)
-			mergeEngineStats(&r.Engine, are.Stats)
+			r.Engine.Merge(are.Stats)
 			if are.Flows.Peak > r.FlowPeak {
 				r.FlowPeak = are.Flows.Peak
 			}
@@ -630,24 +630,6 @@ func (s *System) collect() *Results {
 	r.PowerW = power.Power(e, r.Cycles, 2)
 	r.EDP = power.EDP(e, r.Cycles, 2)
 	return r
-}
-
-func mergeEngineStats(dst *core.EngineStats, src core.EngineStats) {
-	dst.UpdatesCommitted += src.UpdatesCommitted
-	dst.UpdatesForwarded += src.UpdatesForwarded
-	dst.OperandReqsSent += src.OperandReqsSent
-	dst.OperandBufStalls += src.OperandBufStalls
-	dst.FlowTableStalls += src.FlowTableStalls
-	dst.InjectStalls += src.InjectStalls
-	dst.GatherReqs += src.GatherReqs
-	dst.GatherResps += src.GatherResps
-	dst.FlowsCompleted += src.FlowsCompleted
-	dst.SingleOpBypasses += src.SingleOpBypasses
-	dst.DecodedPackets += src.DecodedPackets
-	dst.VaultAccessesSent += src.VaultAccessesSent
-	if src.PeakOperandInUse > dst.PeakOperandInUse {
-		dst.PeakOperandInUse = src.PeakOperandInUse
-	}
 }
 
 // Engine exposes the simulation engine (tests and tooling).
