@@ -21,8 +21,9 @@
 // formatted diagnostics.
 //
 // The closure is package-local and by static callee name only: calls
-// through interfaces (sim.Ticker dispatch) or function values do not extend
-// it, so each concrete Tick implementation carries its own annotation.
+// through interfaces (sim.Component dispatch) or function values do not
+// extend it, so each concrete Tick implementation carries its own
+// annotation.
 package hotpath
 
 import (

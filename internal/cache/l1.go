@@ -85,7 +85,7 @@ type L1 struct {
 	Stats Stats
 }
 
-// never aliases the sim.Idler "quiescent until external input" sentinel.
+// never aliases the sim.Never "quiescent until external input" sentinel.
 const never = sim.Never
 
 // NewL1 builds an L1 for core id. send injects messages into the NoC;
@@ -128,7 +128,7 @@ func (l *L1) find(block mem.PAddr) *l1Line {
 	return nil
 }
 
-// SetWaker implements sim.WakeSetter.
+// SetWaker implements sim.Component.
 func (l *L1) SetWaker(w *sim.Waker) { l.waker = w }
 
 // MSHRsInUse reports outstanding misses.
@@ -256,8 +256,8 @@ func (l *L1) Deliver(m *Msg, cycle uint64) bool {
 	return true
 }
 
-// NextWork implements sim.Idler: the L1 needs its Tick only while it holds
-// an unsent miss, a queued send, a timed completion or a delivered message.
+// NextWork implements sim.Component: the L1 needs its Tick only while it
+// holds an unsent miss, a queued send, a timed completion or a delivered message.
 // Waiting on an outstanding (sent) miss is quiescent — the fill arrives via
 // Deliver.
 func (l *L1) NextWork(now uint64) uint64 {

@@ -139,7 +139,7 @@ func NewL2Bank(id int, cfg L2Config, send Sender, memPort MemPort, pool *MsgPool
 	return b
 }
 
-// SetWaker implements sim.WakeSetter.
+// SetWaker implements sim.Component.
 func (b *L2Bank) SetWaker(w *sim.Waker) { b.waker = w }
 
 // BankOf maps a block to its home bank among nbanks (S-NUCA block
@@ -178,8 +178,8 @@ func (b *L2Bank) Deliver(m *Msg, cycle uint64) bool {
 	return true
 }
 
-// NextWork implements sim.Idler: the bank needs its Tick only while it has
-// queued sends, deferred memory ops, timed completions or delivered
+// NextWork implements sim.Component: the bank needs its Tick only while it
+// has queued sends, deferred memory ops, timed completions or delivered
 // messages. Transactions blocked on acks/fetches/fills advance through
 // Deliver and memory callbacks, not through Tick.
 func (b *L2Bank) NextWork(now uint64) uint64 {

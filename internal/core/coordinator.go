@@ -163,7 +163,7 @@ func NewCoordinator(policy PortPolicy, geom mem.HMCGeometry, ports []Port, store
 	}
 }
 
-// SetWaker implements sim.WakeSetter.
+// SetWaker implements sim.Component.
 func (c *Coordinator) SetWaker(w *sim.Waker) { c.waker = w }
 
 // portFor applies the scheme's port selection policy.
@@ -401,8 +401,8 @@ func (c *Coordinator) OnActiveAck(p *network.Packet, cycle uint64) {
 	c.Stats.FlowsComplete++
 }
 
-// NextWork implements sim.Idler: Tick only drains the per-port command
-// queues; flow completions and acks arrive through the controller
+// NextWork implements sim.Component: Tick only drains the per-port
+// command queues; flow completions and acks arrive through the controller
 // callbacks.
 func (c *Coordinator) NextWork(now uint64) uint64 {
 	for port := range c.queues {

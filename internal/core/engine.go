@@ -176,8 +176,10 @@ func (e *Engine) Deliver(p *network.Packet, cycle uint64) bool {
 	return true
 }
 
-// NextWork implements sim.Idler: the engine has work only on ARE clock
-// edges while any of its queues hold entries. Flow-table state waiting on
+// NextWork is the ARE's idle hint. The engine is not registered with the
+// kernel: the owning cube ticks it and folds this hint into its own
+// sim.Component NextWork. The engine has work only on ARE clock edges
+// while any of its queues hold entries. Flow-table state waiting on
 // remote operands or gather responses advances through Deliver and
 // OperandResp, not through Tick.
 func (e *Engine) NextWork(now uint64) uint64 {

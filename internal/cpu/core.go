@@ -190,7 +190,7 @@ func NewCore(id int, cfg Config, stream isa.Stream, memPort MemPort, offload Off
 	}
 }
 
-// SetWaker implements sim.WakeSetter.
+// SetWaker implements sim.Component.
 func (c *Core) SetWaker(w *sim.Waker) { c.waker = w }
 
 // Finished reports whether the thread has fully retired.
@@ -198,13 +198,14 @@ func (c *Core) Finished() bool {
 	return c.exhausted && !c.hasPending && c.robLen() == 0
 }
 
-// NextWork implements sim.Idler. The core must tick whenever it can retire,
-// fire a timed completion, or dispatch; it is quiescent while fenced, while
-// the ROB is full with an incomplete head, or once its stream is drained.
-// In the first two states the lockstep kernel's Tick would bump a per-cycle
-// stall counter and nothing else, so skipping credits that counter here
-// (and catchUp back-fills stretches the engine jumped over entirely),
-// keeping the stall statistics bit-identical.
+// NextWork implements sim.Component. The core must tick whenever it can
+// retire, fire a timed completion, or dispatch; it is quiescent while
+// fenced, while the ROB is full with an incomplete head, or once its stream
+// is drained. In the first two states the lockstep kernel's Tick would bump
+// a per-cycle stall counter and nothing else, so skipping credits that
+// counter here (and catchUp back-fills stretches the engine jumped over
+// entirely), keeping the stall statistics bit-identical. This credit is the
+// one side effect a NextWork has (see sim.Component).
 func (c *Core) NextWork(now uint64) uint64 {
 	c.catchUp(now)
 	if len(c.calls) > 0 {
@@ -472,27 +473,33 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 	return true
 }
 
-// Barrier is a reusable centralized thread barrier. Completion is deferred:
-// when the n-th thread arrives the waiters move to a release list that
-// Flush fires at the end of the cycle, so every waiter — regardless of its
-// position in the tick order relative to the last arriver — resumes on the
-// next cycle. The uniform one-cycle release latency models a real
-// barrier's notification delay, and it makes the release cycle independent
-// of where the last arriver sits in the tick order (DESIGN.md "Simulation
-// kernel: tick order").
+// Barrier is a reusable centralized thread barrier and a sim.Component.
+// Completion is deferred: when the n-th thread arrives the waiters move to
+// a release list and the barrier wakes itself; registered last in the tick
+// order, it ticks at the end of that same cycle and fires the releases, so
+// every waiter — regardless of its position in the tick order relative to
+// the last arriver — resumes on the next cycle. The uniform one-cycle
+// release latency models a real barrier's notification delay, and it makes
+// the release cycle independent of where the last arriver sits in the tick
+// order (DESIGN.md "Simulation kernel: tick order").
 type Barrier struct {
 	n         int
 	arrived   int
 	waiters   []func()
 	release   []func()
+	waker     *sim.Waker
 	Crossings uint64
 }
 
 // NewBarrier creates a barrier over n threads.
 func NewBarrier(n int) *Barrier { return &Barrier{n: n} }
 
+// SetWaker implements sim.Component: a completed crossing is the barrier's
+// only input.
+func (b *Barrier) SetWaker(w *sim.Waker) { b.waker = w }
+
 // Arrive registers a thread; when the n-th arrives the barrier resets and
-// every waiter is queued for release at the next Flush.
+// every waiter is queued for release at the barrier's next Tick.
 func (b *Barrier) Arrive(wake func()) {
 	b.arrived++
 	b.waiters = append(b.waiters, wake) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
@@ -501,15 +508,24 @@ func (b *Barrier) Arrive(wake func()) {
 		b.arrived = 0
 		b.waiters = b.waiters[:0]
 		b.Crossings++
+		b.waker.Wake()
 	}
 }
 
-// Pending reports whether a completed crossing awaits its Flush.
+// Pending reports whether a completed crossing awaits its release.
 func (b *Barrier) Pending() bool { return len(b.release) > 0 }
 
-// Flush fires the queued release wakes of a completed crossing. The system
-// calls it once per cycle after every component has ticked.
-func (b *Barrier) Flush() {
+// NextWork implements sim.Component: the barrier has work only while a
+// completed crossing awaits its release.
+func (b *Barrier) NextWork(now uint64) uint64 {
+	if b.Pending() {
+		return now
+	}
+	return sim.Never
+}
+
+// Tick fires the queued release wakes of a completed crossing.
+func (b *Barrier) Tick(uint64) {
 	for i, w := range b.release {
 		b.release[i] = nil
 		w()

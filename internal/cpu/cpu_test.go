@@ -255,7 +255,7 @@ func TestBarrierSynchronizesThreads(t *testing.T) {
 	for i := 0; i < 10000 && (!fast.Finished() || !slow.Finished()); i++ {
 		fast.Tick(uint64(i))
 		slow.Tick(uint64(i))
-		b.Flush() // deferred release: waiters resume on the next cycle
+		b.Tick(uint64(i)) // deferred release: waiters resume on the next cycle
 		if fast.Finished() && fastDone == 0 {
 			fastDone = i
 		}

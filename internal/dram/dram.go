@@ -152,7 +152,8 @@ func (b *BankSet) Enqueue(r Request, cycle uint64) bool {
 // Pending reports queued plus in-flight requests.
 func (b *BankSet) Pending() int { return len(b.queue) + len(b.inflight) }
 
-// NextWork implements sim.Idler: with requests queued the bank set reports
+// NextWork is the bank set's idle hint, which the Controller's
+// sim.Component NextWork delegates to: with requests queued it reports
 // work every cycle, a conservative hint (while banksBlockedUntil is ahead,
 // Tick only retires transfers due by earliestDone); with only in-flight
 // transfers the next work is the earliest completion; empty bank sets are
@@ -306,7 +307,7 @@ type Controller struct {
 	waker *sim.Waker
 }
 
-// SetWaker implements sim.WakeSetter.
+// SetWaker implements sim.Component.
 func (c *Controller) SetWaker(w *sim.Waker) { c.waker = w }
 
 // NewController builds a channel controller with the given geometry.
@@ -334,5 +335,5 @@ func (c *Controller) Access(pa mem.PAddr, write bool, cycle uint64, done func(ui
 // Tick advances the controller one cycle.
 func (c *Controller) Tick(cycle uint64) { c.Banks.Tick(cycle) }
 
-// NextWork implements sim.Idler by delegating to the bank set.
+// NextWork implements sim.Component by delegating to the bank set.
 func (c *Controller) NextWork(now uint64) uint64 { return c.Banks.NextWork(now) }

@@ -56,7 +56,7 @@ func NewController(index, node, entryCube int, geom mem.HMCGeometry, fabric *net
 	return c
 }
 
-// SetWaker implements sim.WakeSetter.
+// SetWaker implements sim.Component.
 func (c *Controller) SetWaker(w *sim.Waker) { c.waker = w }
 
 // Node implements core.Port.
@@ -139,8 +139,8 @@ func (c *Controller) Tick(cycle uint64) {
 // Busy reports whether requests are queued or outstanding.
 func (c *Controller) Busy() bool { return c.queue.Len() > 0 || len(c.pending) > 0 }
 
-// NextWork implements sim.Idler: Tick only drains the request queue;
-// outstanding responses arrive via Deliver.
+// NextWork implements sim.Component: Tick only drains the request
+// queue; outstanding responses arrive via Deliver.
 func (c *Controller) NextWork(now uint64) uint64 {
 	if c.queue.Len() > 0 {
 		return now

@@ -125,7 +125,7 @@ func NewCube(id int, cfg CubeConfig, fabric *network.Fabric, store *mem.Store) *
 	return c
 }
 
-// SetWaker implements sim.WakeSetter.
+// SetWaker implements sim.Component.
 func (c *Cube) SetWaker(w *sim.Waker) { c.waker = w }
 
 // AttachARE places an Active-Routing Engine on the cube's logic layer,
@@ -147,9 +147,9 @@ func (c *Cube) Busy() bool {
 	return c.are != nil && c.are.Busy()
 }
 
-// NextWork implements sim.Idler. The cube must tick while any vault access,
-// response or ARE work is outstanding; with only a not-yet-ready crossbar
-// head staged, the next work is its ready cycle.
+// NextWork implements sim.Component. The cube must tick while any vault
+// access, response or ARE work is outstanding; with only a not-yet-ready
+// crossbar head staged, the next work is its ready cycle.
 func (c *Cube) NextWork(now uint64) uint64 {
 	if c.vaultWork > 0 || c.outbox.Len() > 0 {
 		return now

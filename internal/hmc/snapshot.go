@@ -67,12 +67,6 @@ func (c *Cube) Restore(d *sim.Dec) {
 	}
 }
 
-// SnapshotReady reports whether the controller is in a checkpointable
-// state: request queue drained and no outstanding responses (a pending
-// response's completion callback lives in the cache hierarchy and cannot
-// be serialized).
-func (c *Controller) SnapshotReady() bool { return !c.Busy() }
-
 // Snapshot implements sim.Snapshotter for a quiescent controller.
 func (c *Controller) Snapshot(e *sim.Enc) {
 	e.Tag("hmcctl")

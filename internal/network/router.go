@@ -355,8 +355,8 @@ func NewFabric(topo Topology, cfg Config) *Fabric {
 // SetEndpoint attaches the component that consumes packets at node n.
 func (f *Fabric) SetEndpoint(n int, e Endpoint) { f.endpoints[n] = e }
 
-// SetWaker implements sim.WakeSetter: Inject is the fabric's only external
-// entry point; everything else advances through its own Tick.
+// SetWaker implements sim.Component: Inject is the fabric's only
+// external entry point; everything else advances through its own Tick.
 func (f *Fabric) SetWaker(w *sim.Waker) { f.waker = w }
 
 // NextID returns a fresh packet id (diagnostics only).
@@ -441,7 +441,7 @@ func (f *Fabric) InFlightScan() int {
 	return n
 }
 
-// NextWork implements sim.Idler: the next clock edge while packets are
+// NextWork implements sim.Component: the next clock edge while packets are
 // queued at a router, or the earliest in-flight arrival when everything is
 // on the wire.
 func (f *Fabric) NextWork(now uint64) uint64 {

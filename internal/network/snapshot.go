@@ -5,7 +5,7 @@ import (
 )
 
 // Checkpoint support. A fabric snapshots only when fully drained
-// (SnapshotReady), so queues and arrival wheels are all empty and the
+// (Drained), so queues and arrival wheels are all empty and the
 // surviving state is per-router arbitration/link-timing state plus the
 // accounting counters.
 //
@@ -15,9 +15,6 @@ import (
 // mutating live state, and restore starts with the deferral queue empty,
 // which is behaviorally identical (deferred credits would apply before any
 // phase of the next tick anyway).
-
-// SnapshotReady reports whether the fabric is in a checkpointable state.
-func (f *Fabric) SnapshotReady() bool { return f.Drained() }
 
 // Snapshot implements sim.Snapshotter for a drained fabric.
 func (f *Fabric) Snapshot(e *sim.Enc) {

@@ -1,20 +1,20 @@
 // Package sim provides the discrete-cycle simulation kernel shared by every
-// timing model in the repository: a global cycle clock, a ticker registry,
-// and a deterministic random number generator.
+// timing model in the repository: a global cycle clock, a component
+// registry, and a deterministic random number generator.
 //
 // All components advance in lockstep, one call to Tick per cycle, in
 // registration order. Registration order is part of the simulated machine's
 // definition (e.g. routers tick before cores so that responses delivered
 // this cycle are visible next cycle), so it is kept deterministic.
 //
-// The kernel is idle-aware: a component may additionally implement Idler to
-// report quiescence. The engine then skips the component's Tick for cycles
-// in which it provably has no work, and when every registered component is
-// quiescent it advances the clock straight to the earliest future event in
-// one step. Both skips are exact — a correct NextWork implementation only
-// ever suppresses Ticks that would have been no-ops — so simulated results
-// are bit-identical to the plain lockstep kernel (see DESIGN.md for the
-// idle/wake protocol contract).
+// The kernel is idle-aware: every Component reports quiescence through
+// NextWork. The engine skips the component's Tick for cycles in which it
+// provably has no work, and when every registered component is quiescent
+// it advances the clock straight to the earliest future event in one step.
+// Both skips are exact — a correct NextWork implementation only ever
+// suppresses Ticks that would have been no-ops — so simulated results are
+// bit-identical to the plain lockstep kernel (see DESIGN.md for the
+// idle/wake contract).
 package sim
 
 import (
@@ -35,56 +35,51 @@ const cancelStride = 4096
 // implements, names it; it goes with the next change to that module.
 type SchedCounters struct{}
 
-// Ticker is a hardware component that advances by one clock cycle per call.
-type Ticker interface {
-	// Tick advances the component to the given cycle.
-	Tick(cycle uint64)
-}
-
-// TickFunc adapts a plain function to the Ticker interface. Note that a
-// TickFunc never implements Idler: wrapping a component's Tick method in a
-// TickFunc hides its idle hints, so components that can quiesce should be
-// registered directly.
-type TickFunc func(cycle uint64)
-
-// Tick calls f(cycle).
-func (f TickFunc) Tick(cycle uint64) { f(cycle) }
-
 // Never is the NextWork return value of a component that cannot make
 // progress until some other component hands it new input.
 const Never = ^uint64(0)
 
-// Idler is the optional quiescence protocol. A component implementing it
-// promises that NextWork is side-effect-free on simulated state and that
-// whenever NextWork(now) > now, Tick(now) would have been a no-op.
+// Component is the one contract every simulated hardware block implements
+// (DESIGN.md "The idle/wake contract"). Tick advances the component by one
+// cycle. NextWork reports the earliest cycle >= now at which Tick must run:
+// now itself when the component has immediate work, a later cycle when its
+// next work is a purely internal timed event, or Never when it is quiescent
+// until external input (a delivered packet, a callback) arrives. Whenever
+// NextWork(now) > now, Tick(now) must be a no-op.
 //
 // The engine evaluates NextWork at the component's exact slot in the tick
 // order, so the implementation sees precisely the state its Tick would have
 // seen — including writes made earlier in the same cycle by components that
 // tick before it. Returning now when unsure is always safe; returning a
 // future cycle (or Never) when work exists changes simulated results.
-type Idler interface {
-	// NextWork reports the earliest cycle >= now at which Tick must run:
-	// now itself when the component has immediate work, a later cycle when
-	// its next work is a purely internal timed event, or Never when it is
-	// quiescent until external input (a delivered packet, a callback)
-	// arrives. For plain idlers NextWork is re-evaluated every engine
-	// step, so Never is a per-cycle claim, not a permanent one; wake-aware
-	// components (WakeSetter) instead have the result cached until their
-	// Waker fires or the reported cycle arrives.
+//
+// The engine caches a future NextWork result and skips re-polling until
+// that cycle arrives or the component's Waker fires, so between two of its
+// Ticks the reported cycle may only move earlier through an event that
+// calls the Waker handed over by SetWaker. Components whose hint is a pure
+// function of time may ignore the Waker.
+//
+// NextWork must not change simulated state, with one exception:
+// cpu.Core's NextWork credits the per-cycle stall counter of the cycle it
+// skips (and catchUp back-fills jumped cycles), keeping its statistics
+// identical to a lockstep run.
+type Component interface {
+	Tick(cycle uint64)
 	NextWork(now uint64) uint64
+	SetWaker(w *Waker)
 }
 
-// Waker is the engine-side handle a wake-aware component uses to
-// invalidate its cached idle hint. Wake is cheap (a few stores) and safe to
-// call redundantly or on a nil receiver.
+// Waker is the engine-side handle a component uses to invalidate its
+// cached idle hint. Wake is cheap (a few stores) and safe to call
+// redundantly or on a nil receiver.
 type Waker struct {
 	e   *Engine
 	idx int
 }
 
 // Wake marks the component's cached quiescence stale so the engine
-// re-polls its NextWork on the next step. Components call it from every
+// re-polls its NextWork: in this same cycle when the caller ticks at an
+// earlier slot, in the next cycle otherwise. Components call it from every
 // entry point through which the outside world hands them new work (a
 // Deliver, an Access, a completion callback).
 func (w *Waker) Wake() {
@@ -95,47 +90,26 @@ func (w *Waker) Wake() {
 	}
 }
 
-// WakeSetter is the opt-in contract for engine-side idle-hint caching. A
-// component implementing it promises that between two of its Ticks, the
-// value it returned from NextWork can only become earlier as a result of an
-// event that calls the provided Waker — so the engine may cache a future
-// NextWork result and skip re-polling until that cycle arrives or Wake is
-// called. Time-only idlers (samplers) satisfy the contract trivially and
-// may ignore the waker.
-type WakeSetter interface {
-	SetWaker(w *Waker)
-}
-
-// slot pairs a ticker with its idle hint so the per-cycle scheduling loop
-// walks one contiguous slice (idler is nil when the ticker does not
-// implement Idler).
-type slot struct {
-	t         Ticker
-	i         Idler
-	cacheable bool
-}
-
-// Engine owns the global clock and the ordered set of tickers.
+// Engine owns the global clock and the ordered set of components.
 type Engine struct {
 	cycle uint64
-	slots []slot
-	// wakeAt[i] caches slot i's last future NextWork result (wake-aware
-	// components only): while cycle < wakeAt[i] the engine skips the poll.
-	// It lives in its own dense array so the per-cycle scan touches eight
-	// bytes per component instead of a whole slot.
+	comps []Component
+	// wakeAt[i] caches component i's last future NextWork result: while
+	// cycle < wakeAt[i] the engine skips the poll. It lives in its own
+	// dense array so the per-cycle scan touches eight bytes per component.
 	wakeAt []uint64
-	// active is a bitmask over slots: bit i set means slot i must be
-	// polled/ticked this cycle. Cached-quiescent components clear their bit
+	// active is a bitmask over components: bit i set means component i
+	// must be polled/ticked this cycle. Parked components clear their bit
 	// and are re-activated either by Waker.Wake or by the minWake sweep
 	// when their cached cycle arrives. Iterating set bits ascending
 	// preserves registration (tick) order exactly.
 	active []uint64
-	// minWake is the earliest cached wakeAt among inactive slots; when the
-	// clock reaches it the engine sweeps wakeAt to re-activate due slots.
+	// minWake is the earliest cached wakeAt among parked components; when
+	// the clock reaches it the engine sweeps wakeAt to re-activate them.
 	minWake uint64
 	names   []string
 
-	// SkippedTicks counts component Ticks suppressed by idle hints and
+	// SkippedTicks counts NextWork polls that suppressed a Tick and
 	// JumpedCycles counts clock advances beyond one cycle per step
 	// (diagnostics for the idle-aware scheduler; not simulated state).
 	SkippedTicks uint64
@@ -145,34 +119,29 @@ type Engine struct {
 // NewEngine returns an engine at cycle zero with no registered components.
 func NewEngine() *Engine { return &Engine{} }
 
-// Register appends a component to the tick order. The name is used in
-// diagnostics only. If the component implements Idler its idle hints are
-// used to skip no-op Ticks.
-func (e *Engine) Register(name string, t Ticker) {
-	if t == nil {
-		panic("sim: Register called with nil ticker")
+// Register appends a component to the tick order and hands it its Waker.
+// The name is used in diagnostics only.
+func (e *Engine) Register(name string, c Component) {
+	if c == nil {
+		panic("sim: Register called with nil component")
 	}
-	idler, _ := t.(Idler)
-	e.slots = append(e.slots, slot{t: t, i: idler})
+	i := len(e.comps)
+	e.comps = append(e.comps, c)
 	e.wakeAt = append(e.wakeAt, 0)
 	e.names = append(e.names, name)
-	i := len(e.slots) - 1
 	for len(e.active) <= i>>6 {
 		e.active = append(e.active, 0)
 	}
 	e.active[i>>6] |= 1 << uint(i&63)
 	e.minWake = 0
-	if ws, ok := t.(WakeSetter); ok && idler != nil {
-		e.slots[i].cacheable = true
-		ws.SetWaker(&Waker{e: e, idx: i})
-	}
+	c.SetWaker(&Waker{e: e, idx: i})
 }
 
 // Cycle reports the current cycle (the number of completed steps).
 func (e *Engine) Cycle() uint64 { return e.cycle }
 
-// Components reports how many tickers are registered.
-func (e *Engine) Components() int { return len(e.slots) }
+// Components reports how many components are registered.
+func (e *Engine) Components() int { return len(e.comps) }
 
 // step advances the whole machine by one cycle, skipping components that
 // report no work. It returns the earliest cycle at which any skipped
@@ -186,7 +155,7 @@ func (e *Engine) step() uint64 {
 	c := e.cycle
 	if c >= e.minWake {
 		// A cached wake is due (or the mask is stale): re-activate every
-		// slot whose cached cycle has arrived and recompute the horizon.
+		// component whose cached cycle has arrived and recompute the horizon.
 		min := Never
 		for i, wa := range e.wakeAt {
 			if e.active[i>>6]&(1<<uint(i&63)) != 0 {
@@ -217,28 +186,26 @@ func (e *Engine) step() uint64 {
 			b := m & (-m)
 			i := w<<6 + bits.TrailingZeros64(m)
 			done |= b<<1 - 1
-			s := &e.slots[i]
-			if s.i != nil {
-				if wk := s.i.NextWork(c); wk > c {
-					if wk < next {
-						next = wk
-					}
-					if s.cacheable && wk > c+1 {
-						// Park the slot: no polls until wk or a Wake. A
-						// one-cycle wait is cheaper to re-poll than to
-						// park (parking would trigger a re-activation
-						// sweep on the very next step).
-						e.wakeAt[i] = wk
-						e.active[w] &^= b
-						if wk < e.minWake {
-							e.minWake = wk
-						}
-					}
-					e.SkippedTicks++
-					continue
+			comp := e.comps[i]
+			if wk := comp.NextWork(c); wk > c {
+				if wk < next {
+					next = wk
 				}
+				if wk > c+1 {
+					// Park the component: no polls until wk or a Wake. A
+					// one-cycle wait is cheaper to re-poll than to park
+					// (parking would trigger a re-activation sweep on the
+					// very next step).
+					e.wakeAt[i] = wk
+					e.active[w] &^= b
+					if wk < e.minWake {
+						e.minWake = wk
+					}
+				}
+				e.SkippedTicks++
+				continue
 			}
-			s.t.Tick(c)
+			comp.Tick(c)
 			ran = true
 		}
 	}

@@ -11,8 +11,8 @@ import (
 func TestEngineStepOrder(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	e.Register("a", TickFunc(func(uint64) { order = append(order, "a") }))
-	e.Register("b", TickFunc(func(uint64) { order = append(order, "b") }))
+	e.Register("a", busy{func(uint64) { order = append(order, "a") }})
+	e.Register("b", busy{func(uint64) { order = append(order, "b") }})
 	e.Step()
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Fatalf("tick order = %v, want [a b]", order)
@@ -25,7 +25,7 @@ func TestEngineStepOrder(t *testing.T) {
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	e.Register("c", TickFunc(func(uint64) { count++ }))
+	e.Register("c", busy{func(uint64) { count++ }})
 	n, err := e.RunUntil(func() bool { return count >= 10 }, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestEngineRunUntilTimeout(t *testing.T) {
 // lists non-quiescent components with their NextWork hints.
 func TestEngineTimeoutErrorStructure(t *testing.T) {
 	e := NewEngine()
-	e.Register("spinner", TickFunc(func(uint64) {}))
+	e.Register("spinner", busy{})
 	e.Register("timer", &pinger{interval: 1000, until: 1 << 50})
 	_, err := e.RunUntil(func() bool { return false }, 7)
 	var te *TimeoutError
@@ -76,7 +76,7 @@ func TestEngineTimeoutErrorStructure(t *testing.T) {
 // within the amortized poll stride and the error wraps context.Canceled.
 func TestEngineRunUntilCtxCancel(t *testing.T) {
 	e := NewEngine()
-	e.Register("busy", TickFunc(func(uint64) {}))
+	e.Register("busy", busy{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cycles, err := e.RunUntilCtx(ctx, func() bool { return false }, Never)
@@ -164,11 +164,33 @@ func (p *pinger) Tick(cycle uint64) {
 	p.inbox = kept
 }
 
+// busy is a test component with work every cycle; each Tick calls f when
+// it is set.
+type busy struct{ f func(cycle uint64) }
+
+func (b busy) Tick(cycle uint64) {
+	if b.f != nil {
+		b.f(cycle)
+	}
+}
+
+func (busy) NextWork(now uint64) uint64 { return now }
+
+func (busy) SetWaker(*Waker) {}
+
 // mailStage buffers sends and hands them to their destination pinger when
-// it ticks: a plain (not wake-aware) idler with work while mail is queued.
+// it ticks: a wake-aware component with work while mail is queued.
 type mailStage struct {
-	mail []uint64 // delivery cycles
-	dest *pinger
+	mail  []uint64 // delivery cycles
+	dest  *pinger
+	waker *Waker
+}
+
+func (ms *mailStage) SetWaker(w *Waker) { ms.waker = w }
+
+func (ms *mailStage) post(at uint64) {
+	ms.mail = append(ms.mail, at)
+	ms.waker.Wake()
 }
 
 func (ms *mailStage) Tick(uint64) {
@@ -185,6 +207,62 @@ func (ms *mailStage) NextWork(now uint64) uint64 {
 	return Never
 }
 
+// latch is a wake-aware test component with work only while raised; each
+// Tick records its cycle and lowers the latch.
+type latch struct {
+	raised bool
+	at     []uint64
+	waker  *Waker
+}
+
+func (l *latch) SetWaker(w *Waker) { l.waker = w }
+
+func (l *latch) raise() {
+	l.raised = true
+	l.waker.Wake()
+}
+
+func (l *latch) NextWork(now uint64) uint64 {
+	if l.raised {
+		return now
+	}
+	return Never
+}
+
+func (l *latch) Tick(cycle uint64) {
+	l.at = append(l.at, cycle)
+	l.raised = false
+}
+
+// TestEngineSameCycleWakeOrder pins the wake rule of the tick order: a
+// parked component woken by a component at an earlier slot ticks in that
+// same cycle, and one woken by a later slot ticks in the next cycle.
+func TestEngineSameCycleWakeOrder(t *testing.T) {
+	l := &latch{}
+	e := NewEngine()
+	e.Register("early", busy{func(cycle uint64) {
+		if cycle == 10 {
+			l.raise()
+		}
+	}})
+	e.Register("latch", l)
+	e.Register("late", busy{func(cycle uint64) {
+		if cycle == 20 {
+			l.raise()
+		}
+	}})
+	e.RunFor(30)
+	if len(l.at) != 2 || l.at[0] != 10 || l.at[1] != 21 {
+		t.Fatalf("latch ticked at %v, want [10 21]", l.at)
+	}
+	// The latch is polled once after each of its three quiet starts (cycles
+	// 0, 11 and 22) and parked in between; more skips mean it was polled
+	// while parked and the test no longer exercises the wake path.
+	if e.SkippedTicks != 3 {
+		t.Fatalf("SkippedTicks = %d, want 3 (latch parked between wakes)", e.SkippedTicks)
+	}
+}
+
 // TestEngineWakeAtDelivery checks that a parked wake-aware component woken
 // by a delivery ticks exactly at the delivery cycle, even when the engine
 // jumps the clock over the idle stretch before it.
@@ -193,7 +271,7 @@ func TestEngineWakeAtDelivery(t *testing.T) {
 	recv := &pinger{interval: 1, until: 0} // no work of its own
 	ms := &mailStage{dest: recv}
 	send := &pinger{interval: 1000, until: 1001, out: func(cycle uint64) {
-		ms.mail = append(ms.mail, cycle+latency)
+		ms.post(cycle + latency)
 	}}
 	e := NewEngine()
 	e.Register("recv", recv)

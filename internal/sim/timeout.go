@@ -69,20 +69,17 @@ func (e *TimeoutError) Error() string {
 	return b.String()
 }
 
-// timeoutError snapshots the engine's pending work at the current clock.
-// NextWork is side-effect-free by the Idler contract, so probing every slot
-// (including parked wake-aware ones) cannot change simulated state; slots
-// without an idle hint are always potentially busy and report now. Sorting
-// by name makes the error independent of the registration order.
+// timeoutError snapshots the engine's pending work at the current clock by
+// probing every component's NextWork, parked ones included. NextWork
+// changes no simulated state, except that cpu.Core credits the stall
+// counter of the probed cycle (and back-fills jumped cycles) although that
+// cycle is never simulated; this is harmless because a timed-out run
+// returns no Results. Sorting by name makes the error independent of the
+// registration order.
 func (e *Engine) timeoutError(maxCycles uint64) *TimeoutError {
 	var pending []PendingWork
-	for i := range e.slots {
-		s := &e.slots[i]
-		if s.i == nil {
-			pending = append(pending, PendingWork{Name: e.names[i], NextWork: e.cycle})
-			continue
-		}
-		if wk := s.i.NextWork(e.cycle); wk != Never {
+	for i, c := range e.comps {
+		if wk := c.NextWork(e.cycle); wk != Never {
 			pending = append(pending, PendingWork{Name: e.names[i], NextWork: wk})
 		}
 	}

@@ -81,7 +81,7 @@ func (mi *MessageInterface) getEntry() *miEntry {
 
 var _ cpu.OffloadPort = (*MessageInterface)(nil)
 
-// SetWaker implements sim.WakeSetter.
+// SetWaker implements sim.Component.
 func (mi *MessageInterface) SetWaker(w *sim.Waker) { mi.waker = w }
 
 // Update implements cpu.OffloadPort; false stalls the core (offload
@@ -114,7 +114,7 @@ func (mi *MessageInterface) Gather(cmd core.GatherCmd, cycle uint64) bool {
 // Busy reports queued offloads.
 func (mi *MessageInterface) Busy() bool { return mi.queue.Len() > 0 }
 
-// NextWork implements sim.Idler. The MI is quiescent when its queue is
+// NextWork implements sim.Component. The MI is quiescent when its queue is
 // empty, and also while every update in the query window has been queried
 // and the head is still waiting for its back-invalidation ack (which
 // arrives via OnBackInvalDone).
@@ -193,6 +193,20 @@ func (mi *MessageInterface) Tick(cycle uint64) {
 		}
 		mi.free = append(mi.free, e) //ar:exempt(hotpath) free list reaches steady-state capacity; append stops growing after warm-up
 	}
+}
+
+// Snapshot implements sim.Snapshotter. At a quiescent point the queue is
+// empty and no query is outstanding, so the tag counter is the MI's whole
+// state.
+func (mi *MessageInterface) Snapshot(e *sim.Enc) {
+	e.Tag("mi")
+	e.U64(mi.nextTag)
+}
+
+// Restore implements sim.Snapshotter.
+func (mi *MessageInterface) Restore(d *sim.Dec) {
+	d.Tag("mi")
+	mi.nextTag = d.U64()
 }
 
 // OnBackInvalDone clears the queried entry so it can be forwarded.

@@ -33,60 +33,16 @@ const snapshotVersion = 2
 // Snapshotable reports whether the machine is at a quiescent point where
 // Snapshot can capture it exactly.
 func (s *System) Snapshotable() bool {
-	if !s.noc.SnapshotReady() {
-		return false
-	}
-	if s.memnet != nil && !s.memnet.SnapshotReady() {
-		return false
-	}
-	for _, l1 := range s.l1s {
-		if l1.Busy() {
-			return false
-		}
-	}
-	for _, l2 := range s.l2s {
-		if l2.Busy() {
-			return false
-		}
-	}
-	for _, mi := range s.mis {
-		if mi != nil && (mi.Busy() || len(mi.byTag) > 0) {
-			return false
-		}
-	}
 	for _, h := range s.hubs {
 		if len(h.pendingMem) > 0 {
 			return false
 		}
 	}
-	for _, mc := range s.mcs {
-		if mc.queued() > 0 {
-			return false
-		}
-	}
-	for _, d := range s.dramCtrls {
-		if d.Banks.Pending() > 0 {
-			return false
-		}
-	}
-	for _, h := range s.hmcCtrls {
-		if !h.SnapshotReady() {
-			return false
-		}
-	}
-	for _, c := range s.cubes {
-		if !c.SnapshotReady() {
-			return false
-		}
-	}
-	if s.coord != nil && !s.coord.SnapshotReady() {
-		return false
-	}
 	if s.barrier.Pending() {
 		return false
 	}
-	for _, c := range s.cores {
-		if !c.Snapshotable() {
+	for i := range s.parts {
+		if busy := s.parts[i].snapBusy; busy != nil && busy() {
 			return false
 		}
 	}
@@ -119,36 +75,10 @@ func (s *System) Snapshot(buf []byte) []byte {
 		e.F64(p.IPC)
 	}
 	e.U64(s.barrier.Crossings)
-	for _, c := range s.cores {
-		c.Snapshot(e)
-	}
-	for _, l1 := range s.l1s {
-		l1.Snapshot(e)
-	}
-	for _, l2 := range s.l2s {
-		l2.Snapshot(e)
-	}
-	for _, mi := range s.mis {
-		if mi != nil {
-			e.Tag("mi")
-			e.U64(mi.nextTag)
+	for _, p := range s.parts {
+		if p.state != nil {
+			p.state.Snapshot(e)
 		}
-	}
-	s.noc.Snapshot(e)
-	for _, d := range s.dramCtrls {
-		d.Banks.Snapshot(e)
-	}
-	for _, h := range s.hmcCtrls {
-		h.Snapshot(e)
-	}
-	if s.coord != nil {
-		s.coord.Snapshot(e)
-	}
-	if s.memnet != nil {
-		s.memnet.Snapshot(e)
-	}
-	for _, c := range s.cubes {
-		c.Snapshot(e)
 	}
 	// Integrity trailer over the encoded region: the structural validation
 	// in the decoders catches torn or truncated blobs, but a bit flip in a
@@ -219,36 +149,10 @@ func (s *System) Restore(data []byte) error {
 		s.ipcTrace = append(s.ipcTrace, stats.IPCPoint{Insts: d.U64(), IPC: d.F64()})
 	}
 	s.barrier.Crossings = d.U64()
-	for _, c := range s.cores {
-		c.Restore(d)
-	}
-	for _, l1 := range s.l1s {
-		l1.Restore(d)
-	}
-	for _, l2 := range s.l2s {
-		l2.Restore(d)
-	}
-	for _, mi := range s.mis {
-		if mi != nil {
-			d.Tag("mi")
-			mi.nextTag = d.U64()
+	for _, p := range s.parts {
+		if p.state != nil {
+			p.state.Restore(d)
 		}
-	}
-	s.noc.Restore(d)
-	for _, dc := range s.dramCtrls {
-		dc.Banks.Restore(d)
-	}
-	for _, h := range s.hmcCtrls {
-		h.Restore(d)
-	}
-	if s.coord != nil {
-		s.coord.Restore(d)
-	}
-	if s.memnet != nil {
-		s.memnet.Restore(d)
-	}
-	for _, c := range s.cubes {
-		c.Restore(d)
 	}
 	if err := d.Err(); err != nil {
 		return err

@@ -1,0 +1,53 @@
+package system_test
+
+import (
+	"context"
+	"fmt"
+	"hash/fnv"
+	"testing"
+
+	"repro/internal/system"
+)
+
+// TestSnapshotWireFormatPinned pins the checkpoint wire format across
+// builds: three ScaleTiny runs at DefaultConfig are checkpointed and each
+// blob's exact length, landing cycle and FNV-64a digest must match the
+// recorded values. TestCheckpointRoundTrip only checks that one build
+// agrees with itself; this test fails when a change reorders, adds or
+// drops a snapshot section or field. A deliberate format change bumps
+// snapshotVersion and re-records these values.
+func TestSnapshotWireFormatPinned(t *testing.T) {
+	cases := []struct {
+		workload string
+		scheme   system.Scheme
+		at       uint64
+		cycle    uint64
+		bytes    int
+		fnv      string
+	}{
+		{"lud", system.SchemeARFtid, 4000, 6441, 207754, "f0b629bcdf09b392"},
+		{"lud", system.SchemeDRAM, 1457, 1914, 82790, "8e0ac7a66d273ecd"},
+		{"mac", system.SchemeHMC, 775, 1550, 212534, "32ab4c42348e7f69"},
+	}
+	for _, c := range cases {
+		t.Run(c.workload+"/"+c.scheme.String(), func(t *testing.T) {
+			t.Parallel()
+			sys := buildSys(t, c.scheme, c.workload)
+			blob, err := sys.RunToCheckpoint(context.Background(), c.at, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if blob == nil {
+				t.Fatalf("no checkpoint at or after cycle %d", c.at)
+			}
+			if got := sys.Engine().Cycle(); got != c.cycle {
+				t.Errorf("checkpoint landed at cycle %d, want %d", got, c.cycle)
+			}
+			h := fnv.New64a()
+			h.Write(blob)
+			if got := fmt.Sprintf("%016x", h.Sum64()); len(blob) != c.bytes || got != c.fnv {
+				t.Fatalf("blob = %d bytes, FNV-64a %s; want %d bytes, %s", len(blob), got, c.bytes, c.fnv)
+			}
+		})
+	}
+}

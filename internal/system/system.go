@@ -88,14 +88,30 @@ type System struct {
 	lastRetired uint64
 	ipcTrace    []stats.IPCPoint
 
-	// busyChecks holds one O(1) drain probe per component; lastBusy
-	// memoizes the index that most recently reported busy so the common
-	// done() poll is a single check.
-	busyChecks []func() bool
-	lastBusy   int
+	// parts is the component table; lastBusy memoizes the row whose drain
+	// probe most recently reported busy so the common done() poll is a
+	// single check.
+	parts    []part
+	lastBusy int
 }
 
-// never aliases the sim.Idler "quiescent until external input" sentinel.
+// part is one row of the machine's component table. The table lists every
+// registered component once; its order is the tick order, the drain-scan
+// order and the checkpoint section order.
+type part struct {
+	name string
+	comp sim.Component
+	// busy is the O(1) drain probe: true while the component holds work
+	// the run must finish. nil: never busy.
+	busy func() bool
+	// snapBusy reports that Snapshot cannot capture the component now.
+	// nil: never busy.
+	snapBusy func() bool
+	// state is the component's checkpoint section. nil: stateless.
+	state sim.Snapshotter
+}
+
+// never aliases the sim.Never "quiescent until external input" sentinel.
 const never = sim.Never
 
 // tileHub is the NoC endpoint at one mesh tile, demultiplexing coherence
@@ -165,19 +181,16 @@ func (h *tileHub) deliverMsg(m *cache.Msg, cycle uint64) bool {
 }
 
 // mcPort bridges an MC tile to the memory backend (a DDR channel or an HMC
-// controller). Its retry outbox is drained by head index instead of
-// re-slicing so the steady state allocates nothing.
+// controller), queueing refused response sends for retry.
 type mcPort struct {
-	sys     *System
-	tile    int
-	index   int
-	access  func(pa mem.PAddr, write bool, done func(uint64)) bool
-	outbox  []mcOut
-	outHead int
-	waker   *sim.Waker
+	sys    *System
+	tile   int
+	access func(pa mem.PAddr, write bool, done func(uint64)) bool
+	outbox sim.FIFO[mcOut]
+	waker  *sim.Waker
 }
 
-// SetWaker implements sim.WakeSetter: the only external input is a refused
+// SetWaker implements sim.Component: the only external input is a refused
 // response send queued from a memory completion callback.
 func (mc *mcPort) SetWaker(w *sim.Waker) { mc.waker = w }
 
@@ -186,8 +199,6 @@ type mcOut struct {
 	m   *cache.Msg
 }
 
-func (mc *mcPort) queued() int { return len(mc.outbox) - mc.outHead }
-
 func (mc *mcPort) deliver(m *cache.Msg, cycle uint64) bool {
 	write := m.Type == cache.MsgMemWrite
 	from, tag, block := m.From, m.Tag, m.Block
@@ -195,15 +206,16 @@ func (mc *mcPort) deliver(m *cache.Msg, cycle uint64) bool {
 		resp := mc.sys.msgPool.Get(cache.MsgMemResp, block, mc.tile)
 		resp.Tag = tag
 		if !mc.sys.sendFrom(mc.tile, from, resp) {
-			mc.outbox = append(mc.outbox, mcOut{from, resp})
+			mc.outbox.Push(mcOut{from, resp})
 			mc.waker.Wake()
 		}
 	})
 }
 
-// NextWork implements sim.Idler: Tick only retries refused response sends.
+// NextWork implements sim.Component: Tick only retries refused response
+// sends.
 func (mc *mcPort) NextWork(now uint64) uint64 {
-	if mc.queued() > 0 {
+	if !mc.outbox.Empty() {
 		return now
 	}
 	return never
@@ -213,16 +225,13 @@ func (mc *mcPort) NextWork(now uint64) uint64 {
 //
 //ar:hotpath
 func (mc *mcPort) Tick(cycle uint64) {
-	for mc.outHead < len(mc.outbox) {
-		o := mc.outbox[mc.outHead]
+	for !mc.outbox.Empty() {
+		o := mc.outbox.Peek()
 		if !mc.sys.sendFrom(mc.tile, o.dst, o.m) {
 			return
 		}
-		mc.outbox[mc.outHead] = mcOut{}
-		mc.outHead++
+		mc.outbox.Pop()
 	}
-	mc.outbox = mc.outbox[:0]
-	mc.outHead = 0
 }
 
 // New builds a machine for cfg running the named workload at the given
@@ -301,7 +310,7 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 	// --- Memory controller ports on the NoC corners.
 	s.mcs = make([]*mcPort, 4)
 	for i := range s.mcs {
-		mc := &mcPort{sys: s, tile: mcTiles[i], index: i}
+		mc := &mcPort{sys: s, tile: mcTiles[i]}
 		if cfg.Scheme == SchemeDRAM {
 			ctrl := s.dramCtrls[i]
 			mc.access = func(pa mem.PAddr, write bool, done func(uint64)) bool {
@@ -374,7 +383,10 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 		s.cores[i] = cpu.NewCore(i, cfg.Core, streams[i], s.l1s[i], off, s.env.Store, s.env.AS, barrier)
 	}
 
-	s.register()
+	s.parts = s.table()
+	for _, p := range s.parts {
+		s.engine.Register(p.name, p.comp)
+	}
 	return s, nil
 }
 
@@ -399,80 +411,62 @@ func (s *System) sendFrom(src, dst int, m *cache.Msg) bool {
 	return true
 }
 
-// register wires every component into the tick order. Components are
-// registered directly (not wrapped in sim.TickFunc) so the engine sees
-// their sim.Idler hints; the drain probe for each is installed in the same
-// pass, mirroring the old whole-machine done() scan order.
-func (s *System) register() {
+// table lists the machine's components once, in tick order. The order is
+// part of the machine definition: it fixes the tick order, the drain scan
+// and the checkpoint section order, so reordering rows changes the
+// snapshot bytes.
+func (s *System) table() []part {
+	not := func(ready func() bool) func() bool { return func() bool { return !ready() } }
+	var t []part
+	add := func(name string, c sim.Component, busy, snapBusy func() bool, state sim.Snapshotter) {
+		t = append(t, part{name, c, busy, snapBusy, state})
+	}
 	for i, c := range s.cores {
-		c := c
-		s.engine.Register(fmt.Sprintf("core%d", i), c)
-		s.busyChecks = append(s.busyChecks, func() bool { return !c.Finished() })
+		add(fmt.Sprintf("core%d", i), c, not(c.Finished), not(c.Snapshotable), c)
 	}
 	for i, l1 := range s.l1s {
-		l1 := l1
-		s.engine.Register(fmt.Sprintf("l1.%d", i), l1)
-		s.busyChecks = append(s.busyChecks, l1.Busy)
+		add(fmt.Sprintf("l1.%d", i), l1, l1.Busy, l1.Busy, l1)
 	}
 	for i, l2 := range s.l2s {
-		l2 := l2
-		s.engine.Register(fmt.Sprintf("l2.%d", i), l2)
-		s.busyChecks = append(s.busyChecks, l2.Busy)
+		add(fmt.Sprintf("l2.%d", i), l2, l2.Busy, l2.Busy, l2)
 	}
 	for i, mi := range s.mis {
 		if mi != nil {
-			mi := mi
-			s.engine.Register(fmt.Sprintf("mi.%d", i), mi)
-			s.busyChecks = append(s.busyChecks, mi.Busy)
+			add(fmt.Sprintf("mi.%d", i), mi, mi.Busy, func() bool { return mi.Busy() || len(mi.byTag) > 0 }, mi)
 		}
 	}
-	s.engine.Register("noc", s.noc)
-	s.busyChecks = append(s.busyChecks, func() bool { return !s.noc.Drained() })
+	nocBusy := not(s.noc.Drained)
+	add("noc", s.noc, nocBusy, nocBusy, s.noc)
 	for i, mc := range s.mcs {
-		mc := mc
-		s.engine.Register(fmt.Sprintf("mc.%d", i), mc)
-		s.busyChecks = append(s.busyChecks, func() bool { return mc.queued() > 0 })
+		queued := func() bool { return !mc.outbox.Empty() }
+		add(fmt.Sprintf("mc.%d", i), mc, queued, queued, nil)
 	}
 	for i, d := range s.dramCtrls {
-		d := d
-		s.engine.Register(fmt.Sprintf("dram.%d", i), d)
-		s.busyChecks = append(s.busyChecks, func() bool { return d.Banks.Pending() > 0 })
+		pending := func() bool { return d.Banks.Pending() > 0 }
+		add(fmt.Sprintf("dram.%d", i), d, pending, pending, d.Banks)
 	}
 	for i, h := range s.hmcCtrls {
-		h := h
-		s.engine.Register(fmt.Sprintf("hmcctrl.%d", i), h)
-		s.busyChecks = append(s.busyChecks, h.Busy)
+		// An outstanding response's completion callback lives in the cache
+		// hierarchy and cannot be serialized, so busy also blocks snapshots.
+		add(fmt.Sprintf("hmcctrl.%d", i), h, h.Busy, h.Busy, h)
 	}
 	if s.coord != nil {
-		s.engine.Register("coordinator", s.coord)
-		s.busyChecks = append(s.busyChecks, s.coord.Busy)
+		add("coordinator", s.coord, s.coord.Busy, not(s.coord.SnapshotReady), s.coord)
 	}
 	if s.memnet != nil {
-		s.engine.Register("memnet", s.memnet)
-		s.busyChecks = append(s.busyChecks, func() bool { return !s.memnet.Drained() })
+		memnetBusy := not(s.memnet.Drained)
+		add("memnet", s.memnet, memnetBusy, memnetBusy, s.memnet)
 	}
 	for i, c := range s.cubes {
-		c := c
-		s.engine.Register(fmt.Sprintf("cube%d", i), c)
-		s.busyChecks = append(s.busyChecks, c.Busy)
+		add(fmt.Sprintf("cube%d", i), c, c.Busy, not(c.SnapshotReady), c)
 	}
-	s.engine.Register("ipc-sampler", ipcSampler{s})
-	s.engine.Register("barrier-flush", barrierFlush{s.barrier})
-}
-
-// barrierFlush fires deferred barrier releases at the end of every cycle
-// (the last slot in the tick order), so a crossing completed during cycle c
-// resumes every waiter at c+1 regardless of tick-order position. It is a
-// plain (non-cacheable) idler: the pending check is one length read.
-type barrierFlush struct{ b *cpu.Barrier }
-
-func (f barrierFlush) Tick(uint64) { f.b.Flush() }
-
-func (f barrierFlush) NextWork(now uint64) uint64 {
-	if f.b.Pending() {
-		return now
-	}
-	return never
+	// The sampler's state (the IPC trace) and the barrier's (its crossing
+	// count) sit in the snapshot header. The barrier ticks last, so a
+	// crossing completed during a cycle releases its waiters at the end of
+	// that cycle and every waiter resumes on the next one.
+	add("ipc-sampler", ipcSampler{s}, nil, nil, nil)
+	add("barrier-flush", s.barrier, nil, nil, nil)
+	return t
 }
 
 // ipcSampler adapts the Fig 5.8 IPC probe to the engine with an idle hint:
@@ -481,7 +475,7 @@ type ipcSampler struct{ s *System }
 
 func (p ipcSampler) Tick(cycle uint64) { p.s.sampleIPC(cycle) }
 
-// SetWaker implements sim.WakeSetter trivially: the sampler's idle hint is
+// SetWaker implements sim.Component trivially: the sampler's idle hint is
 // a pure function of time, so its cached wake needs no invalidation.
 func (p ipcSampler) SetWaker(*sim.Waker) {}
 
@@ -518,11 +512,11 @@ func (s *System) sampleIPC(cycle uint64) {
 // re-checked first, so the per-cycle poll is O(1) until the machine is
 // nearly drained (the full sweep then confirms quiescence once).
 func (s *System) done() bool {
-	if s.lastBusy < len(s.busyChecks) && s.busyChecks[s.lastBusy]() {
+	if busy := s.parts[s.lastBusy].busy; busy != nil && busy() {
 		return false
 	}
-	for i, busy := range s.busyChecks {
-		if busy() {
+	for i := range s.parts {
+		if busy := s.parts[i].busy; busy != nil && busy() {
 			s.lastBusy = i
 			return false
 		}
