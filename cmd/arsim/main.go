@@ -20,30 +20,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	activerouting "repro"
 )
 
-func parseScheme(s string) (activerouting.Scheme, error) {
-	for _, sch := range append(activerouting.Schemes(), activerouting.SchemeARFtidAdaptive, activerouting.SchemeARFea) {
-		if strings.EqualFold(sch.String(), s) {
-			return sch, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown scheme %q (want DRAM, HMC, ART, ARF-tid, ARF-addr, ARF-tid-adaptive)", s)
-}
-
 func main() {
-	schemeFlag := flag.String("scheme", "ARF-tid", "machine configuration (DRAM, HMC, ART, ARF-tid, ARF-addr, ARF-tid-adaptive)")
-	wlFlag := flag.String("workload", "mac", "workload (backprop, lud, pagerank, sgemm, spmv, reduce, rand_reduce, mac, rand_mac, lud_phase)")
+	schemeFlag := flag.String("scheme", "ARF-tid", "machine configuration (DRAM, HMC, ART, ARF-tid, ARF-addr, ARF-tid-adaptive, ARF-ea)")
+	wlFlag := flag.String("workload", "mac", "workload (backprop, lud, pagerank, sgemm, spmv, reduce, rand_reduce, mac, rand_mac, mac_vec, lud_phase)")
 	scaleFlag := flag.String("scale", "small", "input scale (tiny, small, medium)")
 	ckptAt := flag.Uint64("checkpoint-at", 0, "snapshot the machine at the first quiescent point at or after this cycle and exit (0 = run to completion)")
 	ckptFile := flag.String("checkpoint-file", "", "file the -checkpoint-at snapshot is written to (required with -checkpoint-at)")
 	resumeFrom := flag.String("resume-from", "", "restore a -checkpoint-at snapshot from this file and continue the run")
 	flag.Parse()
 
-	scheme, err := parseScheme(*schemeFlag)
+	scheme, err := activerouting.ParseScheme(*schemeFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arsim:", err)
 		os.Exit(2)

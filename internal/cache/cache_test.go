@@ -12,15 +12,9 @@ import (
 type harness struct {
 	l1   *L1
 	l2   *L2Bank
-	mem  []memOp
-	mems int
+	mem  []uint64 // outstanding memory access tags, in issue order
+	mems int      // memory accesses accepted; the count is also the tag
 	cyc  uint64
-}
-
-type memOp struct {
-	block mem.PAddr
-	write bool
-	done  func(uint64)
 }
 
 func newHarness(t *testing.T) *harness {
@@ -34,10 +28,10 @@ func newHarness(t *testing.T) *harness {
 	l2Send := func(dst int, m *Msg) bool {
 		return h.l1.Deliver(m, 0)
 	}
-	memPort := func(block mem.PAddr, write bool, done func(uint64)) bool {
+	memPort := func(mem.PAddr, bool) (uint64, bool) {
 		h.mems++
-		h.mem = append(h.mem, memOp{block, write, done})
-		return true
+		h.mem = append(h.mem, uint64(h.mems))
+		return uint64(h.mems), true
 	}
 	cfg1 := DefaultL1Config()
 	cfg1.SizeBytes = 1 << 10 // 4 sets x 4 ways
@@ -55,9 +49,9 @@ func (h *harness) settle(n int) {
 	for i := 0; i < n; i++ {
 		h.cyc++
 		for len(h.mem) > 0 {
-			op := h.mem[0]
+			tag := h.mem[0]
 			h.mem = h.mem[1:]
-			op.done(h.cyc)
+			h.l2.MemDone(tag, h.cyc)
 		}
 		h.l2.Tick(h.cyc)
 		h.l1.Tick(h.cyc)
@@ -219,10 +213,11 @@ func TestMsgClassification(t *testing.T) {
 
 // twoL1Harness exercises coherence between two cores.
 type twoL1Harness struct {
-	l1s [2]*L1
-	l2  *L2Bank
-	mem []memOp
-	cyc uint64
+	l1s  [2]*L1
+	l2   *L2Bank
+	mem  []uint64 // outstanding memory access tags, in issue order
+	tags uint64
+	cyc  uint64
 }
 
 func newTwoL1(t *testing.T) *twoL1Harness {
@@ -237,9 +232,10 @@ func newTwoL1(t *testing.T) *twoL1Harness {
 		t.Fatalf("message to unknown node %d", dst)
 		return false
 	}
-	memPort := func(block mem.PAddr, write bool, done func(uint64)) bool {
-		h.mem = append(h.mem, memOp{block, write, done})
-		return true
+	memPort := func(mem.PAddr, bool) (uint64, bool) {
+		h.tags++
+		h.mem = append(h.mem, h.tags)
+		return h.tags, true
 	}
 	cfg1 := DefaultL1Config()
 	cfg1.SizeBytes = 1 << 10
@@ -256,9 +252,9 @@ func (h *twoL1Harness) settle(n int) {
 	for i := 0; i < n; i++ {
 		h.cyc++
 		for len(h.mem) > 0 {
-			op := h.mem[0]
+			tag := h.mem[0]
 			h.mem = h.mem[1:]
-			op.done(h.cyc)
+			h.l2.MemDone(tag, h.cyc)
 		}
 		h.l2.Tick(h.cyc)
 		h.l1s[0].Tick(h.cyc)
@@ -313,5 +309,131 @@ func TestOwnershipMigration(t *testing.T) {
 	h.settle(100)
 	if h.l1s[1].Stats.L1Hits == 0 {
 		t.Fatal("new owner must hit")
+	}
+}
+
+// TestL2MemRetryKeepsOrder drives an L2 bank against a memory port that
+// refuses chosen blocks: every tick retries each queued op in issue order
+// and keeps the refused ones in that order, so a later op can go through
+// while an earlier one is still refused.
+func TestL2MemRetryKeepsOrder(t *testing.T) {
+	pool := NewMsgPool()
+	refuse := map[mem.PAddr]bool{0x1000: true, 0x2000: true, 0x3000: true}
+	var tried []mem.PAddr
+	var tag uint64
+	var refusedTag uint64
+	accepted := map[uint64]mem.PAddr{}
+	port := func(block mem.PAddr, write bool) (uint64, bool) {
+		if !write {
+			t.Fatalf("write-back of %#x issued as a read", uint64(block))
+		}
+		tag++
+		tried = append(tried, block)
+		if refuse[block] {
+			refusedTag = tag
+			return tag, false
+		}
+		accepted[tag] = block
+		return tag, true
+	}
+	cfg := DefaultL2Config()
+	cfg.BankSizeBytes = 4 << 10
+	cfg.Ways = 4
+	b := NewL2Bank(0, cfg, func(int, *Msg) bool { return true }, port, pool)
+	// Dirty write-backs of uncached blocks go straight to memory.
+	for _, blk := range []mem.PAddr{0x1000, 0x2000, 0x3000} {
+		b.Deliver(pool.Get(MsgPutM, blk, 1), 0)
+	}
+	step := func(cycle uint64, want ...mem.PAddr) {
+		t.Helper()
+		tried = tried[:0]
+		b.Tick(cycle)
+		if len(tried) != len(want) {
+			t.Fatalf("cycle %d: port tried %#x, want %#x", cycle, tried, want)
+		}
+		for i := range want {
+			if tried[i] != want[i] {
+				t.Fatalf("cycle %d: port tried %#x, want %#x", cycle, tried, want)
+			}
+		}
+	}
+	step(1, 0x1000, 0x2000, 0x3000) // handled in order, all refused
+	delete(refuse, 0x2000)
+	step(2, 0x1000, 0x2000, 0x3000) // 0x2000 passes the refused 0x1000
+	step(3, 0x1000, 0x3000)         // the refused two stay, in order
+	clear(refuse)
+	step(4, 0x1000, 0x3000)
+	step(5)
+	if tag != 10 || len(accepted) != 3 {
+		t.Fatalf("port saw %d attempts and accepted %v, want 10 attempts and 3 accepts", tag, accepted)
+	}
+	if !b.Busy() {
+		t.Fatal("bank with outstanding writes reports idle")
+	}
+	for tg := range accepted {
+		b.MemDone(tg, 6)
+	}
+	if b.Busy() {
+		t.Fatal("bank busy after every write completed")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("completing a refused attempt's tag must panic")
+		}
+	}()
+	b.MemDone(refusedTag, 7)
+}
+
+// TestL2MissCycleAllocatesNothing pins the miss path's allocation freedom:
+// once warm, a read miss, its fill, the victim's eviction and write-back
+// and the grant allocate nothing.
+func TestL2MissCycleAllocatesNothing(t *testing.T) {
+	pool := NewMsgPool()
+	var tags, out []uint64
+	var next uint64
+	granted := 0
+	send := func(dst int, m *Msg) bool {
+		if m.Type == MsgData {
+			granted++
+		}
+		pool.Put(m)
+		return true
+	}
+	port := func(mem.PAddr, bool) (uint64, bool) {
+		next++
+		tags = append(tags, next)
+		return next, true
+	}
+	cfg := DefaultL2Config()
+	cfg.BankSizeBytes = 4 << 10
+	cfg.Ways = 4
+	b := NewL2Bank(0, cfg, send, port, pool)
+	stride := mem.PAddr(b.sets * mem.BlockSize) // every block maps to set 0
+	block := mem.PAddr(0)
+	var cyc uint64
+	miss := func() {
+		want := granted + 1
+		b.Deliver(pool.Get(MsgGetS, block, 1), cyc)
+		block += stride
+		for granted < want {
+			cyc++
+			b.Tick(cyc)
+			for len(tags) > 0 {
+				out, tags = tags, out[:0]
+				for _, tg := range out {
+					b.MemDone(tg, cyc)
+				}
+			}
+		}
+	}
+	for i := 0; i < 2*cfg.Ways; i++ {
+		miss()
+	}
+	evictions := b.Stats.L2Evictions
+	if allocs := testing.AllocsPerRun(100, miss); allocs != 0 {
+		t.Fatalf("warm L2 miss cycle allocates %.1f times, want 0", allocs)
+	}
+	if b.Stats.L2Evictions-evictions != 101 || b.Stats.MemWrites == 0 {
+		t.Fatalf("misses did not evict and write back: %+v", b.Stats)
 	}
 }

@@ -77,8 +77,15 @@ type l2Event struct {
 }
 
 // MemPort is the bank's path to main memory (wired by the system to an MC
-// tile hub over the NoC or directly to a DRAM channel).
-type MemPort func(block mem.PAddr, write bool, done func(cycle uint64)) bool
+// tile over the NoC). Every call consumes a tag, refused or not; an
+// accepted access completes when the system hands its tag to MemDone.
+type MemPort func(block mem.PAddr, write bool) (tag uint64, ok bool)
+
+// memOp is one memory access: a fill for t, or a write when t is nil.
+type memOp struct {
+	block mem.PAddr
+	t     *txn
+}
 
 // L2Bank is one bank of the shared S-NUCA L2 with an inclusive MESI
 // directory.
@@ -100,11 +107,12 @@ type L2Bank struct {
 	outbox     sim.FIFO[outMsg]
 	calls      []l2Event
 	callsSpare []l2Event
-	memQ       []func() bool // deferred memory ops awaiting port space
+	memQ       []memOp         // refused memory ops awaiting port space, in issue order
+	memWait    map[uint64]*txn // outstanding memory accesses by tag (nil: a write)
 
 	// waker invalidates the engine's cached idle hint on external input
-	// (Deliver) and on work queued from memory completion callbacks
-	// (after/post/memAccess run inside those callbacks too).
+	// (Deliver) and whenever work is queued outside Tick (after, post and
+	// memAccess also run inside MemDone).
 	waker *sim.Waker
 
 	Stats Stats
@@ -121,14 +129,15 @@ func NewL2Bank(id int, cfg L2Config, send Sender, memPort MemPort, pool *MsgPool
 		pool = NewMsgPool()
 	}
 	b := &L2Bank{
-		ID:    id,
-		cfg:   cfg,
-		sets:  sets,
-		lines: make([][]l2Line, sets),
-		busy:  make(map[mem.PAddr]*txn),
-		send:  send,
-		mem:   memPort,
-		pool:  pool,
+		ID:      id,
+		cfg:     cfg,
+		sets:    sets,
+		lines:   make([][]l2Line, sets),
+		busy:    make(map[mem.PAddr]*txn),
+		memWait: make(map[uint64]*txn),
+		send:    send,
+		mem:     memPort,
+		pool:    pool,
 	}
 	for i := range b.lines {
 		b.lines[i] = make([]l2Line, cfg.Ways)
@@ -162,10 +171,10 @@ func (b *L2Bank) find(block mem.PAddr) *l2Line {
 	return nil
 }
 
-// Busy reports in-flight work.
+// Busy reports in-flight work, outstanding memory accesses included.
 func (b *L2Bank) Busy() bool {
 	return len(b.busy) > 0 || b.inQ.Len() > 0 || b.outbox.Len() > 0 ||
-		len(b.calls) > 0 || len(b.memQ) > 0
+		len(b.calls) > 0 || len(b.memQ) > 0 || len(b.memWait) > 0
 }
 
 // Deliver accepts a NoC message; false refuses it.
@@ -181,7 +190,7 @@ func (b *L2Bank) Deliver(m *Msg, cycle uint64) bool {
 // NextWork implements sim.Component: the bank needs its Tick only while it
 // has queued sends, deferred memory ops, timed completions or delivered
 // messages. Transactions blocked on acks/fetches/fills advance through
-// Deliver and memory callbacks, not through Tick.
+// Deliver and MemDone, not through Tick.
 func (b *L2Bank) NextWork(now uint64) uint64 {
 	if b.outbox.Len() > 0 || len(b.memQ) > 0 || len(b.calls) > 0 || b.inQ.Len() > 0 {
 		return now
@@ -202,9 +211,9 @@ func (b *L2Bank) Tick(cycle uint64) {
 	}
 	if len(b.memQ) > 0 {
 		kept := b.memQ[:0]
-		for _, f := range b.memQ {
-			if !f() {
-				kept = append(kept, f) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
+		for _, op := range b.memQ {
+			if !b.tryMem(op) {
+				kept = append(kept, op) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
 			}
 		}
 		b.memQ = kept
@@ -260,11 +269,36 @@ func (b *L2Bank) fire(ev l2Event, now uint64) {
 	}
 }
 
-func (b *L2Bank) memAccess(block mem.PAddr, write bool, done func(uint64)) {
-	try := func() bool { return b.mem(block, write, done) } //ar:exempt(hotpath) miss path: one closure per memory access, off the hit path
-	if !try() {
-		b.memQ = append(b.memQ, try) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
+// memAccess issues a fill for t, or a write of block when t is nil,
+// queueing it for retry while the port refuses.
+func (b *L2Bank) memAccess(block mem.PAddr, t *txn) {
+	if op := (memOp{block, t}); !b.tryMem(op) {
+		b.memQ = append(b.memQ, op) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
 		b.waker.Wake()
+	}
+}
+
+// tryMem offers op to the memory port, recording its tag when accepted.
+func (b *L2Bank) tryMem(op memOp) bool {
+	tag, ok := b.mem(op.block, op.t == nil)
+	if ok {
+		b.memWait[tag] = op.t
+	}
+	return ok
+}
+
+// MemDone completes the outstanding memory access tag at cycle now: a
+// fill installs its block; a write has nothing left to do.
+//
+//ar:hotpath
+func (b *L2Bank) MemDone(tag uint64, now uint64) {
+	t, ok := b.memWait[tag]
+	if !ok {
+		panic(fmt.Sprintf("cache: L2 bank %d memory response with unknown tag %d", b.ID, tag))
+	}
+	delete(b.memWait, tag)
+	if t != nil {
+		b.install(t, now)
 	}
 }
 
@@ -288,7 +322,7 @@ func (b *L2Bank) handle(m *Msg, cycle uint64) {
 			}
 		} else {
 			// Already victimized: write straight through to memory.
-			b.memAccess(m.Block, true, func(uint64) {}) //ar:exempt(hotpath) capture-free func literal is a static value, not a heap allocation
+			b.memAccess(m.Block, nil)
 			b.Stats.MemWrites++
 		}
 	case MsgInvAck:
@@ -347,7 +381,7 @@ func (b *L2Bank) start(m *Msg, cycle uint64) {
 				// processing observes fresh memory.
 				line.valid = false
 				b.Stats.MemWrites++
-				b.memAccess(m.Block, true, func(uint64) {}) //ar:exempt(hotpath) capture-free func literal is a static value, not a heap allocation
+				b.memAccess(m.Block, nil)
 			} else if line != nil {
 				line.valid = false
 			}
@@ -360,9 +394,11 @@ func (b *L2Bank) start(m *Msg, cycle uint64) {
 	}
 
 	if line == nil {
+		// Fill from memory; MemDone installs the block, evicting a victim.
 		b.Stats.L2Misses++
+		b.Stats.MemReads++
 		t.needFill = true
-		b.fill(t, cycle)
+		b.memAccess(t.block, t)
 		return
 	}
 	b.Stats.L2Hits++
@@ -443,16 +479,10 @@ func (b *L2Bank) advance(t *txn, cycle uint64) {
 		}
 		if dirty {
 			b.Stats.MemWrites++
-			b.memAccess(t.block, true, func(uint64) {}) //ar:exempt(hotpath) capture-free func literal is a static value, not a heap allocation
+			b.memAccess(t.block, nil)
 		}
 		b.fire(l2Event{kind: evBackInval, t: t}, cycle)
 	}
-}
-
-// fill requests the block from memory and installs it, evicting a victim.
-func (b *L2Bank) fill(t *txn, cycle uint64) {
-	b.Stats.MemReads++
-	b.memAccess(t.block, false, func(now uint64) { b.install(t, now) }) //ar:exempt(hotpath) miss path: one closure per memory access, off the hit path
 }
 
 // install places the fetched block, retrying next cycle when every way of
@@ -507,7 +537,7 @@ func (b *L2Bank) installVictim(block mem.PAddr) *l2Line {
 	}
 	if v.dirty || v.owner >= 0 {
 		b.Stats.MemWrites++
-		b.memAccess(v.tag, true, func(uint64) {}) //ar:exempt(hotpath) capture-free func literal is a static value, not a heap allocation
+		b.memAccess(v.tag, nil)
 	}
 	v.valid = false
 	v.sharers = 0

@@ -6,11 +6,11 @@ import (
 )
 
 // Checkpoint support. Both cache levels snapshot only at system quiescence
-// (Busy() false): no MSHRs, transactions, queued messages, deferred memory
-// ops or timed events — so the surviving state is the line/directory
-// arrays, the LRU clocks and the counters. MSHR and transaction free lists
-// are rebuilt structurally fresh on restore (pool identity never affects
-// simulated behavior; see DESIGN.md "Checkpointing").
+// (Busy() false): no MSHRs, transactions, queued messages, queued or
+// outstanding memory ops or timed events — so the surviving state is the
+// line/directory arrays, the LRU clocks and the counters. MSHR and
+// transaction free lists are rebuilt structurally fresh on restore (pool
+// identity never affects simulated behavior; see DESIGN.md "Checkpointing").
 
 func encCacheStats(e *sim.Enc, s *Stats) {
 	for _, p := range s.counters() {

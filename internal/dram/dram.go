@@ -38,23 +38,16 @@ func DefaultVaultTiming() Timing {
 }
 
 // Request is one memory access presented to a bank set. Completion is
-// reported through exactly one of two channels: OnDone (a per-request
-// callback) or, when OnDone is nil, the bank set's Done hook with the
-// request's Token — the allocation-free path used by the HMC vaults, whose
-// per-access state lives in a caller-owned table keyed by token.
+// reported through the bank set's Done hook with the request's Token; the
+// caller keeps any per-access state in its own table keyed by token.
 type Request struct {
-	Addr  mem.PAddr
 	Write bool
 	Bank  int    // flat bank index within the bank set
 	Row   uint64 // row within the bank
-	// OnDone is invoked exactly once, at the simulator cycle when the data
-	// transfer completes (nil when Token dispatch is used instead).
-	OnDone func(cycle uint64)
 	// Token identifies the access to the bank set's Done hook.
 	Token uint64
 
-	arrival uint64
-	doneAt  uint64
+	doneAt uint64
 }
 
 // Stats counts row-buffer outcomes and traffic for one bank set.
@@ -100,15 +93,15 @@ type BankSet struct {
 	banksBlockedUntil uint64
 	reqFree           []*Request // recycled request records (Enqueue copies into one)
 
-	// Done receives completions for requests with a nil OnDone (set once at
-	// construction by token-dispatching callers).
-	Done func(token uint64, cycle uint64)
+	// Done receives each request's Token exactly once, at the simulator
+	// cycle its data transfer completes.
+	Done func(token, cycle uint64)
 
 	Stats Stats
 }
 
-// NewBankSet creates a bank set with n banks and the given queue depth.
-func NewBankSet(n int, timing Timing, maxQueue int) *BankSet {
+// NewBankSet creates a bank set with n banks, the given queue depth and Done.
+func NewBankSet(n int, timing Timing, maxQueue int, done func(token, cycle uint64)) *BankSet {
 	if n <= 0 {
 		panic("dram: bank set needs at least one bank")
 	}
@@ -120,6 +113,7 @@ func NewBankSet(n int, timing Timing, maxQueue int) *BankSet {
 		banks:        make([]bankState, n),
 		maxQueue:     maxQueue,
 		earliestDone: sim.Never,
+		Done:         done,
 	}
 }
 
@@ -127,7 +121,7 @@ func NewBankSet(n int, timing Timing, maxQueue int) *BankSet {
 // full (the caller must retry, modeling controller backpressure). The bank
 // set copies the request into an internally recycled record, so a steady
 // stream of accesses allocates nothing.
-func (b *BankSet) Enqueue(r Request, cycle uint64) bool {
+func (b *BankSet) Enqueue(r Request) bool {
 	if len(b.queue) >= b.maxQueue {
 		b.Stats.QueueFullRej++
 		return false
@@ -143,7 +137,6 @@ func (b *BankSet) Enqueue(r Request, cycle uint64) bool {
 		rec = new(Request)
 	}
 	*rec = r
-	rec.arrival = cycle
 	b.queue = append(b.queue, rec)
 	b.banksBlockedUntil = 0 // new candidate: the scheduler must re-scan
 	return true
@@ -171,9 +164,6 @@ func (b *BankSet) NextWork(now uint64) uint64 {
 	return b.earliestDone
 }
 
-// QueueFree reports remaining queue slots.
-func (b *BankSet) QueueFree() int { return b.maxQueue - len(b.queue) }
-
 // Tick advances the bank set one simulator cycle: completes finished
 // transfers and issues at most one new command (FR-FCFS).
 func (b *BankSet) Tick(cycle uint64) {
@@ -186,12 +176,7 @@ func (b *BankSet) Tick(cycle uint64) {
 				b.inflight[i] = b.inflight[len(b.inflight)-1]
 				b.inflight[len(b.inflight)-1] = nil
 				b.inflight = b.inflight[:len(b.inflight)-1]
-				if r.OnDone != nil {
-					r.OnDone(cycle)
-					r.OnDone = nil
-				} else {
-					b.Done(r.Token, cycle)
-				}
+				b.Done(r.Token, cycle)
 				b.reqFree = append(b.reqFree, r)
 				continue
 			}
@@ -298,9 +283,8 @@ func (b *BankSet) issue(r *Request, cycle uint64) {
 // Controller is a DDR channel controller for the baseline system: it maps
 // physical addresses onto its rank/bank geometry and owns one BankSet.
 type Controller struct {
-	Channel int
-	Geom    mem.DRAMGeometry
-	Banks   *BankSet
+	Geom  mem.DRAMGeometry
+	Banks *BankSet
 
 	// waker invalidates the engine's cached idle hint when a new access
 	// arrives (the controller's only external input).
@@ -310,26 +294,25 @@ type Controller struct {
 // SetWaker implements sim.Component.
 func (c *Controller) SetWaker(w *sim.Waker) { c.waker = w }
 
-// NewController builds a channel controller with the given geometry.
-func NewController(channel int, geom mem.DRAMGeometry, timing Timing, queue int) *Controller {
+// NewController builds a channel controller; done is its banks' Done hook.
+func NewController(geom mem.DRAMGeometry, timing Timing, queue int, done func(token, cycle uint64)) *Controller {
 	return &Controller{
-		Channel: channel,
-		Geom:    geom,
-		Banks:   NewBankSet(geom.RanksPerChan*geom.BanksPerRank, timing, queue),
+		Geom:  geom,
+		Banks: NewBankSet(geom.RanksPerChan*geom.BanksPerRank, timing, queue, done),
 	}
 }
 
-// Access enqueues a block access for pa; it reports false on backpressure.
-func (c *Controller) Access(pa mem.PAddr, write bool, cycle uint64, done func(uint64)) bool {
+// Access enqueues a block access for pa, identified by token at
+// completion; it reports false on backpressure.
+func (c *Controller) Access(pa mem.PAddr, write bool, token uint64) bool {
 	c.waker.Wake()
 	flat := c.Geom.RankOf(pa)*c.Geom.BanksPerRank + c.Geom.BankOf(pa)
 	return c.Banks.Enqueue(Request{
-		Addr:   pa,
-		Write:  write,
-		Bank:   flat,
-		Row:    c.Geom.RowOf(pa),
-		OnDone: done,
-	}, cycle)
+		Write: write,
+		Bank:  flat,
+		Row:   c.Geom.RowOf(pa),
+		Token: token,
+	})
 }
 
 // Tick advances the controller one cycle.

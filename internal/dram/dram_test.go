@@ -6,26 +6,25 @@ import (
 	"repro/internal/mem"
 )
 
-// run ticks the bank set until n requests complete or the cycle budget is
-// spent, returning completion cycles in finish order.
-func run(t *testing.T, b *BankSet, n int, budget uint64) []uint64 {
-	t.Helper()
-	var done []uint64
-	for cyc := uint64(0); uint64(len(done)) < uint64(n); cyc++ {
-		if cyc > budget {
-			t.Fatalf("only %d of %d requests completed in %d cycles", len(done), n, budget)
-		}
-		b.Tick(cyc)
-	}
-	return done
+// set is a bank set under test whose Done hook appends each completion
+// cycle to the list its request was enqueued with (the token indexes sinks).
+type set struct {
+	*BankSet
+	sinks []*[]uint64
 }
 
-func enq(t *testing.T, b *BankSet, bank int, row uint64, cycle uint64, done *[]uint64) {
+func newSet(n int, timing Timing, maxQueue int) *set {
+	s := &set{}
+	s.BankSet = NewBankSet(n, timing, maxQueue, func(token, cycle uint64) {
+		*s.sinks[token] = append(*s.sinks[token], cycle)
+	})
+	return s
+}
+
+func enq(t *testing.T, b *set, bank int, row uint64, done *[]uint64) {
 	t.Helper()
-	ok := b.Enqueue(Request{
-		Bank: bank, Row: row,
-		OnDone: func(c uint64) { *done = append(*done, c) },
-	}, cycle)
+	b.sinks = append(b.sinks, done)
+	ok := b.Enqueue(Request{Bank: bank, Row: row, Token: uint64(len(b.sinks) - 1)})
 	if !ok {
 		t.Fatal("enqueue rejected")
 	}
@@ -35,23 +34,23 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 	tm := DefaultDDRTiming()
 	var missDone, hitDone []uint64
 
-	b1 := NewBankSet(2, tm, 8)
-	enq(t, b1, 0, 5, 0, &missDone)
+	b1 := newSet(2, tm, 8)
+	enq(t, b1, 0, 5, &missDone)
 	for cyc := uint64(0); len(missDone) == 0; cyc++ {
 		b1.Tick(cyc)
 	}
 	missLat := missDone[0]
 
 	// Warm the row, then measure a hit.
-	b2 := NewBankSet(2, tm, 8)
+	b2 := newSet(2, tm, 8)
 	var warm []uint64
-	enq(t, b2, 0, 5, 0, &warm)
+	enq(t, b2, 0, 5, &warm)
 	cyc := uint64(0)
 	for ; len(warm) == 0; cyc++ {
 		b2.Tick(cyc)
 	}
 	start := cyc
-	enq(t, b2, 0, 5, cyc, &hitDone)
+	enq(t, b2, 0, 5, &hitDone)
 	for ; len(hitDone) == 0; cyc++ {
 		b2.Tick(cyc)
 	}
@@ -66,15 +65,15 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 
 func TestRowConflictSlowest(t *testing.T) {
 	tm := DefaultDDRTiming()
-	b := NewBankSet(1, tm, 8)
+	b := newSet(1, tm, 8)
 	var d1, d2 []uint64
-	enq(t, b, 0, 1, 0, &d1)
+	enq(t, b, 0, 1, &d1)
 	cyc := uint64(0)
 	for ; len(d1) == 0; cyc++ {
 		b.Tick(cyc)
 	}
 	start := cyc
-	enq(t, b, 0, 2, cyc, &d2) // different row: conflict
+	enq(t, b, 0, 2, &d2) // different row: conflict
 	for ; len(d2) == 0; cyc++ {
 		b.Tick(cyc)
 	}
@@ -91,12 +90,12 @@ func TestRowConflictSlowest(t *testing.T) {
 func TestBankParallelismBeatsSerial(t *testing.T) {
 	tm := DefaultDDRTiming()
 	// Four requests on four banks vs four on one bank (distinct rows).
-	par := NewBankSet(4, tm, 16)
-	ser := NewBankSet(4, tm, 16)
+	par := newSet(4, tm, 16)
+	ser := newSet(4, tm, 16)
 	var dp, ds []uint64
 	for i := 0; i < 4; i++ {
-		enq(t, par, i, 1, 0, &dp)
-		enq(t, ser, 0, uint64(i+1), 0, &ds)
+		enq(t, par, i, 1, &dp)
+		enq(t, ser, 0, uint64(i+1), &ds)
 	}
 	var cp, cs uint64
 	for cyc := uint64(0); len(dp) < 4; cyc++ {
@@ -114,17 +113,19 @@ func TestBankParallelismBeatsSerial(t *testing.T) {
 
 func TestFRFCFSPrefersRowHit(t *testing.T) {
 	tm := DefaultDDRTiming()
-	b := NewBankSet(1, tm, 8)
+	b := newSet(1, tm, 8)
 	var warm []uint64
-	enq(t, b, 0, 7, 0, &warm)
+	enq(t, b, 0, 7, &warm)
 	cyc := uint64(0)
 	for ; len(warm) == 0; cyc++ {
 		b.Tick(cyc)
 	}
-	// Queue a conflict (older) and then a row hit (younger).
+	// Queue a conflict (older) and then a row hit (younger); the token is
+	// the row.
 	order := []uint64{}
-	b.Enqueue(Request{Bank: 0, Row: 9, OnDone: func(uint64) { order = append(order, 9) }}, cyc)
-	b.Enqueue(Request{Bank: 0, Row: 7, OnDone: func(uint64) { order = append(order, 7) }}, cyc)
+	b.Done = func(token, _ uint64) { order = append(order, token) }
+	b.Enqueue(Request{Bank: 0, Row: 9, Token: 9})
+	b.Enqueue(Request{Bank: 0, Row: 7, Token: 7})
 	for ; len(order) < 2; cyc++ {
 		b.Tick(cyc)
 	}
@@ -134,12 +135,12 @@ func TestFRFCFSPrefersRowHit(t *testing.T) {
 }
 
 func TestQueueBackpressure(t *testing.T) {
-	b := NewBankSet(1, DefaultDDRTiming(), 2)
-	r := func() Request { return Request{Bank: 0, Row: 1, OnDone: func(uint64) {}} }
-	if !b.Enqueue(r(), 0) || !b.Enqueue(r(), 0) {
+	b := NewBankSet(1, DefaultDDRTiming(), 2, nil)
+	r := func() Request { return Request{Bank: 0, Row: 1} }
+	if !b.Enqueue(r()) || !b.Enqueue(r()) {
 		t.Fatal("first two enqueues must succeed")
 	}
-	if b.Enqueue(r(), 0) {
+	if b.Enqueue(r()) {
 		t.Fatal("third enqueue must be rejected")
 	}
 	if b.Stats.QueueFullRej != 1 {
@@ -148,9 +149,9 @@ func TestQueueBackpressure(t *testing.T) {
 }
 
 func TestControllerAddressMapping(t *testing.T) {
-	c := NewController(0, mem.DefaultDRAMGeometry(), DefaultDDRTiming(), 8)
 	fired := false
-	ok := c.Access(0x1234000, false, 0, func(uint64) { fired = true })
+	c := NewController(mem.DefaultDRAMGeometry(), DefaultDDRTiming(), 8, func(uint64, uint64) { fired = true })
+	ok := c.Access(0x1234000, false, 0)
 	if !ok {
 		t.Fatal("access rejected")
 	}
@@ -166,9 +167,9 @@ func TestControllerAddressMapping(t *testing.T) {
 }
 
 func TestWritesCounted(t *testing.T) {
-	b := NewBankSet(1, DefaultDDRTiming(), 8)
 	var d []uint64
-	b.Enqueue(Request{Bank: 0, Row: 0, Write: true, OnDone: func(c uint64) { d = append(d, c) }}, 0)
+	b := NewBankSet(1, DefaultDDRTiming(), 8, func(_, c uint64) { d = append(d, c) })
+	b.Enqueue(Request{Bank: 0, Row: 0, Write: true})
 	for cyc := uint64(0); len(d) == 0; cyc++ {
 		b.Tick(cyc)
 	}
@@ -178,18 +179,18 @@ func TestWritesCounted(t *testing.T) {
 }
 
 func TestBadBankPanics(t *testing.T) {
-	b := NewBankSet(2, DefaultDDRTiming(), 8)
+	b := NewBankSet(2, DefaultDDRTiming(), 8, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	b.Enqueue(Request{Bank: 5, Row: 0}, 0)
+	b.Enqueue(Request{Bank: 5, Row: 0})
 }
 
 func TestPendingCount(t *testing.T) {
-	b := NewBankSet(1, DefaultDDRTiming(), 8)
-	b.Enqueue(Request{Bank: 0, Row: 0, OnDone: func(uint64) {}}, 0)
+	b := NewBankSet(1, DefaultDDRTiming(), 8, nil)
+	b.Enqueue(Request{Bank: 0, Row: 0})
 	if b.Pending() != 1 {
 		t.Fatalf("pending = %d", b.Pending())
 	}

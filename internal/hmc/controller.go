@@ -24,7 +24,8 @@ type Controller struct {
 	queue    sim.FIFO[*network.Packet]
 	queueCap int
 	nextTag  uint64
-	pending  map[uint64]func(cycle uint64)
+	pending  map[uint64]uint64         // packet tag -> the caller's access token
+	done     func(token, cycle uint64) // completion hook, set at construction
 
 	// waker invalidates the engine's cached idle hint on external input
 	// (Access from the cache hierarchy; coordinator packets via Inject
@@ -37,8 +38,9 @@ type Controller struct {
 }
 
 // NewController builds controller index attached at node with the given
-// entry cube, and registers it as the node's endpoint.
-func NewController(index, node, entryCube int, geom mem.HMCGeometry, fabric *network.Fabric, queueCap int) *Controller {
+// entry cube, and registers it as the node's endpoint. done receives each
+// Access's token when its response arrives.
+func NewController(index, node, entryCube int, geom mem.HMCGeometry, fabric *network.Fabric, queueCap int, done func(token, cycle uint64)) *Controller {
 	if queueCap <= 0 {
 		queueCap = 32
 	}
@@ -50,7 +52,8 @@ func NewController(index, node, entryCube int, geom mem.HMCGeometry, fabric *net
 		fabric:    fabric,
 		queueCap:  queueCap,
 		pool:      fabric.Pool,
-		pending:   make(map[uint64]func(uint64)),
+		pending:   make(map[uint64]uint64),
+		done:      done,
 	}
 	fabric.SetEndpoint(node, c)
 	return c
@@ -72,10 +75,10 @@ func (c *Controller) Inject(p *network.Packet) bool {
 
 var _ core.Port = (*Controller)(nil)
 
-// Access enqueues a block read/write for the cache hierarchy; done fires at
-// response delivery. It reports false on queue backpressure. Cube ids equal
-// node ids in the memory network.
-func (c *Controller) Access(pa mem.PAddr, write bool, done func(cycle uint64)) bool {
+// Access enqueues a block read/write for the cache hierarchy; the done hook
+// receives token at response delivery. It reports false on queue
+// backpressure. Cube ids equal node ids in the memory network.
+func (c *Controller) Access(pa mem.PAddr, write bool, token uint64) bool {
 	if c.queue.Len() >= c.queueCap {
 		return false
 	}
@@ -88,7 +91,7 @@ func (c *Controller) Access(pa mem.PAddr, write bool, done func(cycle uint64)) b
 	p.Addr = pa
 	c.nextTag++
 	p.Tag = uint64(c.Index)<<56 | c.nextTag
-	c.pending[p.Tag] = done
+	c.pending[p.Tag] = token
 	c.queue.Push(p)
 	return true
 }
@@ -96,17 +99,16 @@ func (c *Controller) Access(pa mem.PAddr, write bool, done func(cycle uint64)) b
 // Deliver implements network.Endpoint for responses arriving from the
 // memory network. Every case is a reply completion — the packet's single
 // point of final consumption — so the packet is released here after its
-// callback returns (callbacks must not retain it; they copy what they
-// need).
+// handler returns (handlers must not retain it; they copy what they need).
 func (c *Controller) Deliver(p *network.Packet, cycle uint64) bool {
 	switch p.Kind {
 	case network.MemReadResp, network.MemWriteAck:
-		done, ok := c.pending[p.Tag]
+		token, ok := c.pending[p.Tag]
 		if !ok {
 			panic(fmt.Sprintf("hmc: controller %d response with unknown tag %d", c.Index, p.Tag))
 		}
 		delete(c.pending, p.Tag)
-		done(cycle)
+		c.done(token, cycle)
 	case network.GatherResp:
 		if c.OnGatherResp == nil {
 			panic(fmt.Sprintf("hmc: controller %d gather response without coordinator", c.Index))

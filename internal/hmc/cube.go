@@ -118,8 +118,7 @@ func NewCube(id int, cfg CubeConfig, fabric *network.Fabric, store *mem.Store) *
 	c.vaults = make([]*dram.BankSet, cfg.Geom.VaultsPerCube)
 	done := c.vaultDone // one completion hook shared by every vault
 	for v := range c.vaults {
-		c.vaults[v] = dram.NewBankSet(cfg.Geom.BanksPerVault, cfg.Timing, cfg.VaultQueue)
-		c.vaults[v].Done = done
+		c.vaults[v] = dram.NewBankSet(cfg.Geom.BanksPerVault, cfg.Timing, cfg.VaultQueue, done)
 	}
 	fabric.SetEndpoint(id, c)
 	return c
@@ -279,12 +278,11 @@ func (c *Cube) startVault(op cubeOp) bool {
 	}
 	c.pend[tok] = op
 	ok := c.vaults[v].Enqueue(dram.Request{
-		Addr:  pa,
 		Write: write,
 		Bank:  c.cfg.Geom.BankOf(pa),
 		Row:   c.cfg.Geom.RowOf(pa),
 		Token: uint64(tok),
-	}, 0)
+	})
 	if !ok {
 		c.pendFree = append(c.pendFree, tok) //ar:exempt(hotpath) free list reaches steady-state capacity; append stops growing after warm-up
 		return false

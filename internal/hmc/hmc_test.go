@@ -16,6 +16,9 @@ type rig struct {
 	cubes  []*Cube
 	ctrl   *Controller
 	cycle  uint64
+	// completed maps each finished ctrl.Access token to its completion
+	// cycle (the controller's done hook).
+	completed map[uint64]uint64
 }
 
 func newRig(t *testing.T, withARE bool) *rig {
@@ -24,6 +27,8 @@ func newRig(t *testing.T, withARE bool) *rig {
 	r := &rig{
 		fabric: network.NewFabric(topo, network.DefaultMemNetConfig()),
 		store:  mem.NewStore(),
+
+		completed: make(map[uint64]uint64),
 	}
 	cfg := DefaultCubeConfig()
 	for c := 0; c < 16; c++ {
@@ -33,10 +38,11 @@ func newRig(t *testing.T, withARE bool) *rig {
 		}
 		r.cubes = append(r.cubes, cube)
 	}
-	r.ctrl = NewController(0, 16, 0, cfg.Geom, r.fabric, 32)
+	r.ctrl = NewController(0, 16, 0, cfg.Geom, r.fabric, 32,
+		func(token, cycle uint64) { r.completed[token] = cycle })
 	// The other controller nodes still need endpoints.
 	for i := 1; i < 4; i++ {
-		NewController(i, 16+i, []int{0, 4, 8, 12}[i], cfg.Geom, r.fabric, 32)
+		NewController(i, 16+i, []int{0, 4, 8, 12}[i], cfg.Geom, r.fabric, 32, nil)
 	}
 	return r
 }
@@ -56,16 +62,12 @@ func TestMemoryReadRoundTrip(t *testing.T) {
 	r := newRig(t, false)
 	pa := mem.PAddr(5 * mem.PageSize) // cube 5
 	r.store.WriteF64(pa, 42)
-	var done bool
-	var lat uint64
-	ok := r.ctrl.Access(pa, false, func(cycle uint64) {
-		done = true
-		lat = cycle
-	})
+	ok := r.ctrl.Access(pa, false, 1)
 	if !ok {
 		t.Fatal("access rejected")
 	}
 	r.run(4000)
+	lat, done := r.completed[1]
 	if !done {
 		t.Fatal("read never completed")
 	}
@@ -80,12 +82,11 @@ func TestMemoryReadRoundTrip(t *testing.T) {
 func TestMemoryWriteRoundTrip(t *testing.T) {
 	r := newRig(t, false)
 	pa := mem.PAddr(9 * mem.PageSize)
-	done := false
-	if !r.ctrl.Access(pa, true, func(uint64) { done = true }) {
+	if !r.ctrl.Access(pa, true, 1) {
 		t.Fatal("access rejected")
 	}
 	r.run(4000)
-	if !done {
+	if _, done := r.completed[1]; !done {
 		t.Fatal("write never acknowledged")
 	}
 	if r.cubes[9].Stats.MemWrites != 1 {
@@ -96,17 +97,16 @@ func TestMemoryWriteRoundTrip(t *testing.T) {
 func TestManyOutstandingReads(t *testing.T) {
 	r := newRig(t, false)
 	const n = 64
-	done := 0
 	issued := 0
 	for i := 0; i < n; i++ {
 		pa := mem.PAddr(i * mem.PageSize)
-		if r.ctrl.Access(pa, false, func(uint64) { done++ }) {
+		if r.ctrl.Access(pa, false, uint64(i)) {
 			issued++
 		}
 		r.run(4)
 	}
 	r.run(8000)
-	if done != issued || issued == 0 {
+	if done := len(r.completed); done != issued || issued == 0 {
 		t.Fatalf("completed %d of %d issued", done, issued)
 	}
 	if r.ctrl.Busy() {

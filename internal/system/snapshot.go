@@ -33,11 +33,6 @@ const snapshotVersion = 2
 // Snapshotable reports whether the machine is at a quiescent point where
 // Snapshot can capture it exactly.
 func (s *System) Snapshotable() bool {
-	for _, h := range s.hubs {
-		if len(h.pendingMem) > 0 {
-			return false
-		}
-	}
 	if s.barrier.Pending() {
 		return false
 	}

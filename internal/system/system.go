@@ -117,9 +117,9 @@ const never = sim.Never
 // tileHub is the NoC endpoint at one mesh tile, demultiplexing coherence
 // messages to the tile's components.
 type tileHub struct {
-	sys        *System
-	tile       int
-	pendingMem map[uint64]func(cycle uint64)
+	sys  *System
+	tile int
+	mc   *mcPort // the tile's memory controller port; nil at non-MC tiles
 }
 
 // Deliver implements network.Endpoint for the NoC. An accepted packet has
@@ -142,7 +142,8 @@ func (h *tileHub) Deliver(p *network.Packet, cycle uint64) bool {
 // deliverMsg demultiplexes a coherence message. Acceptance (true) transfers
 // message ownership: the L1/L2 release it after their handle() commit,
 // while the hub's own terminal cases (back-inval done, memory traffic)
-// consume the message synchronously and release it here.
+// consume the message synchronously and release it here. A memory response
+// completes its tag at the tile's L2 bank within this delivery.
 func (h *tileHub) deliverMsg(m *cache.Msg, cycle uint64) bool {
 	s := h.sys
 	switch m.Type {
@@ -153,45 +154,44 @@ func (h *tileHub) deliverMsg(m *cache.Msg, cycle uint64) bool {
 		return s.l1s[h.tile].Deliver(m, cycle)
 	case cache.MsgBackInvalD:
 		s.mis[h.tile].OnBackInvalDone(m.Tag)
-		s.msgPool.Put(m)
-		return true
 	case cache.MsgMemRead, cache.MsgMemWrite:
-		for _, mc := range s.mcs {
-			if mc.tile == h.tile {
-				if !mc.deliver(m, cycle) {
-					return false
-				}
-				s.msgPool.Put(m)
-				return true
-			}
+		if h.mc == nil {
+			panic(fmt.Sprintf("system: memory message at non-MC tile %d", h.tile))
 		}
-		panic(fmt.Sprintf("system: memory message at non-MC tile %d", h.tile))
+		if !h.mc.deliver(m) {
+			return false
+		}
 	case cache.MsgMemResp:
-		done, ok := h.pendingMem[m.Tag]
-		if !ok {
-			panic(fmt.Sprintf("system: memory response with unknown tag %d at tile %d", m.Tag, h.tile))
-		}
-		delete(h.pendingMem, m.Tag)
-		done(cycle)
-		s.msgPool.Put(m)
-		return true
+		s.l2s[h.tile].MemDone(m.Tag, cycle)
 	default:
 		panic(fmt.Sprintf("system: unroutable message %s at tile %d", m.Type, h.tile))
 	}
+	s.msgPool.Put(m)
+	return true
 }
 
 // mcPort bridges an MC tile to the memory backend (a DDR channel or an HMC
-// controller), queueing refused response sends for retry.
+// controller) by request tag, queueing refused response sends for retry.
 type mcPort struct {
-	sys    *System
-	tile   int
-	access func(pa mem.PAddr, write bool, done func(uint64)) bool
-	outbox sim.FIFO[mcOut]
-	waker  *sim.Waker
+	sys     *System
+	tile    int
+	backend interface { // *dram.Controller or *hmc.Controller
+		Access(pa mem.PAddr, write bool, token uint64) bool
+	}
+	// pending holds each accepted request's reply address by tag.
+	pending map[uint64]mcReq
+	outbox  sim.FIFO[mcOut]
+	waker   *sim.Waker
+}
+
+// mcReq is what a memory response needs from its request.
+type mcReq struct {
+	from  int
+	block mem.PAddr
 }
 
 // SetWaker implements sim.Component: the only external input is a refused
-// response send queued from a memory completion callback.
+// response send queued from a memory completion.
 func (mc *mcPort) SetWaker(w *sim.Waker) { mc.waker = w }
 
 type mcOut struct {
@@ -199,17 +199,27 @@ type mcOut struct {
 	m   *cache.Msg
 }
 
-func (mc *mcPort) deliver(m *cache.Msg, cycle uint64) bool {
-	write := m.Type == cache.MsgMemWrite
-	from, tag, block := m.From, m.Tag, m.Block
-	return mc.access(m.Block, write, func(cyc uint64) { //ar:exempt(hotpath) one completion closure per DRAM access; allocation is dwarfed by the access latency it tracks
-		resp := mc.sys.msgPool.Get(cache.MsgMemResp, block, mc.tile)
-		resp.Tag = tag
-		if !mc.sys.sendFrom(mc.tile, from, resp) {
-			mc.outbox.Push(mcOut{from, resp})
-			mc.waker.Wake()
-		}
-	})
+func (mc *mcPort) deliver(m *cache.Msg) bool {
+	if !mc.backend.Access(m.Block, m.Type == cache.MsgMemWrite, m.Tag) {
+		return false
+	}
+	mc.pending[m.Tag] = mcReq{m.From, m.Block}
+	return true
+}
+
+// complete is both backends' completion hook: it answers access tag with a
+// MsgMemResp to the requesting bank, queueing the send when it is refused.
+//
+//ar:hotpath
+func (mc *mcPort) complete(tag, cycle uint64) {
+	req := mc.pending[tag]
+	delete(mc.pending, tag)
+	resp := mc.sys.msgPool.Get(cache.MsgMemResp, req.block, mc.tile)
+	resp.Tag = tag
+	if !mc.sys.sendFrom(mc.tile, req.from, resp) {
+		mc.outbox.Push(mcOut{req.from, resp})
+		mc.waker.Wake()
+	}
 }
 
 // NextWork implements sim.Component: Tick only retries refused response
@@ -257,15 +267,23 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 	s.memTags = make([]uint64, tiles)
 	s.hubs = make([]*tileHub, tiles)
 	for t := 0; t < tiles; t++ {
-		s.hubs[t] = &tileHub{sys: s, tile: t, pendingMem: make(map[uint64]func(uint64))}
+		s.hubs[t] = &tileHub{sys: s, tile: t}
 		s.noc.SetEndpoint(t, s.hubs[t])
+	}
+
+	// --- Memory controller ports on the NoC corners.
+	s.mcs = make([]*mcPort, 4)
+	for i := range s.mcs {
+		s.mcs[i] = &mcPort{sys: s, tile: mcTiles[i], pending: make(map[uint64]mcReq)}
+		s.hubs[mcTiles[i]].mc = s.mcs[i]
 	}
 
 	// --- Memory side.
 	if cfg.Scheme == SchemeDRAM {
 		s.dramCtrls = make([]*dram.Controller, cfg.DRAMGeom.Channels)
 		for ch := range s.dramCtrls {
-			s.dramCtrls[ch] = dram.NewController(ch, cfg.DRAMGeom, cfg.DRAMTiming, 32)
+			s.dramCtrls[ch] = dram.NewController(cfg.DRAMGeom, cfg.DRAMTiming, 32, s.mcs[ch].complete)
+			s.mcs[ch].backend = s.dramCtrls[ch]
 		}
 	} else {
 		var topo network.Topology
@@ -287,7 +305,8 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 		ports := make([]core.Port, 4)
 		for i := range s.hmcCtrls {
 			node := cfg.HMCGeom.Cubes + i
-			s.hmcCtrls[i] = hmc.NewController(i, node, ctrlCubes[i], cfg.HMCGeom, s.memnet, 32)
+			s.hmcCtrls[i] = hmc.NewController(i, node, ctrlCubes[i], cfg.HMCGeom, s.memnet, 32, s.mcs[i].complete)
+			s.mcs[i].backend = s.hmcCtrls[i]
 			ports[i] = s.hmcCtrls[i]
 		}
 		if cfg.Scheme.Active() {
@@ -307,29 +326,10 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 		}
 	}
 
-	// --- Memory controller ports on the NoC corners.
-	s.mcs = make([]*mcPort, 4)
-	for i := range s.mcs {
-		mc := &mcPort{sys: s, tile: mcTiles[i]}
-		if cfg.Scheme == SchemeDRAM {
-			ctrl := s.dramCtrls[i]
-			mc.access = func(pa mem.PAddr, write bool, done func(uint64)) bool {
-				return ctrl.Access(pa, write, s.engine.Cycle(), done)
-			}
-		} else {
-			ctrl := s.hmcCtrls[i]
-			mc.access = func(pa mem.PAddr, write bool, done func(uint64)) bool {
-				return ctrl.Access(pa, write, done)
-			}
-		}
-		s.mcs[i] = mc
-	}
-
 	// --- Cache hierarchy.
 	s.l2s = make([]*cache.L2Bank, tiles)
-	for t := 0; t < tiles; t++ {
-		tile := t
-		memPort := func(block mem.PAddr, write bool, done func(uint64)) bool {
+	for tile := 0; tile < tiles; tile++ {
+		memPort := func(block mem.PAddr, write bool) (uint64, bool) {
 			var idx int
 			if cfg.Scheme == SchemeDRAM {
 				idx = cfg.DRAMGeom.ChannelOf(block)
@@ -346,12 +346,11 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 			m.Tag = tag
 			if !s.sendFrom(tile, mcTiles[idx], m) {
 				s.msgPool.Put(m)
-				return false
+				return tag, false
 			}
-			s.hubs[tile].pendingMem[tag] = done
-			return true
+			return tag, true
 		}
-		s.l2s[t] = cache.NewL2Bank(t, cfg.L2, s.senderFor(t), memPort, s.msgPool)
+		s.l2s[tile] = cache.NewL2Bank(tile, cfg.L2, s.senderFor(tile), memPort, s.msgPool)
 	}
 	s.l1s = make([]*cache.L1, tiles)
 	for t := 0; t < tiles; t++ {
@@ -446,8 +445,8 @@ func (s *System) table() []part {
 		add(fmt.Sprintf("dram.%d", i), d, pending, pending, d.Banks)
 	}
 	for i, h := range s.hmcCtrls {
-		// An outstanding response's completion callback lives in the cache
-		// hierarchy and cannot be serialized, so busy also blocks snapshots.
+		// Outstanding accesses sit in tag tables that no section
+		// serializes, so busy also blocks snapshots.
 		add(fmt.Sprintf("hmcctrl.%d", i), h, h.Busy, h.Busy, h)
 	}
 	if s.coord != nil {
