@@ -1,11 +1,12 @@
-// Package poolown statically enforces the single-owner pooled-object
-// lifecycle of DESIGN.md "Memory discipline": an object acquired from
-// network.Pool or cache.MsgPool has exactly one owner, ownership moves at a
-// transfer point (Inject, Deliver, a commit callback — any call the object
-// is passed to, or a store into a longer-lived structure), and the object is
-// released exactly once at its final consumption point. The runtime guards
-// (Pool.Put's double-release panic, SetGuard poisoning) catch violations
-// after they execute; this analyzer catches them in review.
+// Package poolown statically enforces the single-owner pooled-packet
+// lifecycle of DESIGN.md "Memory discipline": a packet acquired from
+// network.Pool, directly or through cache.PacketFor, has exactly one owner,
+// ownership moves at a transfer point (Inject, Deliver, a commit callback —
+// any call the packet is passed to, or a store into a longer-lived
+// structure), and the packet is released exactly once at its final
+// consumption point. The runtime guards (Pool.Put's double-release panic,
+// SetGuard poisoning) catch violations after they execute; this analyzer
+// catches them in review.
 //
 // The analysis is intra-procedural and path-sensitive over the structured
 // control flow of one function body. Within a function it reports:
@@ -36,7 +37,7 @@ import (
 // Analyzer is the pool-ownership checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "poolown",
-	Doc: "enforce the single-owner pooled packet/message lifecycle: no use after release, " +
+	Doc: "enforce the single-owner pooled packet lifecycle: no use after release, " +
 		"no double release, no owned object leaking out of a function",
 	Run: run,
 }
@@ -50,8 +51,7 @@ type poolType struct{ pkg, name string }
 // pools are the recognized free-list types and their acquire/release
 // method names.
 var pools = map[poolType]bool{
-	{"repro/internal/network", "Pool"}:  true,
-	{"repro/internal/cache", "MsgPool"}: true,
+	{"repro/internal/network", "Pool"}: true,
 }
 
 // acquireFuncs are package-level functions that acquire from a pool passed

@@ -5,7 +5,10 @@
 // already handed the packet to a second owner.
 package pool
 
-import "repro/internal/network"
+import (
+	"repro/internal/cache"
+	"repro/internal/network"
+)
 
 // sender stands in for the fabric's conditional-transfer API: true means
 // the callee took ownership of the packet, false means the caller kept it.
@@ -42,6 +45,15 @@ func leakOnBranch(pl *network.Pool, drop bool) {
 // Inject leak the conditional-transfer rule exists to catch.
 func injectAndForget(pl *network.Pool, s sender) {
 	p := pl.Get(network.MemReadReq, 0, 1) // want `p may leak`
+	if !s.send(p) {
+		return
+	}
+}
+
+// messageAndForget acquires its packet through cache.PacketFor, which
+// draws from the pool it is given, and drops it on a refused send.
+func messageAndForget(pl *network.Pool, s sender, m cache.Msg) {
+	p := cache.PacketFor(pl, m, 0, 1) // want `p may leak`
 	if !s.send(p) {
 		return
 	}

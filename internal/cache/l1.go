@@ -51,7 +51,7 @@ type timedCall struct {
 
 type outMsg struct {
 	dst int
-	m   *Msg
+	m   Msg
 }
 
 // L1 is one core's private data cache.
@@ -71,9 +71,8 @@ type L1 struct {
 	mshrFree []*l1MSHR // recycled MSHR entries (waiters arrays retained)
 	send     Sender
 	homeBank func(block mem.PAddr) int
-	pool     *MsgPool
 
-	inQ        sim.FIFO[*Msg]
+	inQ        sim.FIFO[Msg]
 	outbox     sim.FIFO[outMsg]
 	calls      []timedCall
 	callsSpare []timedCall
@@ -89,15 +88,11 @@ type L1 struct {
 const never = sim.Never
 
 // NewL1 builds an L1 for core id. send injects messages into the NoC;
-// homeBank maps a block to its S-NUCA L2 bank tile; pool is the machine's
-// shared coherence-message free list.
-func NewL1(id int, cfg L1Config, send Sender, homeBank func(mem.PAddr) int, pool *MsgPool) *L1 {
+// homeBank maps a block to its S-NUCA L2 bank tile.
+func NewL1(id int, cfg L1Config, send Sender, homeBank func(mem.PAddr) int) *L1 {
 	sets := cfg.SizeBytes / mem.BlockSize / cfg.Ways
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: L1 set count %d must be a positive power of two", sets))
-	}
-	if pool == nil {
-		pool = NewMsgPool()
 	}
 	l := &L1{
 		ID:       id,
@@ -106,7 +101,6 @@ func NewL1(id int, cfg L1Config, send Sender, homeBank func(mem.PAddr) int, pool
 		lines:    make([][]l1Line, sets),
 		send:     send,
 		homeBank: homeBank,
-		pool:     pool,
 	}
 	for i := range l.lines {
 		l.lines[i] = make([]l1Line, cfg.Ways)
@@ -222,11 +216,8 @@ func (l *L1) trySendMiss(ms *l1MSHR) {
 	if ms.write {
 		t = MsgGetX
 	}
-	m := l.pool.Get(t, ms.block, l.ID)
-	if l.send(l.homeBank(ms.block), m) {
+	if l.send(l.homeBank(ms.block), Msg{Type: t, Block: ms.block, From: l.ID}) {
 		ms.sent = true
-	} else {
-		l.pool.Put(m)
 	}
 }
 
@@ -239,7 +230,7 @@ func (l *L1) after(at uint64, fn func(uint64)) {
 	l.calls = append(l.calls, timedCall{at: at, fn: fn}) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
 }
 
-func (l *L1) post(dst int, m *Msg) {
+func (l *L1) post(dst int, m Msg) {
 	if !l.send(dst, m) {
 		l.outbox.Push(outMsg{dst: dst, m: m})
 	}
@@ -247,7 +238,7 @@ func (l *L1) post(dst int, m *Msg) {
 
 // Deliver accepts a coherence message from the NoC; false refuses it
 // (bounded input queue).
-func (l *L1) Deliver(m *Msg, cycle uint64) bool {
+func (l *L1) Deliver(m Msg, cycle uint64) bool {
 	if l.inQ.Len() >= l.cfg.InQDepth {
 		return false
 	}
@@ -310,10 +301,8 @@ func (l *L1) Tick(cycle uint64) {
 	}
 }
 
-// handle consumes one delivered message; every case is synchronous, so the
-// message is released back to the pool on return (the L1's single point of
-// final consumption).
-func (l *L1) handle(m *Msg, cycle uint64) {
+// handle consumes one delivered message; every case is synchronous.
+func (l *L1) handle(m Msg, cycle uint64) {
 	switch m.Type {
 	case MsgData:
 		l.fill(m, cycle)
@@ -321,34 +310,28 @@ func (l *L1) handle(m *Msg, cycle uint64) {
 		if line := l.find(m.Block); line != nil {
 			line.state = stInv
 		}
-		ack := l.pool.Get(MsgInvAck, m.Block, l.ID)
-		l.post(m.From, ack)
+		l.post(m.From, Msg{Type: MsgInvAck, Block: m.Block, From: l.ID})
 	case MsgFetch:
 		dirty := false
 		if line := l.find(m.Block); line != nil {
 			dirty = line.state == stMod
 			line.state = stShared
 		}
-		resp := l.pool.Get(MsgFetchResp, m.Block, l.ID)
-		resp.Dirty = dirty
-		l.post(m.From, resp)
+		l.post(m.From, Msg{Type: MsgFetchResp, Block: m.Block, From: l.ID, Dirty: dirty})
 	case MsgFetchInv:
 		dirty := false
 		if line := l.find(m.Block); line != nil {
 			dirty = line.state == stMod
 			line.state = stInv
 		}
-		resp := l.pool.Get(MsgFetchResp, m.Block, l.ID)
-		resp.Dirty = dirty
-		l.post(m.From, resp)
+		l.post(m.From, Msg{Type: MsgFetchResp, Block: m.Block, From: l.ID, Dirty: dirty})
 	default:
 		panic(fmt.Sprintf("cache: L1 %d cannot handle %s", l.ID, m.Type))
 	}
-	l.pool.Put(m)
 }
 
 // fill installs a granted block and wakes the miss's waiters.
-func (l *L1) fill(m *Msg, cycle uint64) {
+func (l *L1) fill(m Msg, cycle uint64) {
 	ms := l.findMSHR(m.Block)
 	if ms == nil {
 		panic(fmt.Sprintf("cache: L1 %d fill for unknown block %#x", l.ID, uint64(m.Block)))
@@ -399,9 +382,7 @@ func (l *L1) victim(block mem.PAddr) *l1Line {
 	l.Stats.L1Evictions++
 	if v.state == stMod {
 		// Dirty writeback to the L2 home bank.
-		wb := l.pool.Get(MsgPutM, v.tag, l.ID)
-		wb.Dirty = true
-		l.post(l.homeBank(v.tag), wb)
+		l.post(l.homeBank(v.tag), Msg{Type: MsgPutM, Block: v.tag, From: l.ID, Dirty: true})
 	}
 	v.state = stInv
 	return v

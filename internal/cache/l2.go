@@ -55,7 +55,7 @@ type txn struct {
 	filled    bool
 	dirtyIn   bool
 	excl      bool // grant pending as exclusive (E/M)
-	queued    []*Msg
+	queued    []Msg
 	memTag    uint64
 }
 
@@ -101,9 +101,8 @@ type L2Bank struct {
 	txnFree []*txn // recycled transactions (queued arrays retained)
 	send    Sender
 	mem     MemPort
-	pool    *MsgPool
 
-	inQ        sim.FIFO[*Msg]
+	inQ        sim.FIFO[Msg]
 	outbox     sim.FIFO[outMsg]
 	calls      []l2Event
 	callsSpare []l2Event
@@ -119,14 +118,11 @@ type L2Bank struct {
 }
 
 // NewL2Bank builds bank id. send posts NoC messages; memPort accesses main
-// memory; pool is the machine's shared coherence-message free list.
-func NewL2Bank(id int, cfg L2Config, send Sender, memPort MemPort, pool *MsgPool) *L2Bank {
+// memory.
+func NewL2Bank(id int, cfg L2Config, send Sender, memPort MemPort) *L2Bank {
 	sets := cfg.BankSizeBytes / mem.BlockSize / cfg.Ways
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: L2 set count %d must be a positive power of two", sets))
-	}
-	if pool == nil {
-		pool = NewMsgPool()
 	}
 	b := &L2Bank{
 		ID:      id,
@@ -137,7 +133,6 @@ func NewL2Bank(id int, cfg L2Config, send Sender, memPort MemPort, pool *MsgPool
 		memWait: make(map[uint64]*txn),
 		send:    send,
 		mem:     memPort,
-		pool:    pool,
 	}
 	for i := range b.lines {
 		b.lines[i] = make([]l2Line, cfg.Ways)
@@ -178,7 +173,7 @@ func (b *L2Bank) Busy() bool {
 }
 
 // Deliver accepts a NoC message; false refuses it.
-func (b *L2Bank) Deliver(m *Msg, cycle uint64) bool {
+func (b *L2Bank) Deliver(m Msg, cycle uint64) bool {
 	if b.inQ.Len() >= b.cfg.InQDepth {
 		return false
 	}
@@ -235,7 +230,9 @@ func (b *L2Bank) Tick(cycle uint64) {
 	}
 }
 
-func (b *L2Bank) post(dst int, m *Msg) {
+// post sends m from this bank, stamping From, and queues it for retry when
+// the NoC refuses it.
+func (b *L2Bank) post(dst int, m Msg) {
 	m.From = b.ID
 	if !b.send(dst, m) {
 		b.outbox.Push(outMsg{dst: dst, m: m})
@@ -254,16 +251,12 @@ func (b *L2Bank) fire(ev l2Event, now uint64) {
 	t := ev.t
 	switch ev.kind {
 	case evGrant:
-		d := b.pool.Get(MsgData, t.block, b.ID)
-		d.Excl = t.excl
-		b.post(t.requester, d)
+		b.post(t.requester, Msg{Type: MsgData, Block: t.block, Excl: t.excl})
 		b.finish(t, now)
 	case evBackInval:
 		requester, block, memTag := t.requester, t.block, t.memTag
 		b.finish(t, now)
-		d := b.pool.Get(MsgBackInvalD, block, b.ID)
-		d.Tag = memTag
-		b.post(requester, d)
+		b.post(requester, Msg{Type: MsgBackInvalD, Block: block, Tag: memTag})
 	case evInstall:
 		b.install(t, now)
 	}
@@ -302,10 +295,9 @@ func (b *L2Bank) MemDone(tag uint64, now uint64) {
 	}
 }
 
-// handle consumes one delivered message and releases it back to the pool,
-// except requests that queue behind a busy transaction — those stay owned
-// by the transaction and are consumed when finish() replays them.
-func (b *L2Bank) handle(m *Msg, cycle uint64) {
+// handle consumes one delivered message. A request for a block with a busy
+// transaction queues behind it, and finish() replays it in arrival order.
+func (b *L2Bank) handle(m Msg, cycle uint64) {
 	switch m.Type {
 	case MsgGetS, MsgGetX, MsgBackInvalQ:
 		if t, ok := b.busy[m.Block]; ok {
@@ -339,7 +331,6 @@ func (b *L2Bank) handle(m *Msg, cycle uint64) {
 	default:
 		panic(fmt.Sprintf("cache: L2 bank %d cannot handle %s", b.ID, m.Type))
 	}
-	b.pool.Put(m)
 }
 
 // getTxn returns a recycled (or fresh) transaction with retained queued
@@ -353,9 +344,8 @@ func (b *L2Bank) getTxn() *txn {
 	return &txn{} //ar:exempt(hotpath) pool slow path: allocates only when the free list is empty, cold after warm-up
 }
 
-// start opens a directory transaction for a request message. The message
-// itself is fully consumed here (the caller releases it on return).
-func (b *L2Bank) start(m *Msg, cycle uint64) {
+// start opens a directory transaction for a request message.
+func (b *L2Bank) start(m Msg, cycle uint64) {
 	b.Stats.L2Accesses++
 	t := b.getTxn()
 	t.block, t.requester = m.Block, m.From
@@ -406,7 +396,7 @@ func (b *L2Bank) start(m *Msg, cycle uint64) {
 		if line.owner >= 0 && line.owner != t.requester {
 			t.waitFetch = true
 			b.Stats.Fetches++
-			b.post(line.owner, b.pool.Get(MsgFetch, t.block, b.ID))
+			b.post(line.owner, Msg{Type: MsgFetch, Block: t.block})
 			// The owner downgrades to S and becomes a plain sharer.
 			line.sharers |= 1 << uint(line.owner)
 			line.owner = -1
@@ -431,7 +421,7 @@ func (b *L2Bank) collectExclusive(t *txn, line *l2Line, keep int) {
 		}
 		t.waitAcks++
 		b.Stats.Invals++
-		b.post(c, b.pool.Get(MsgInval, t.block, b.ID))
+		b.post(c, Msg{Type: MsgInval, Block: t.block})
 	}
 	line.sharers &= 1 << uint(max(keep, 0))
 	if keep < 0 {
@@ -440,7 +430,7 @@ func (b *L2Bank) collectExclusive(t *txn, line *l2Line, keep int) {
 	if line.owner >= 0 && line.owner != keep {
 		t.waitFetch = true
 		b.Stats.Fetches++
-		b.post(line.owner, b.pool.Get(MsgFetchInv, t.block, b.ID))
+		b.post(line.owner, Msg{Type: MsgFetchInv, Block: t.block})
 		line.owner = -1
 	}
 }
@@ -528,12 +518,12 @@ func (b *L2Bank) installVictim(block mem.PAddr) *l2Line {
 	for c := 0; c < 64; c++ {
 		if v.sharers&(1<<uint(c)) != 0 {
 			b.Stats.Invals++
-			b.post(c, b.pool.Get(MsgInval, v.tag, b.ID))
+			b.post(c, Msg{Type: MsgInval, Block: v.tag})
 		}
 	}
 	if v.owner >= 0 {
 		b.Stats.Invals++
-		b.post(v.owner, b.pool.Get(MsgFetchInv, v.tag, b.ID))
+		b.post(v.owner, Msg{Type: MsgFetchInv, Block: v.tag})
 	}
 	if v.dirty || v.owner >= 0 {
 		b.Stats.MemWrites++
@@ -574,8 +564,7 @@ func (b *L2Bank) grantX(t *txn, line *l2Line, cycle uint64) {
 // and recycles the transaction record.
 func (b *L2Bank) finish(t *txn, cycle uint64) {
 	delete(b.busy, t.block)
-	for i, q := range t.queued {
-		t.queued[i] = nil
+	for _, q := range t.queued {
 		b.handle(q, cycle)
 	}
 	*t = txn{queued: t.queued[:0]}

@@ -69,74 +69,37 @@ func (t MsgType) carriesData() bool {
 	return false
 }
 
-// Msg is one coherence/memory message.
+// Msg is one coherence/memory message: a few header words, passed and
+// queued by value. Nothing owns a message and nothing releases one; on the
+// NoC it rides in the header fields of one packet (PacketFor, MsgOf).
 type Msg struct {
-	Type  MsgType
 	Block mem.PAddr // block-aligned address
 	From  int       // component id of sender (core id or bank id)
 	Tag   uint64
+	Type  MsgType
 	Excl  bool // MsgData: exclusive (E) grant
 	Dirty bool // MsgFetchResp/MsgPutM: block was modified
-
-	// poolFree marks a message sitting in a MsgPool free list (double
-	// release guard); zero for messages built outside any pool.
-	poolFree bool
 }
 
-// MsgPool is a free list for coherence messages, shared by every NoC
-// component of one machine (caches, message interfaces, MC ports, tile
-// hubs). Ownership follows the same contract as network.Pool: a Sender call
-// returning true transfers the message to the receiver, which releases it
-// at its single point of final consumption (the cache handle() commit, the
-// tile hub's terminal demux cases). A Sender returning false leaves the
-// message with the caller, which retries. The simulator is single-threaded
-// within one machine, so no locking.
-type MsgPool struct {
-	free []*Msg
-}
+// Sender injects a coherence message into the NoC; the system package wires
+// it to the mesh fabric. It reports false on injection backpressure, and the
+// caller keeps its copy of the message to retry.
+type Sender func(dstTile int, m Msg) bool
 
-// NewMsgPool returns an empty message pool.
-func NewMsgPool() *MsgPool { return &MsgPool{} }
+// Wire format of a message in a NoC packet: Block, From and Tag travel in
+// the packet's Addr, Origin and Tag fields, and the packet's Host word holds
+// Type in its low byte plus the Excl and Dirty flags. The fabric reads none
+// of these fields; PacketFor and MsgOf are their only writer and reader.
+const (
+	hostExcl  uint16 = 1 << 8
+	hostDirty uint16 = 1 << 9
+)
 
-// Get returns a zeroed message with the given header fields, reusing a
-// released message when one is available.
-//
-//ar:hotpath
-func (pl *MsgPool) Get(t MsgType, block mem.PAddr, from int) *Msg {
-	var m *Msg
-	if n := len(pl.free); n > 0 {
-		m = pl.free[n-1]
-		pl.free[n-1] = nil
-		pl.free = pl.free[:n-1]
-		*m = Msg{}
-	} else {
-		m = &Msg{} //ar:exempt(hotpath) pool slow path: allocates only when the free list is empty, cold after warm-up
-	}
-	m.Type, m.Block, m.From = t, block, from
-	return m
-}
-
-// Put releases a message back to the free list; releasing one that is
-// already free panics (lifecycle bug).
-//
-//ar:hotpath
-func (pl *MsgPool) Put(m *Msg) {
-	if m.poolFree {
-		panic(fmt.Sprintf("cache: double release of message %s block %#x", m.Type, uint64(m.Block)))
-	}
-	m.poolFree = true
-	pl.free = append(pl.free, m) //ar:exempt(hotpath) free list reaches steady-state capacity; append stops growing after warm-up
-}
-
-// Sender injects coherence messages into the NoC; the system package wires
-// it to the mesh fabric. It reports false on injection backpressure.
-type Sender func(dstTile int, m *Msg) bool
-
-// PacketFor wraps m into a NoC packet from srcTile to dstTile with the
+// PacketFor carries m in a NoC packet from srcTile to dstTile with the
 // correct traffic class and wire size, acquired from the fabric's pool.
 //
 //ar:hotpath
-func PacketFor(pool *network.Pool, m *Msg, srcTile, dstTile int) *network.Packet {
+func PacketFor(pool *network.Pool, m Msg, srcTile, dstTile int) *network.Packet {
 	kind := network.HostMsg
 	if m.Type.isResponse() {
 		kind = network.HostMsgResp
@@ -145,8 +108,27 @@ func PacketFor(pool *network.Pool, m *Msg, srcTile, dstTile int) *network.Packet
 	if m.Type.carriesData() {
 		p.Size = network.HeaderBytes + mem.BlockSize
 	}
-	p.Meta = m
+	p.Addr, p.Origin, p.Tag = m.Block, m.From, m.Tag
+	p.Host = uint16(m.Type)
+	if m.Excl {
+		p.Host |= hostExcl
+	}
+	if m.Dirty {
+		p.Host |= hostDirty
+	}
 	return p
+}
+
+// MsgOf returns the message a PacketFor packet carries.
+func MsgOf(p *network.Packet) Msg {
+	return Msg{
+		Block: p.Addr,
+		From:  p.Origin,
+		Tag:   p.Tag,
+		Type:  MsgType(p.Host),
+		Excl:  p.Host&hostExcl != 0,
+		Dirty: p.Host&hostDirty != 0,
+	}
 }
 
 // Stats aggregates hierarchy counters for the power model and tests.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -103,7 +104,8 @@ type Engine struct {
 	Flows *FlowTable
 
 	inQ       sim.FIFO[*network.Packet]
-	outQ      [3]sim.FIFO[*network.Packet] // per-class forwarding buffers (see emit)
+	outQ      [2]sim.FIFO[*network.Packet] // operand requests, gather responses (see emit)
+	fwdQ      sim.ChunkFIFO[forward]       // update forwards and gather replicas
 	byTag     map[uint64]*OperandEntry
 	sendQ     []*OperandEntry         // operand requests not yet issued
 	readyQ    sim.FIFO[*OperandEntry] // operands complete, waiting for the ALU
@@ -152,7 +154,7 @@ func (e *Engine) Busy() bool {
 			return true
 		}
 	}
-	return false
+	return e.fwdQ.Len() > 0
 }
 
 // Deliver accepts an active packet from the network; false applies
@@ -184,7 +186,7 @@ func (e *Engine) Deliver(p *network.Packet, cycle uint64) bool {
 // OperandResp, not through Tick.
 func (e *Engine) NextWork(now uint64) uint64 {
 	if e.inQ.Len() == 0 && len(e.sendQ) == 0 && e.readyQ.Len() == 0 &&
-		e.outQ[0].Len() == 0 && e.outQ[1].Len() == 0 && e.outQ[2].Len() == 0 {
+		e.outQ[0].Len() == 0 && e.outQ[1].Len() == 0 && e.fwdQ.Len() == 0 {
 		return sim.Never
 	}
 	if e.clockPow2 {
@@ -213,24 +215,36 @@ func (e *Engine) Tick(cycle uint64) {
 	e.decode(cycle)
 }
 
-// emit queues an ARE-originated packet in the logic-layer forwarding
-// buffer for its traffic class. The buffers are unbounded on purpose:
-// Active-Routing's hop-by-hop consume-and-reinject of Update/Gather
-// packets would otherwise create a cyclic credit dependency across cubes
-// (reinjection resets the packet's VC hop class), and the deadlock-free
-// argument becomes "AREs always consume". The buffers model logic-layer
-// SRAM; occupancy shows up as latency, preserving the congestion
-// behaviour of Figs 5.1/5.2. One buffer per traffic class keeps operand
-// requests and gather responses from head-of-line blocking behind a
-// congested update forward; per-edge FIFO order (updates before their
+// forward is an Update passed toward its operands or a Gather replica sent
+// to a child, waiting in the ARE's class-0 forwarding buffer. It is a
+// 64-byte value that becomes a pool packet only for an injection attempt,
+// so a congested buffer does not hold a packet per entry.
+type forward struct {
+	flow               uint64
+	src1, src2, target mem.PAddr
+	count, dst         int
+	injectCycle        uint64
+	tree               uint8
+	op                 isa.ALUOp
+	gather             bool
+}
+
+// emit queues an ARE-originated operand request or gather response in the
+// logic-layer forwarding buffer for its traffic class; forwards and gather
+// replicas, class 0, queue in fwdQ as values. The buffers are unbounded on
+// purpose: Active-Routing's hop-by-hop consume-and-reinject of
+// Update/Gather packets would otherwise create a cyclic credit dependency
+// across cubes (reinjection resets the packet's VC hop class), and the
+// deadlock-free argument becomes "AREs always consume". The buffers model
+// logic-layer SRAM; occupancy shows up as latency, preserving the
+// congestion behaviour of Figs 5.1/5.2. One buffer per traffic class keeps
+// operand requests and gather responses from head-of-line blocking behind
+// a congested update forward; per-edge FIFO order (updates before their
 // flow's gather replica) is preserved because class-0 forwards share one
 // queue.
 func (e *Engine) emit(p *network.Packet) {
 	class := 0
-	switch {
-	case p.Kind.IsResponse():
-		class = 2
-	case p.Kind == network.OperandReq:
+	if p.Kind.IsResponse() {
 		class = 1
 	}
 	e.outQ[class].Push(p)
@@ -241,7 +255,7 @@ func (e *Engine) emit(p *network.Packet) {
 //
 //ar:hotpath
 func (e *Engine) drainOut(cycle uint64) {
-	for class := 2; class >= 0; class-- {
+	for class := 1; class >= 0; class-- {
 		for e.outQ[class].Len() > 0 {
 			if !e.cube.Inject(e.outQ[class].Peek()) {
 				e.Stats.InjectStalls++
@@ -249,6 +263,23 @@ func (e *Engine) drainOut(cycle uint64) {
 			}
 			e.outQ[class].Pop()
 		}
+	}
+	for e.fwdQ.Len() > 0 {
+		f := e.fwdQ.Peek()
+		kind := network.UpdateReq
+		if f.gather {
+			kind = network.GatherReq
+		}
+		p := e.pool.Get(kind, e.Node, f.dst)
+		p.Flow, p.Op = network.FlowKey{Flow: f.flow, Tree: f.tree}, f.op
+		p.Src1, p.Src2, p.Target = f.src1, f.src2, f.target
+		p.Count, p.InjectCycle = f.count, f.injectCycle
+		if !e.cube.Inject(p) {
+			e.pool.Put(p) // refused: the entry stays queued and is retried
+			e.Stats.InjectStalls++
+			return
+		}
+		e.fwdQ.Pop()
 	}
 }
 
@@ -397,12 +428,8 @@ func (e *Engine) handleUpdate(p *network.Packet, cycle uint64) bool {
 
 	commit, next := e.updateRoute(p)
 	if !commit {
-		fwd := e.pool.Get(network.UpdateReq, e.Node, next)
-		fwd.Flow, fwd.Op = p.Flow, p.Op
-		fwd.Src1, fwd.Src2, fwd.Target = p.Src1, p.Src2, p.Target
-		fwd.Count = p.Count
-		fwd.InjectCycle = p.InjectCycle
-		e.emit(fwd)
+		e.fwdQ.Push(forward{flow: p.Flow.Flow, tree: p.Flow.Tree, op: p.Op, dst: next,
+			src1: p.Src1, src2: p.Src2, target: p.Target, count: p.Count, injectCycle: p.InjectCycle})
 		fe.AddChild(next)
 		e.Stats.UpdatesForwarded++
 		return true
@@ -521,9 +548,7 @@ func (e *Engine) handleGatherReq(p *network.Packet, cycle uint64) bool {
 	}
 	fe.Gflag = true
 	for _, child := range fe.Children {
-		g := e.pool.Get(network.GatherReq, e.Node, child)
-		g.Flow, g.Op = p.Flow, p.Op
-		e.emit(g)
+		e.fwdQ.Push(forward{flow: p.Flow.Flow, tree: p.Flow.Tree, op: p.Op, dst: child, gather: true})
 		fe.pendingChildren++
 	}
 	// Children flags are cleared as responses arrive (Fig 3.4(c)).

@@ -231,6 +231,50 @@ func TestUpdateForwardsTowardOperands(t *testing.T) {
 	}
 }
 
+// TestCongestedForwardBufferHoldsNoPackets backs up update forwards behind
+// a router that refuses every injection. The buffer must hold them as
+// values: every delivered packet returns to the pool at its decode commit
+// and stays there. Once the router accepts again, the forwards leave in
+// arrival order with their fields intact.
+func TestCongestedForwardBufferHoldsNoPackets(t *testing.T) {
+	mc := newMockCube(t, 5)
+	mc.injCap = 0
+	e := NewEngine(5, 5, DefaultEngineConfig(), mc, nil)
+	flow := network.FlowKey{Flow: 300, Tree: 2}
+	const n = 600 // several ChunkFIFO chunks
+	for i := 0; i < n; i++ {
+		p := updatePacket(flow, isa.OpMac, 9, 9, 16, mc.geom)
+		p.Src1 += mem.PAddr(8 * (i % 256))
+		p.Count = 1 + i%3
+		p.InjectCycle = uint64(1000 + i)
+		deliver(t, e, p)
+		tick(e, 1)
+	}
+	if e.fwdQ.Len() != n {
+		t.Fatalf("forwarding buffer holds %d entries, want %d", e.fwdQ.Len(), n)
+	}
+	if e.pool.FreeLen() != n {
+		t.Fatalf("pool free list holds %d packets, want all %d delivered ones", e.pool.FreeLen(), n)
+	}
+	if e.Stats.InjectStalls == 0 {
+		t.Fatal("refused injections not counted")
+	}
+
+	mc.injCap = n
+	tick(e, 1)
+	if len(mc.out) != n || e.fwdQ.Len() > 0 {
+		t.Fatalf("injected %d forwards, %d still buffered; want %d and 0", len(mc.out), e.fwdQ.Len(), n)
+	}
+	for i, p := range mc.out {
+		want := addrInCube(mc.geom, 9) + mem.PAddr(8*(i%256))
+		if p.Kind != network.UpdateReq || p.Dst != 9 || p.Flow != flow || p.Op != isa.OpMac ||
+			p.Src1 != want || p.Src2 != addrInCube(mc.geom, 9) || p.Count != 1+i%3 ||
+			p.InjectCycle != uint64(1000+i) {
+			t.Fatalf("forward %d wrong: %+v", i, p)
+		}
+	}
+}
+
 func TestSplitPointDetection(t *testing.T) {
 	// Operands at two different cubes, neither local, next hops differ in
 	// the mock (NextHop = destination): commit here with two operand

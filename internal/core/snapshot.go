@@ -25,7 +25,7 @@ import (
 // SnapshotReady reports whether the engine holds only checkpointable
 // state: every transient queue empty and every live flow pre-gather.
 func (e *Engine) SnapshotReady() bool {
-	if e.inQ.Len() > 0 || len(e.byTag) > 0 || len(e.sendQ) > 0 || e.readyQ.Len() > 0 {
+	if e.inQ.Len() > 0 || len(e.byTag) > 0 || len(e.sendQ) > 0 || e.readyQ.Len() > 0 || e.fwdQ.Len() > 0 {
 		return false
 	}
 	for i := range e.outQ {

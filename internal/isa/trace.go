@@ -74,45 +74,57 @@ func (t *Trace) Len() int { return t.recs.n }
 // instruction exactly: an unknown kind, a class or op above 15, an address
 // above MaxTraceAddr, or a nonzero field the kind does not use.
 func (t *Trace) Append(in Inst) {
-	rest := in // what remains once the record's fields are taken out
-	rest.Kind = 0
+	kind := in.Kind
+	in.Kind = 0 // in keeps what remains once the record's fields are taken out
 	var sub uint8
 	var addr mem.VAddr
 	var w1 uint64
-	switch in.Kind {
+	var ops updateOperands
+	switch kind {
 	case KindCompute:
-		sub, rest.Class = uint8(in.Class), 0
+		sub, in.Class = uint8(in.Class), 0
 	case KindLoad:
-		addr, rest.Addr = in.Addr, 0
+		addr, in.Addr = in.Addr, 0
 	case KindStore, KindAtomicAdd:
-		addr, rest.Addr = in.Addr, 0
-		w1, rest.Value = math.Float64bits(in.Value), 0
+		addr, in.Addr = in.Addr, 0
+		w1, in.Value = math.Float64bits(in.Value), 0
 	case KindUpdate:
-		sub, rest.Op = uint8(in.Op), 0
-		addr, rest.Src1 = in.Src1, 0
-		rest.Src2, rest.Target, rest.Imm, rest.Count = 0, 0, 0, 0
+		sub, in.Op = uint8(in.Op), 0
+		addr, in.Src1 = in.Src1, 0
+		ops = updateOperands{src2: in.Src2, target: in.Target, imm: in.Imm, count: in.Count}
+		in.Src2, in.Target, in.Imm, in.Count = 0, 0, 0, 0
 		w1 = uint64(t.side.n)
 	case KindGather:
-		addr, rest.Target = in.Target, 0
-		w1, rest.Threads = uint64(in.Threads), 0
+		addr, in.Target = in.Target, 0
+		w1, in.Threads = uint64(in.Threads), 0
 	case KindBarrier:
 	default:
-		panic(fmt.Sprintf("isa: trace cannot hold instruction kind %s", in.Kind))
+		panic(fmt.Sprintf("isa: trace cannot hold instruction kind %s", kind))
 	}
 	if sub > subMask || addr > MaxTraceAddr {
-		panic(fmt.Sprintf("isa: %s instruction does not fit a trace record: %+v", in.Kind, in))
+		panic(fmt.Sprintf("isa: %s instruction does not fit a trace record: class/op %d, address %#x", kind, sub, addr))
 	}
-	// Bit comparison of the floats also refuses a -0 the record would drop.
-	if rest != (Inst{}) || math.Float64bits(rest.Value) != 0 || math.Float64bits(rest.Imm) != 0 {
-		panic(fmt.Sprintf("isa: %s instruction carries fields its trace record does not hold: %+v", in.Kind, in))
+	if !in.zero() {
+		panic(fmt.Sprintf("isa: %s instruction carries fields its trace record does not hold: %+v", kind, in))
 	}
-	if in.Kind == KindUpdate {
-		t.side.push(updateOperands{src2: in.Src2, target: in.Target, imm: in.Imm, count: in.Count})
+	if kind == KindUpdate {
+		t.side.push(ops)
 	}
 	t.recs.push(record{
-		w0: uint64(in.Kind)<<kindBits | uint64(sub)<<subShift | uint64(addr),
+		w0: uint64(kind)<<kindBits | uint64(sub)<<subShift | uint64(addr),
 		w1: w1,
 	})
+}
+
+// zero reports whether every field of in is zero, comparing floats by their
+// bits so that a -0 the record would drop counts as set. It reads field by
+// field because a whole-Inst copy or compare here costs more or less with
+// the caller's stack alignment, and trace generation, most of a machine's
+// set-up time, calls Append once per instruction.
+func (in *Inst) zero() bool {
+	return in.Kind == 0 && in.Class == 0 && in.Addr == 0 && math.Float64bits(in.Value) == 0 &&
+		in.Src1 == 0 && in.Src2 == 0 && in.Target == 0 && in.Op == 0 &&
+		math.Float64bits(in.Imm) == 0 && in.Threads == 0 && in.Count == 0
 }
 
 // decode writes instruction i into out, setting every field.

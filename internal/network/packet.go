@@ -173,6 +173,10 @@ type FlowKey struct {
 type Packet struct {
 	ID   uint64
 	Kind Kind
+	// Host is an opaque header word for host-side messages tunneled over
+	// the NoC (coherence and memory-interface traffic); the fabric never
+	// reads it, and package cache owns its encoding.
+	Host uint16
 	Src  int // source node id
 	Dst  int // destination node id
 	Size int // bytes on the wire
@@ -200,9 +204,6 @@ type Packet struct {
 	// multi-hop transactions (active stores read at one cube and written
 	// at another).
 	Origin int
-
-	// Meta tunnels host-side payloads (coherence messages) over the NoC.
-	Meta any
 
 	// poolState tracks the free-list lifecycle (see Pool); zero means the
 	// packet was built outside any pool.

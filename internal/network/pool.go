@@ -75,7 +75,6 @@ func (pl *Pool) Put(p *Packet) {
 		p.Kind = KindInvalid
 		p.Dst = -1
 		p.Src = -1
-		p.Meta = nil
 	}
 	pl.free = append(pl.free, p) //ar:exempt(hotpath) free list reaches steady-state capacity; append stops growing after warm-up
 }

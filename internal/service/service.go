@@ -420,7 +420,7 @@ type Stats struct {
 
 	// Allocation/GC gauges (runtime.MemStats snapshots) so operators can
 	// watch the simulator's memory discipline in production: with the
-	// pooled packet/message lifecycle the per-simulation allocation rate
+	// pooled packet lifecycle the per-simulation allocation rate
 	// should stay near-constant as traffic grows.
 	HeapAllocBytes  uint64  `json:"heap_alloc_bytes"`
 	HeapSysBytes    uint64  `json:"heap_sys_bytes"`

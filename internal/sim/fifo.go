@@ -61,3 +61,68 @@ func (q *FIFO[T]) Pop() T {
 	}
 	return v
 }
+
+// chunkLen is ChunkFIFO's chunk size in elements.
+const chunkLen = 256
+
+// ChunkFIFO is a queue stored in fixed-size chunks, for queues that are
+// unbounded by design and can hold tens of thousands of entries. Its
+// memory follows occupancy: growth adds one chunk at a time and never
+// copies, and a drained chunk becomes the single spare. A FIFO's one array
+// would copy itself at every growth step and keep its peak capacity.
+type ChunkFIFO[T any] struct {
+	c     []*[chunkLen]T
+	head  int // position of the oldest element in c[0]
+	n     int
+	spare *[chunkLen]T
+}
+
+// Len reports the queued element count.
+func (q *ChunkFIFO[T]) Len() int { return q.n }
+
+// Push appends v.
+//
+//ar:hotpath
+func (q *ChunkFIFO[T]) Push(v T) {
+	pos := q.head + q.n
+	if pos/chunkLen == len(q.c) {
+		if q.spare == nil {
+			q.spare = new([chunkLen]T) //ar:exempt(hotpath) one chunk per 256 elements of new peak occupancy
+		}
+		q.c = append(q.c, q.spare) //ar:exempt(hotpath) the chunk index grows only with peak occupancy
+		q.spare = nil
+	}
+	q.c[pos/chunkLen][pos%chunkLen] = v
+	q.n++
+}
+
+// Peek returns the oldest element, valid until the next Pop; it panics on
+// an empty queue.
+func (q *ChunkFIFO[T]) Peek() *T {
+	if q.n == 0 {
+		panic("sim: Peek on empty ChunkFIFO")
+	}
+	return &q.c[0][q.head]
+}
+
+// Pop removes the oldest element; it panics on an empty queue.
+//
+//ar:hotpath
+func (q *ChunkFIFO[T]) Pop() {
+	if q.n == 0 {
+		panic("sim: Pop on empty ChunkFIFO")
+	}
+	var zero T
+	q.c[0][q.head] = zero
+	q.head++
+	q.n--
+	switch {
+	case q.n == 0:
+		q.head = 0 // refill the front chunk from its start
+	case q.head == chunkLen:
+		q.spare = q.c[0]
+		n := copy(q.c, q.c[1:])
+		q.c[n] = nil
+		q.c, q.head = q.c[:n], 0
+	}
+}

@@ -167,12 +167,21 @@ func (c *Config) Validate() error {
 		{c.Core.IssueWidth > 0 && c.Core.CommitWidth > 0, "core issue/commit width must be positive"},
 		{c.Core.ROBSize > 0, "core ROB size must be positive"},
 		{c.L1.SizeBytes > 0 && c.L1.Ways > 0, "L1 geometry must be positive"},
+		{c.L1.MSHRs > 0, "L1.MSHRs must be positive"},
+		{c.L1.InQDepth > 0, "L1.InQDepth must be positive"},
 		{c.L2.BankSizeBytes > 0 && c.L2.Ways > 0, "L2 geometry must be positive"},
+		{c.L2.InQDepth > 0, "L2.InQDepth must be positive"},
 		{c.NoC.LinkBandwidth > 0, "NoC.LinkBandwidth must be positive"},
 		{c.NoC.QueueDepth > 0, "NoC.QueueDepth must be positive"},
+		{c.NoC.InjDepth > 0, "NoC.InjDepth must be positive"},
+		{c.NoC.ClockDiv > 0, "NoC.ClockDiv must be positive"},
 		{c.MemNet.LinkBandwidth > 0, "MemNet.LinkBandwidth must be positive"},
 		{c.MemNet.QueueDepth > 0, "MemNet.QueueDepth must be positive"},
+		{c.MemNet.InjDepth > 0, "MemNet.InjDepth must be positive"},
+		{c.MemNet.ClockDiv > 0, "MemNet.ClockDiv must be positive"},
 		{c.ARE.MaxFlows > 0, "ARE.MaxFlows must be positive"},
+		{c.ARE.InQDepth > 0, "ARE.InQDepth must be positive"},
+		{c.ARE.ClockDiv > 0, "ARE.ClockDiv must be positive"},
 		{c.ARE.OperandBufs > 0, "ARE.OperandBufs must be positive"},
 		{c.ARE.DecodeRate > 0 && c.ARE.ALURate > 0, "ARE decode/ALU rates must be positive"},
 		{c.DRAMGeom.Channels > 0, "DRAM channels must be positive"},

@@ -25,6 +25,11 @@ func TestValidateRejectsBadFields(t *testing.T) {
 		{"zero link bw", func(c *Config) { c.MemNet.LinkBandwidth = 0 }, "LinkBandwidth"},
 		{"zero threads", func(c *Config) { c.Threads = 0 }, "Threads"},
 		{"zero max cycles", func(c *Config) { c.MaxCycles = 0 }, "MaxCycles"},
+		{"zero L1 MSHRs", func(c *Config) { c.L1.MSHRs = 0 }, "L1.MSHRs"},
+		{"zero L1 input queue", func(c *Config) { c.L1.InQDepth = 0 }, "L1.InQDepth"},
+		{"zero L2 input queue", func(c *Config) { c.L2.InQDepth = 0 }, "L2.InQDepth"},
+		{"zero ARE input queue", func(c *Config) { c.ARE.InQDepth = 0 }, "ARE.InQDepth"},
+		{"zero ARE clock divider", func(c *Config) { c.ARE.ClockDiv = 0 }, "ARE.ClockDiv"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(SchemeARFtid)
@@ -40,8 +45,9 @@ func TestValidateRejectsBadFields(t *testing.T) {
 }
 
 // TestValidateRejectsUnbuildableFabrics: every value here once passed
-// Validate and then panicked in the network or the HMC controllers, or (12
-// VCs) ran on a fabric code path nothing else exercised. The fabric's VC
+// Validate and then panicked in the network or the HMC controllers, burned
+// the whole cycle budget without completing (a zero injection depth), or
+// (12 VCs) ran on a fabric code path nothing else exercised. The fabric's VC
 // count and the memory network's cube count are fixed by its topologies.
 func TestValidateRejectsUnbuildableFabrics(t *testing.T) {
 	cases := []struct {
@@ -54,6 +60,10 @@ func TestValidateRejectsUnbuildableFabrics(t *testing.T) {
 		{"MemNet 12 VCs", func(c *Config) { c.MemNet.VCs = 12 }, "MemNet.VCs must be 6"},
 		{"8 cubes", func(c *Config) { c.HMCGeom.Cubes = 8 }, "HMCGeom.Cubes must be 16"},
 		{"32 cubes", func(c *Config) { c.HMCGeom.Cubes = 32 }, "HMCGeom.Cubes must be 16"},
+		{"NoC clock divider 0", func(c *Config) { c.NoC.ClockDiv = 0 }, "NoC.ClockDiv"},
+		{"MemNet clock divider 0", func(c *Config) { c.MemNet.ClockDiv = 0 }, "MemNet.ClockDiv"},
+		{"NoC injection depth 0", func(c *Config) { c.NoC.InjDepth = 0 }, "NoC.InjDepth"},
+		{"MemNet injection depth 0", func(c *Config) { c.MemNet.InjDepth = 0 }, "MemNet.InjDepth"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

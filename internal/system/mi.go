@@ -17,7 +17,6 @@ type MessageInterface struct {
 	tile  int
 	send  cache.Sender
 	coord *core.Coordinator
-	pool  *cache.MsgPool
 
 	queue     sim.FIFO[*miEntry]
 	free      []*miEntry // recycled queue entries
@@ -45,23 +44,18 @@ type miEntry struct {
 	tag      uint64
 }
 
-// NewMessageInterface builds the MI for the core at tile. pool is the
-// machine's shared coherence-message free list.
-func NewMessageInterface(tile int, send cache.Sender, coord *core.Coordinator, pool *cache.MsgPool, capacity, window int) *MessageInterface {
+// NewMessageInterface builds the MI for the core at tile.
+func NewMessageInterface(tile int, send cache.Sender, coord *core.Coordinator, capacity, window int) *MessageInterface {
 	if capacity <= 0 {
 		capacity = 16
 	}
 	if window <= 0 {
 		window = 8
 	}
-	if pool == nil {
-		pool = cache.NewMsgPool()
-	}
 	return &MessageInterface{
 		tile:   tile,
 		send:   send,
 		coord:  coord,
-		pool:   pool,
 		cap:    capacity,
 		window: window,
 		byTag:  make(map[uint64]*miEntry),
@@ -161,10 +155,8 @@ func (mi *MessageInterface) Tick(cycle uint64) {
 		block := mem.BlockAlign(queryAddr(e.upd))
 		mi.nextTag++
 		tag := uint64(mi.tile)<<40 | mi.nextTag
-		m := mi.pool.Get(cache.MsgBackInvalQ, block, mi.tile)
-		m.Tag = tag
+		m := cache.Msg{Type: cache.MsgBackInvalQ, Block: block, From: mi.tile, Tag: tag}
 		if !mi.send(cache.BankOf(block, 16), m) {
-			mi.pool.Put(m)
 			break
 		}
 		e.queried = true

@@ -76,10 +76,6 @@ type System struct {
 	coord     *core.Coordinator
 	barrier   *cpu.Barrier
 
-	// msgPool is the machine's coherence-message free list; a message
-	// retires into it at its single point of final consumption.
-	msgPool *cache.MsgPool
-
 	// memTags holds one memory-transaction tag counter per tile (tags are
 	// tile-scoped: tile<<40 | counter).
 	memTags []uint64
@@ -123,28 +119,20 @@ type tileHub struct {
 }
 
 // Deliver implements network.Endpoint for the NoC. An accepted packet has
-// served its purpose as a message wrapper and is released here (the NoC
-// packet's single point of final consumption); the payload message travels
-// on under the Msg ownership contract.
+// served its purpose as a message carrier and is released here (the NoC
+// packet's single point of final consumption); a refused one stays in the
+// fabric, which offers it again.
 func (h *tileHub) Deliver(p *network.Packet, cycle uint64) bool {
-	m, ok := p.Meta.(*cache.Msg)
-	if !ok {
-		panic(fmt.Sprintf("system: NoC packet without coherence payload at tile %d", h.tile))
-	}
-	if !h.deliverMsg(m, cycle) {
+	if !h.deliverMsg(cache.MsgOf(p), cycle) {
 		return false
 	}
-	p.Meta = nil
 	h.sys.noc.Pool.Put(p)
 	return true
 }
 
-// deliverMsg demultiplexes a coherence message. Acceptance (true) transfers
-// message ownership: the L1/L2 release it after their handle() commit,
-// while the hub's own terminal cases (back-inval done, memory traffic)
-// consume the message synchronously and release it here. A memory response
-// completes its tag at the tile's L2 bank within this delivery.
-func (h *tileHub) deliverMsg(m *cache.Msg, cycle uint64) bool {
+// deliverMsg demultiplexes a coherence message; false refuses it. A memory
+// response completes its tag at the tile's L2 bank within this delivery.
+func (h *tileHub) deliverMsg(m cache.Msg, cycle uint64) bool {
 	s := h.sys
 	switch m.Type {
 	case cache.MsgGetS, cache.MsgGetX, cache.MsgPutM, cache.MsgInvAck,
@@ -158,15 +146,12 @@ func (h *tileHub) deliverMsg(m *cache.Msg, cycle uint64) bool {
 		if h.mc == nil {
 			panic(fmt.Sprintf("system: memory message at non-MC tile %d", h.tile))
 		}
-		if !h.mc.deliver(m) {
-			return false
-		}
+		return h.mc.deliver(m)
 	case cache.MsgMemResp:
 		s.l2s[h.tile].MemDone(m.Tag, cycle)
 	default:
 		panic(fmt.Sprintf("system: unroutable message %s at tile %d", m.Type, h.tile))
 	}
-	s.msgPool.Put(m)
 	return true
 }
 
@@ -196,10 +181,10 @@ func (mc *mcPort) SetWaker(w *sim.Waker) { mc.waker = w }
 
 type mcOut struct {
 	dst int
-	m   *cache.Msg
+	m   cache.Msg
 }
 
-func (mc *mcPort) deliver(m *cache.Msg) bool {
+func (mc *mcPort) deliver(m cache.Msg) bool {
 	if !mc.backend.Access(m.Block, m.Type == cache.MsgMemWrite, m.Tag) {
 		return false
 	}
@@ -214,8 +199,7 @@ func (mc *mcPort) deliver(m *cache.Msg) bool {
 func (mc *mcPort) complete(tag, cycle uint64) {
 	req := mc.pending[tag]
 	delete(mc.pending, tag)
-	resp := mc.sys.msgPool.Get(cache.MsgMemResp, req.block, mc.tile)
-	resp.Tag = tag
+	resp := cache.Msg{Type: cache.MsgMemResp, Block: req.block, From: mc.tile, Tag: tag}
 	if !mc.sys.sendFrom(mc.tile, req.from, resp) {
 		mc.outbox.Push(mcOut{req.from, resp})
 		mc.waker.Wake()
@@ -256,7 +240,7 @@ func New(cfg Config, wlName string, scale workload.Scale) (*System, error) {
 
 // NewWith builds a machine around an existing workload value.
 func NewWith(cfg Config, wl workload.Workload) (*System, error) {
-	s := &System{cfg: cfg, wl: wl, engine: sim.NewEngine(), msgPool: cache.NewMsgPool()}
+	s := &System{cfg: cfg, wl: wl, engine: sim.NewEngine()}
 	s.env = workload.NewEnv(cfg.Threads, cfg.Seed)
 	wl.Init(s.env)
 
@@ -342,27 +326,22 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 			if write {
 				kind = cache.MsgMemWrite
 			}
-			m := s.msgPool.Get(kind, block, tile)
-			m.Tag = tag
-			if !s.sendFrom(tile, mcTiles[idx], m) {
-				s.msgPool.Put(m)
-				return tag, false
-			}
-			return tag, true
+			m := cache.Msg{Type: kind, Block: block, From: tile, Tag: tag}
+			return tag, s.sendFrom(tile, mcTiles[idx], m)
 		}
-		s.l2s[tile] = cache.NewL2Bank(tile, cfg.L2, s.senderFor(tile), memPort, s.msgPool)
+		s.l2s[tile] = cache.NewL2Bank(tile, cfg.L2, s.senderFor(tile), memPort)
 	}
 	s.l1s = make([]*cache.L1, tiles)
 	for t := 0; t < tiles; t++ {
 		s.l1s[t] = cache.NewL1(t, cfg.L1, s.senderFor(t),
-			func(block mem.PAddr) int { return cache.BankOf(block, tiles) }, s.msgPool)
+			func(block mem.PAddr) int { return cache.BankOf(block, tiles) })
 	}
 
 	// --- Message interfaces (Active-Routing schemes only).
 	s.mis = make([]*MessageInterface, tiles)
 	if cfg.Scheme.Active() {
 		for t := 0; t < tiles; t++ {
-			s.mis[t] = NewMessageInterface(t, s.senderFor(t), s.coord, s.msgPool, cfg.MIQueue, cfg.MIWindow)
+			s.mis[t] = NewMessageInterface(t, s.senderFor(t), s.coord, cfg.MIQueue, cfg.MIWindow)
 		}
 	}
 
@@ -392,18 +371,17 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 // senderFor builds the NoC message sender for a tile. Same-tile messages
 // bypass the network.
 func (s *System) senderFor(tile int) cache.Sender {
-	return func(dst int, m *cache.Msg) bool { return s.sendFrom(tile, dst, m) }
+	return func(dst int, m cache.Msg) bool { return s.sendFrom(tile, dst, m) }
 }
 
-func (s *System) sendFrom(src, dst int, m *cache.Msg) bool {
+func (s *System) sendFrom(src, dst int, m cache.Msg) bool {
 	if src == dst {
 		return s.hubs[dst].deliverMsg(m, s.engine.Cycle())
 	}
 	p := cache.PacketFor(s.noc.Pool, m, src, dst)
 	if !s.noc.Inject(src, p, s.engine.Cycle()) {
-		// The wrapper never entered the fabric; the caller keeps the
-		// message and retries, so only the packet returns to the pool.
-		p.Meta = nil
+		// The packet never entered the fabric; the caller keeps its copy
+		// of the message and retries.
 		s.noc.Pool.Put(p)
 		return false
 	}
