@@ -8,7 +8,7 @@
 //	arlint ./internal/sim # one package
 //	arlint -list          # describe the analyzers
 //
-// The four analyzers and the //ar: annotation grammar are documented in
+// The three analyzers and the //ar: annotation grammar are documented in
 // DESIGN.md "Static invariants".
 package main
 
@@ -22,7 +22,6 @@ import (
 	"repro/internal/analysis/hashcov"
 	"repro/internal/analysis/hotpath"
 	"repro/internal/analysis/load"
-	"repro/internal/analysis/poolown"
 )
 
 func main() {
@@ -32,7 +31,7 @@ func main() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"usage: arlint [-list] [-only name,...] [packages]\n\n"+
 				"Runs the repository's static invariant checkers "+
-				"(determinism, poolown, hotpath, hashcov)\nover the given "+
+				"(determinism, hotpath, hashcov)\nover the given "+
 				"go-list package patterns (default ./...).\n\n")
 		flag.PrintDefaults()
 	}
@@ -40,7 +39,6 @@ func main() {
 
 	all := []*analysis.Analyzer{
 		determinism.Analyzer,
-		poolown.Analyzer,
 		hotpath.Analyzer,
 		hashcov.Analyzer,
 	}

@@ -3,7 +3,7 @@
 // repository's static checkers (cmd/arlint) need no network access and no
 // external modules. It provides the Analyzer/Pass/Diagnostic model, the
 // repository's `//ar:` annotation grammar, and diagnostic plumbing shared by
-// the four invariant checkers (determinism, poolown, hotpath, hashcov).
+// the three invariant checkers (determinism, hotpath, hashcov).
 //
 // # Annotation grammar
 //
@@ -19,8 +19,8 @@
 //	    code it exempts, or trail it). The reason string is mandatory — an
 //	    exemption without one is itself a diagnostic. The optional scope
 //	    restricts the exemption to one diagnostic class ("determinism",
-//	    "poolown", "hotpath", "hash", "validate"); without a scope the
-//	    exemption applies to every analyzer. Prefer fixing over exempting:
+//	    "hotpath", "hash", "validate"); without a scope the exemption
+//	    applies to every analyzer. Prefer fixing over exempting:
 //	    an exemption is a reviewed claim that the flagged construct cannot
 //	    affect simulated results (see DESIGN.md "Static invariants").
 //

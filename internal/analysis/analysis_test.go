@@ -61,7 +61,7 @@ func TestExemptionSuppression(t *testing.T) {
 		{6, "determinism", false, "two lines below is out of range"},
 		{4, "hotpath", false, "scope mismatch must not suppress"},
 		{7, "hotpath", true, "unscoped exemption covers every scope"},
-		{8, "poolown", true, "unscoped exemption covers the next line too"},
+		{8, "hotpath", true, "unscoped exemption covers the next line too"},
 	}
 	for _, c := range cases {
 		diags = diags[:0]
@@ -78,7 +78,7 @@ func TestMalformedExemptionReported(t *testing.T) {
 
 func f() {
 	_ = 1 //ar:exempt
-	_ = 2 //ar:exempt(poolown)
+	_ = 2 //ar:exempt(hotpath)
 	_ = 3 //ar:exempt(unterminated scope never closes
 }
 `

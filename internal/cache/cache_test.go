@@ -208,13 +208,12 @@ func TestMsgClassification(t *testing.T) {
 	// Every message survives the NoC packet's header fields unchanged, in
 	// the right traffic class and with the block counted in the wire size
 	// exactly when it carries data.
-	pool := network.NewPool()
 	for typ := MsgGetS; typ <= MsgMemResp; typ++ {
 		for _, excl := range []bool{false, true} {
 			for _, dirty := range []bool{false, true} {
 				m := Msg{Block: 0x12340, From: 13, Tag: 7<<40 | 99, Type: typ, Excl: excl, Dirty: dirty}
-				p := PacketFor(pool, m, 1, 2)
-				if got := MsgOf(p); got != m {
+				p := PacketFor(m, 1, 2)
+				if got := MsgOf(&p); got != m {
 					t.Fatalf("MsgOf(PacketFor(%+v)) = %+v", m, got)
 				}
 				if (p.Kind == network.HostMsgResp) != typ.isResponse() || (p.Kind != network.HostMsg && p.Kind != network.HostMsgResp) {
@@ -224,10 +223,9 @@ func TestMsgClassification(t *testing.T) {
 				if typ.carriesData() {
 					want = network.HeaderBytes + mem.BlockSize
 				}
-				if p.Size != want {
+				if int(p.Size) != want {
 					t.Fatalf("%s packet is %d bytes, want %d", typ, p.Size, want)
 				}
-				pool.Put(p)
 			}
 		}
 	}

@@ -96,19 +96,19 @@ const (
 )
 
 // PacketFor carries m in a NoC packet from srcTile to dstTile with the
-// correct traffic class and wire size, acquired from the fabric's pool.
+// correct traffic class and wire size.
 //
 //ar:hotpath
-func PacketFor(pool *network.Pool, m Msg, srcTile, dstTile int) *network.Packet {
+func PacketFor(m Msg, srcTile, dstTile int) network.Packet {
 	kind := network.HostMsg
 	if m.Type.isResponse() {
 		kind = network.HostMsgResp
 	}
-	p := pool.Get(kind, srcTile, dstTile)
+	p := network.NewPacket(kind, srcTile, dstTile)
 	if m.Type.carriesData() {
 		p.Size = network.HeaderBytes + mem.BlockSize
 	}
-	p.Addr, p.Origin, p.Tag = m.Block, m.From, m.Tag
+	p.Addr, p.Origin, p.Tag = m.Block, uint8(m.From), m.Tag
 	p.Host = uint16(m.Type)
 	if m.Excl {
 		p.Host |= hostExcl
@@ -123,7 +123,7 @@ func PacketFor(pool *network.Pool, m Msg, srcTile, dstTile int) *network.Packet 
 func MsgOf(p *network.Packet) Msg {
 	return Msg{
 		Block: p.Addr,
-		From:  p.Origin,
+		From:  int(p.Origin),
 		Tag:   p.Tag,
 		Type:  MsgType(p.Host),
 		Excl:  p.Host&hostExcl != 0,

@@ -51,9 +51,9 @@ type Port interface {
 	Node() int
 	// EntryNode is the attached cube's network node id (the tree root).
 	EntryNode() int
-	// GroupOf maps a cube id to the port index responsible for its group
-	// (used by PolicyAddress).
-	Inject(p *network.Packet) bool
+	// Inject offers a copy of p to the controller's router; false means
+	// the injection queue is full.
+	Inject(p network.Packet) bool
 }
 
 // UpdateCmd is an offloaded Update instruction after MI translation: all
@@ -121,8 +121,7 @@ type Coordinator struct {
 	geom     mem.HMCGeometry
 	ports    []Port
 	store    *mem.Store
-	pool     *network.Pool // packet free list of the memory-network fabric
-	queues   []sim.FIFO[*network.Packet]
+	queues   []sim.FIFO[network.Packet]
 	queueCap int
 
 	flows       map[mem.PAddr]*coordFlow
@@ -140,23 +139,17 @@ type Coordinator struct {
 	Stats CoordStats
 }
 
-// NewCoordinator builds the runtime over the given ports. pool is the
-// packet free list of the fabric the ports inject into (nil allocates a
-// private pool, for tests).
-func NewCoordinator(policy PortPolicy, geom mem.HMCGeometry, ports []Port, store *mem.Store, pool *network.Pool, queueCap int) *Coordinator {
+// NewCoordinator builds the runtime over the given ports.
+func NewCoordinator(policy PortPolicy, geom mem.HMCGeometry, ports []Port, store *mem.Store, queueCap int) *Coordinator {
 	if queueCap <= 0 {
 		queueCap = 32
-	}
-	if pool == nil {
-		pool = network.NewPool()
 	}
 	return &Coordinator{
 		policy:      policy,
 		geom:        geom,
 		ports:       ports,
 		store:       store,
-		pool:        pool,
-		queues:      make([]sim.FIFO[*network.Packet], len(ports)),
+		queues:      make([]sim.FIFO[network.Packet], len(ports)),
 		queueCap:    queueCap,
 		flows:       make(map[mem.PAddr]*coordFlow),
 		pendingAcks: make(map[uint64]*coordFlow),
@@ -246,7 +239,7 @@ func (c *Coordinator) EnqueueUpdate(cmd UpdateCmd, cycle uint64) bool {
 		c.Stats.EnqueueRejects++
 		return false
 	}
-	var p *network.Packet
+	var p network.Packet
 	if cmd.Op.Reducing() {
 		f := c.flowFor(cmd.Target, cmd.Op)
 		if f.op == isa.OpNop {
@@ -259,11 +252,11 @@ func (c *Coordinator) EnqueueUpdate(cmd UpdateCmd, cycle uint64) bool {
 			panic(fmt.Sprintf("core: update for target %#x after its gather", uint64(cmd.Target)))
 		}
 		f.trees[port] = true
-		p = c.pool.Get(network.UpdateReq, c.ports[port].Node(), c.ports[port].EntryNode())
+		p = network.NewPacket(network.UpdateReq, c.ports[port].Node(), c.ports[port].EntryNode())
 		p.Flow = network.FlowKey{Flow: uint64(cmd.Target), Tree: uint8(port)}
 		p.Op = cmd.Op
 		p.Src1, p.Src2, p.Target = cmd.Src1, cmd.Src2, cmd.Target
-		p.Count = cmd.Count
+		p.Count = uint8(cmd.Count)
 		c.Stats.Updates++
 	} else {
 		p = c.activeStorePacket(cmd, nil)
@@ -288,9 +281,9 @@ func (c *Coordinator) activeStoreRoute(cmd UpdateCmd) (dstCube, port int) {
 
 // activeStorePacket builds the mov/const_assign active-store packet; f is
 // non-nil for flow final write-backs.
-func (c *Coordinator) activeStorePacket(cmd UpdateCmd, f *coordFlow) *network.Packet {
+func (c *Coordinator) activeStorePacket(cmd UpdateCmd, f *coordFlow) network.Packet {
 	dstCube, port := c.activeStoreRoute(cmd)
-	p := c.pool.Get(network.ActiveStoreReq, c.ports[port].Node(), c.nodeOfCube(port, dstCube))
+	p := network.NewPacket(network.ActiveStoreReq, c.ports[port].Node(), c.nodeOfCube(port, dstCube))
 	p.Op = cmd.Op
 	p.Src1 = cmd.Src1
 	p.Target = cmd.Target
@@ -338,7 +331,7 @@ func (c *Coordinator) releaseGather(f *coordFlow, cycle uint64) {
 		if !live {
 			continue
 		}
-		p := c.pool.Get(network.GatherReq, c.ports[port].Node(), c.ports[port].EntryNode())
+		p := network.NewPacket(network.GatherReq, c.ports[port].Node(), c.ports[port].EntryNode())
 		p.Flow = network.FlowKey{Flow: uint64(f.target), Tree: uint8(port)}
 		p.Op = f.op
 		p.InjectCycle = cycle

@@ -12,13 +12,13 @@ import (
 type fakePort struct {
 	index   int
 	entry   int
-	sent    []*network.Packet
+	sent    []network.Packet
 	blocked bool
 }
 
 func (p *fakePort) Node() int      { return 16 + p.index }
 func (p *fakePort) EntryNode() int { return p.entry }
-func (p *fakePort) Inject(pkt *network.Packet) bool {
+func (p *fakePort) Inject(pkt network.Packet) bool {
 	if p.blocked {
 		return false
 	}
@@ -35,7 +35,7 @@ func newCoord(policy PortPolicy) (*Coordinator, []*fakePort, *mem.Store) {
 		ports[i] = fakes[i]
 	}
 	store := mem.NewStore()
-	return NewCoordinator(policy, geom, ports, store, nil, 8), fakes, store
+	return NewCoordinator(policy, geom, ports, store, 8), fakes, store
 }
 
 func addrOnCube(cube int) mem.PAddr { return mem.PAddr(cube * mem.PageSize) }
@@ -159,18 +159,18 @@ func TestForestReductionAndWriteback(t *testing.T) {
 
 	// Fake the two tree responses.
 	for _, tree := range []uint8{0, 1} {
-		p := network.NewPacket(0, network.GatherResp, 0, 16)
+		p := network.NewPacket(network.GatherResp, 0, 16)
 		p.Flow = network.FlowKey{Flow: uint64(target), Tree: tree}
 		p.Value = 2.5
-		c.OnGatherResp(p, 10)
+		c.OnGatherResp(&p, 10)
 	}
 	// The write-back active store should now be queued; drain and ack it.
 	c.Tick(11)
 	var wb *network.Packet
 	for _, f := range fakes {
-		for _, p := range f.sent {
-			if p.Kind == network.ActiveStoreReq {
-				wb = p
+		for i := range f.sent {
+			if f.sent[i].Kind == network.ActiveStoreReq {
+				wb = &f.sent[i]
 			}
 		}
 	}
@@ -183,9 +183,9 @@ func TestForestReductionAndWriteback(t *testing.T) {
 	if woken {
 		t.Fatal("woken before the write-back was acknowledged")
 	}
-	ack := network.NewPacket(0, network.ActiveStoreAck, 0, 16)
+	ack := network.NewPacket(network.ActiveStoreAck, 0, 16)
 	ack.Tag = wb.Tag
-	c.OnActiveAck(ack, 20)
+	c.OnActiveAck(&ack, 20)
 	if !woken {
 		t.Fatal("gather barrier never released")
 	}
@@ -204,18 +204,18 @@ func TestZeroUpdateFlowCompletes(t *testing.T) {
 	// No trees: finalize writes the unchanged value back.
 	var wb *network.Packet
 	for _, f := range fakes {
-		for _, p := range f.sent {
-			if p.Kind == network.ActiveStoreReq {
-				wb = p
+		for i := range f.sent {
+			if f.sent[i].Kind == network.ActiveStoreReq {
+				wb = &f.sent[i]
 			}
 		}
 	}
 	if wb == nil {
 		t.Fatal("zero-update flow produced no write-back")
 	}
-	ack := network.NewPacket(0, network.ActiveStoreAck, 0, 16)
+	ack := network.NewPacket(network.ActiveStoreAck, 0, 16)
 	ack.Tag = wb.Tag
-	c.OnActiveAck(ack, 5)
+	c.OnActiveAck(&ack, 5)
 	if !woken {
 		t.Fatal("zero-update flow never completed")
 	}

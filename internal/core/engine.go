@@ -18,9 +18,9 @@ type Cube interface {
 	// whose value arrives through the engine's OperandResp(tag, ...). It
 	// reports false on vault queue backpressure.
 	VaultReadTag(pa mem.PAddr, tag uint64) bool
-	// Inject offers a packet to the local router; false means the
+	// Inject offers a copy of p to the local router; false means the
 	// injection queue is full.
-	Inject(p *network.Packet) bool
+	Inject(p network.Packet) bool
 	// CubeOf maps a physical address to its home cube id.
 	CubeOf(pa mem.PAddr) int
 	// NodeOfCube maps a cube id to its network node id.
@@ -99,13 +99,12 @@ type Engine struct {
 	Node   int // network node id of the host cube
 	cfg    EngineConfig
 	cube   Cube
-	pool   *network.Pool // packet free list shared with the host fabric
 
 	Flows *FlowTable
 
-	inQ       sim.FIFO[*network.Packet]
-	outQ      [2]sim.FIFO[*network.Packet] // operand requests, gather responses (see emit)
-	fwdQ      sim.ChunkFIFO[forward]       // update forwards and gather replicas
+	inQ       sim.FIFO[network.Packet]
+	outQ      [2]sim.FIFO[network.Packet] // operand requests, gather responses (see emit)
+	fwdQ      sim.ChunkFIFO[forward]      // update forwards and gather replicas
 	byTag     map[uint64]*OperandEntry
 	sendQ     []*OperandEntry         // operand requests not yet issued
 	readyQ    sim.FIFO[*OperandEntry] // operands complete, waiting for the ALU
@@ -122,19 +121,13 @@ type Engine struct {
 	Breakdown stats.LatencyBreakdown
 }
 
-// NewEngine builds an ARE for the given cube. pool is the packet free list
-// of the fabric the cube injects into (nil allocates a private pool, for
-// tests).
-func NewEngine(cubeID, node int, cfg EngineConfig, cube Cube, pool *network.Pool) *Engine {
-	if pool == nil {
-		pool = network.NewPool()
-	}
+// NewEngine builds an ARE for the given cube.
+func NewEngine(cubeID, node int, cfg EngineConfig, cube Cube) *Engine {
 	return &Engine{
 		CubeID:    cubeID,
 		Node:      node,
 		cfg:       cfg,
 		cube:      cube,
-		pool:      pool,
 		Flows:     NewFlowTable(cfg.MaxFlows),
 		byTag:     make(map[uint64]*OperandEntry),
 		bypassOff: cfg.BypassOff,
@@ -158,23 +151,23 @@ func (e *Engine) Busy() bool {
 }
 
 // Deliver accepts an active packet from the network; false applies
-// backpressure (the fabric re-offers the packet). Response-class packets
-// (gather responses) are consumed unconditionally: they only free
-// resources (tree state, operand buffers), so refusing them behind a
-// buffer-stalled input queue would deadlock the response traffic class.
+// backpressure (the fabric re-offers the packet). p is lent for the call,
+// so the input queue keeps a copy. Response-class packets (gather
+// responses) are consumed unconditionally: they only free resources (tree
+// state, operand buffers), so refusing them behind a buffer-stalled input
+// queue would deadlock the response traffic class.
 func (e *Engine) Deliver(p *network.Packet, cycle uint64) bool {
 	if p.Kind == network.GatherResp {
 		if !e.handleGatherResp(p, cycle) {
 			panic("core: gather response handling cannot stall")
 		}
 		e.Stats.DecodedPackets++
-		e.pool.Put(p) // consumed synchronously
 		return true
 	}
 	if e.inQ.Len() >= e.cfg.InQDepth {
 		return false
 	}
-	e.inQ.Push(p)
+	e.inQ.Push(*p)
 	return true
 }
 
@@ -217,8 +210,8 @@ func (e *Engine) Tick(cycle uint64) {
 
 // forward is an Update passed toward its operands or a Gather replica sent
 // to a child, waiting in the ARE's class-0 forwarding buffer. It is a
-// 64-byte value that becomes a pool packet only for an injection attempt,
-// so a congested buffer does not hold a packet per entry.
+// 64-byte value that becomes a packet only for an injection attempt, so a
+// congested buffer holds 64 bytes per entry instead of a 96-byte packet.
 type forward struct {
 	flow               uint64
 	src1, src2, target mem.PAddr
@@ -242,7 +235,7 @@ type forward struct {
 // a congested update forward; per-edge FIFO order (updates before their
 // flow's gather replica) is preserved because class-0 forwards share one
 // queue.
-func (e *Engine) emit(p *network.Packet) {
+func (e *Engine) emit(p network.Packet) {
 	class := 0
 	if p.Kind.IsResponse() {
 		class = 1
@@ -270,13 +263,12 @@ func (e *Engine) drainOut(cycle uint64) {
 		if f.gather {
 			kind = network.GatherReq
 		}
-		p := e.pool.Get(kind, e.Node, f.dst)
+		p := network.NewPacket(kind, e.Node, f.dst)
 		p.Flow, p.Op = network.FlowKey{Flow: f.flow, Tree: f.tree}, f.op
 		p.Src1, p.Src2, p.Target = f.src1, f.src2, f.target
-		p.Count, p.InjectCycle = f.count, f.injectCycle
+		p.Count, p.InjectCycle = uint8(f.count), f.injectCycle
 		if !e.cube.Inject(p) {
-			e.pool.Put(p) // refused: the entry stays queued and is retried
-			e.Stats.InjectStalls++
+			e.Stats.InjectStalls++ // refused: the entry stays queued and is retried
 			return
 		}
 		e.fwdQ.Pop()
@@ -323,7 +315,7 @@ func (e *Engine) issueOne(oe *OperandEntry, addr mem.PAddr, tag uint64) bool {
 		e.Stats.VaultAccessesSent++
 		return true
 	}
-	p := e.pool.Get(network.OperandReq, e.Node, e.cube.NodeOfCube(home))
+	p := network.NewPacket(network.OperandReq, e.Node, e.cube.NodeOfCube(home))
 	p.Addr = addr
 	p.Tag = tag
 	e.emit(p)
@@ -385,10 +377,12 @@ func (e *Engine) commitReady(cycle uint64) {
 // decode processes the ARE input queue in FIFO order. Head-of-line stalls
 // (operand buffer exhausted, flow table full, injection backpressure) block
 // the queue, which backpressures the router — the mechanism behind the
-// stall component of Fig 5.2 and the stall heatmap of Fig 5.3.
+// stall component of Fig 5.2 and the stall heatmap of Fig 5.3. The head is
+// decoded in place, so a vectored update that stalls mid-vector resumes
+// from the operand addresses it has reached.
 func (e *Engine) decode(cycle uint64) {
 	for n := e.cfg.DecodeRate; n > 0 && e.inQ.Len() > 0; n-- {
-		p := e.inQ.Peek()
+		p := e.inQ.PtrAt(0)
 		var consumed bool
 		switch p.Kind {
 		case network.UpdateReq:
@@ -403,7 +397,6 @@ func (e *Engine) decode(cycle uint64) {
 		}
 		e.inQ.Pop()
 		e.Stats.DecodedPackets++
-		e.pool.Put(p) // decode commit: the packet's final consumption
 	}
 }
 
@@ -417,7 +410,7 @@ func (e *Engine) handleUpdate(p *network.Packet, cycle uint64) bool {
 			e.Stats.FlowTableStalls++
 			return false
 		}
-		fe = e.Flows.Register(p.Flow, p.Op, p.Src)
+		fe = e.Flows.Register(p.Flow, p.Op, int(p.Src))
 	}
 	if fe.Gflag {
 		// The coordinator's thread barrier plus FIFO links make this
@@ -429,7 +422,7 @@ func (e *Engine) handleUpdate(p *network.Packet, cycle uint64) bool {
 	commit, next := e.updateRoute(p)
 	if !commit {
 		e.fwdQ.Push(forward{flow: p.Flow.Flow, tree: p.Flow.Tree, op: p.Op, dst: next,
-			src1: p.Src1, src2: p.Src2, target: p.Target, count: p.Count, injectCycle: p.InjectCycle})
+			src1: p.Src1, src2: p.Src2, target: p.Target, count: int(p.Count), injectCycle: p.InjectCycle})
 		fe.AddChild(next)
 		e.Stats.UpdatesForwarded++
 		return true
@@ -585,7 +578,7 @@ func (e *Engine) maybeComplete(fe *FlowEntry) {
 		return
 	}
 	fe.completionQd = true
-	p := e.pool.Get(network.GatherResp, e.Node, fe.Parent)
+	p := network.NewPacket(network.GatherResp, e.Node, fe.Parent)
 	p.Flow = fe.Key
 	p.Op = fe.Opcode
 	p.Value = fe.Result

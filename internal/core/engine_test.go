@@ -16,7 +16,7 @@ type mockCube struct {
 	store   *mem.Store
 	t       *testing.T
 	pending []vaultRead
-	out     []*network.Packet
+	out     []network.Packet
 	injCap  int
 	vaultOK bool
 }
@@ -46,7 +46,7 @@ func (m *mockCube) VaultReadTag(pa mem.PAddr, tag uint64) bool {
 	return true
 }
 
-func (m *mockCube) Inject(p *network.Packet) bool {
+func (m *mockCube) Inject(p network.Packet) bool {
 	if len(m.out) >= m.injCap {
 		return false
 	}
@@ -83,15 +83,14 @@ func tick(e *Engine, n int) {
 }
 
 func updatePacket(flow network.FlowKey, op isa.ALUOp, src1, src2, from int, geom mem.HMCGeometry) *network.Packet {
-	p := network.NewPacket(0, network.UpdateReq, from, 0)
+	p := network.NewPacket(network.UpdateReq, from, 0)
 	p.Flow = flow
 	p.Op = op
 	p.Src1 = addrInCube(geom, src1)
 	if src2 >= 0 {
 		p.Src2 = addrInCube(geom, src2)
 	}
-	p.Src = from
-	return p
+	return &p
 }
 
 func TestFlowTableRegisterRelease(t *testing.T) {
@@ -149,7 +148,7 @@ func deliver(t *testing.T, e *Engine, p *network.Packet) {
 
 func TestSingleOperandUpdateCommitsLocally(t *testing.T) {
 	mc := newMockCube(t, 3)
-	e := NewEngine(3, 3, DefaultEngineConfig(), mc, nil)
+	e := NewEngine(3, 3, DefaultEngineConfig(), mc)
 	pa := addrInCube(mc.geom, 3)
 	mc.store.WriteF64(pa, 2.5)
 
@@ -180,7 +179,7 @@ func TestSingleOperandUpdateCommitsLocally(t *testing.T) {
 
 func TestTwoOperandLocalUpdate(t *testing.T) {
 	mc := newMockCube(t, 5)
-	e := NewEngine(5, 5, DefaultEngineConfig(), mc, nil)
+	e := NewEngine(5, 5, DefaultEngineConfig(), mc)
 	a := addrInCube(mc.geom, 5)
 	b := a + 8
 	mc.store.WriteF64(a, 3)
@@ -207,7 +206,7 @@ func TestUpdateForwardsTowardOperands(t *testing.T) {
 	// Both operands at cube 9: cube 5 must forward (record a child), not
 	// commit.
 	mc := newMockCube(t, 5)
-	e := NewEngine(5, 5, DefaultEngineConfig(), mc, nil)
+	e := NewEngine(5, 5, DefaultEngineConfig(), mc)
 	flow := network.FlowKey{Flow: 300}
 	p := updatePacket(flow, isa.OpMac, 9, 9, 16, mc.geom)
 	deliver(t, e, p)
@@ -233,28 +232,24 @@ func TestUpdateForwardsTowardOperands(t *testing.T) {
 
 // TestCongestedForwardBufferHoldsNoPackets backs up update forwards behind
 // a router that refuses every injection. The buffer must hold them as
-// values: every delivered packet returns to the pool at its decode commit
-// and stays there. Once the router accepts again, the forwards leave in
-// arrival order with their fields intact.
+// forward values, not packets. Once the router accepts again, the forwards
+// leave in arrival order with their fields intact.
 func TestCongestedForwardBufferHoldsNoPackets(t *testing.T) {
 	mc := newMockCube(t, 5)
 	mc.injCap = 0
-	e := NewEngine(5, 5, DefaultEngineConfig(), mc, nil)
+	e := NewEngine(5, 5, DefaultEngineConfig(), mc)
 	flow := network.FlowKey{Flow: 300, Tree: 2}
 	const n = 600 // several ChunkFIFO chunks
 	for i := 0; i < n; i++ {
 		p := updatePacket(flow, isa.OpMac, 9, 9, 16, mc.geom)
 		p.Src1 += mem.PAddr(8 * (i % 256))
-		p.Count = 1 + i%3
+		p.Count = uint8(1 + i%3)
 		p.InjectCycle = uint64(1000 + i)
 		deliver(t, e, p)
 		tick(e, 1)
 	}
 	if e.fwdQ.Len() != n {
 		t.Fatalf("forwarding buffer holds %d entries, want %d", e.fwdQ.Len(), n)
-	}
-	if e.pool.FreeLen() != n {
-		t.Fatalf("pool free list holds %d packets, want all %d delivered ones", e.pool.FreeLen(), n)
 	}
 	if e.Stats.InjectStalls == 0 {
 		t.Fatal("refused injections not counted")
@@ -268,10 +263,44 @@ func TestCongestedForwardBufferHoldsNoPackets(t *testing.T) {
 	for i, p := range mc.out {
 		want := addrInCube(mc.geom, 9) + mem.PAddr(8*(i%256))
 		if p.Kind != network.UpdateReq || p.Dst != 9 || p.Flow != flow || p.Op != isa.OpMac ||
-			p.Src1 != want || p.Src2 != addrInCube(mc.geom, 9) || p.Count != 1+i%3 ||
+			p.Src1 != want || p.Src2 != addrInCube(mc.geom, 9) || int(p.Count) != 1+i%3 ||
 			p.InjectCycle != uint64(1000+i) {
 			t.Fatalf("forward %d wrong: %+v", i, p)
 		}
+	}
+}
+
+// TestDeliverCopiesLentPacket pins the network.Endpoint contract: Deliver
+// borrows the packet only for the call, and the fabric reuses its queue
+// slot as soon as the call returns. The ARE must decode its own copy.
+func TestDeliverCopiesLentPacket(t *testing.T) {
+	mc := newMockCube(t, 5)
+	e := NewEngine(5, 5, DefaultEngineConfig(), mc)
+	flow := network.FlowKey{Flow: 700, Tree: 1}
+	p := updatePacket(flow, isa.OpAdd, 9, -1, 16, mc.geom)
+	p.InjectCycle = 42
+	want := *p
+	deliver(t, e, p)
+	// The slot now carries an unrelated packet.
+	*p = network.NewPacket(network.UpdateReq, 17, 5)
+	p.Flow, p.Op = network.FlowKey{Flow: 701}, isa.OpMac
+	p.Src1 = addrInCube(mc.geom, 11)
+	tick(e, 2)
+
+	if e.Flows.Lookup(p.Flow) != nil {
+		t.Fatal("ARE decoded the overwritten packet")
+	}
+	fe := e.Flows.Lookup(flow)
+	if fe == nil || fe.Parent != 16 || fe.Opcode != isa.OpAdd {
+		t.Fatalf("flow entry %+v, want parent 16 and op add", fe)
+	}
+	if len(mc.out) != 1 {
+		t.Fatalf("ARE sent %d packets, want one forward", len(mc.out))
+	}
+	got := mc.out[0]
+	if got.Dst != 9 || got.Flow != want.Flow || got.Op != want.Op ||
+		got.Src1 != want.Src1 || got.InjectCycle != want.InjectCycle {
+		t.Fatalf("forward %+v, want the delivered update %+v", got, want)
 	}
 }
 
@@ -280,7 +309,7 @@ func TestSplitPointDetection(t *testing.T) {
 	// the mock (NextHop = destination): commit here with two operand
 	// requests (Fig 3.6's cube-3 example).
 	mc := newMockCube(t, 3)
-	e := NewEngine(3, 3, DefaultEngineConfig(), mc, nil)
+	e := NewEngine(3, 3, DefaultEngineConfig(), mc)
 	flow := network.FlowKey{Flow: 400}
 	p := updatePacket(flow, isa.OpMac, 15, 12, 16, mc.geom)
 	deliver(t, e, p)
@@ -303,7 +332,7 @@ func TestSplitPointDetection(t *testing.T) {
 
 func TestOperandResponsesCompleteUpdate(t *testing.T) {
 	mc := newMockCube(t, 3)
-	e := NewEngine(3, 3, DefaultEngineConfig(), mc, nil)
+	e := NewEngine(3, 3, DefaultEngineConfig(), mc)
 	flow := network.FlowKey{Flow: 500}
 	p := updatePacket(flow, isa.OpMac, 15, 12, 16, mc.geom)
 	deliver(t, e, p)
@@ -328,7 +357,7 @@ func TestOperandResponsesCompleteUpdate(t *testing.T) {
 
 func TestGatherTeardownSingleNode(t *testing.T) {
 	mc := newMockCube(t, 3)
-	e := NewEngine(3, 3, DefaultEngineConfig(), mc, nil)
+	e := NewEngine(3, 3, DefaultEngineConfig(), mc)
 	pa := addrInCube(mc.geom, 3)
 	mc.store.WriteF64(pa, 1.5)
 	flow := network.FlowKey{Flow: 600}
@@ -339,19 +368,19 @@ func TestGatherTeardownSingleNode(t *testing.T) {
 	mc.flush(e)
 	tick(e, 4)
 
-	g := network.NewPacket(0, network.GatherReq, 16, 3)
+	g := network.NewPacket(network.GatherReq, 16, 3)
 	g.Flow, g.Op = flow, isa.OpAdd
 	g.Src = 16
-	deliver(t, e, g)
+	deliver(t, e, &g)
 	tick(e, 4)
 
 	if e.Flows.Lookup(flow) != nil {
 		t.Fatal("flow entry not released after gather")
 	}
 	var resp *network.Packet
-	for _, out := range mc.out {
-		if out.Kind == network.GatherResp {
-			resp = out
+	for i := range mc.out {
+		if mc.out[i].Kind == network.GatherResp {
+			resp = &mc.out[i]
 		}
 	}
 	if resp == nil {
@@ -367,17 +396,17 @@ func TestGatherTeardownSingleNode(t *testing.T) {
 
 func TestGatherWaitsForPendingUpdates(t *testing.T) {
 	mc := newMockCube(t, 3)
-	e := NewEngine(3, 3, DefaultEngineConfig(), mc, nil)
+	e := NewEngine(3, 3, DefaultEngineConfig(), mc)
 	pa := addrInCube(mc.geom, 3)
 	mc.store.WriteF64(pa, 1)
 	flow := network.FlowKey{Flow: 700}
 	deliver(t, e, updatePacket(flow, isa.OpAdd, 3, -1, 16, mc.geom))
 	tick(e, 2) // vault read pending, not yet completed
 
-	g := network.NewPacket(0, network.GatherReq, 16, 3)
+	g := network.NewPacket(network.GatherReq, 16, 3)
 	g.Flow, g.Op = flow, isa.OpAdd
 	g.Src = 16
-	deliver(t, e, g)
+	deliver(t, e, &g)
 	tick(e, 2)
 
 	if e.Flows.Lookup(flow) == nil {
@@ -392,20 +421,20 @@ func TestGatherWaitsForPendingUpdates(t *testing.T) {
 
 func TestGatherReplicatesToChildren(t *testing.T) {
 	mc := newMockCube(t, 5)
-	e := NewEngine(5, 5, DefaultEngineConfig(), mc, nil)
+	e := NewEngine(5, 5, DefaultEngineConfig(), mc)
 	flow := network.FlowKey{Flow: 800}
 	// Two pass-through updates toward different cubes create two children.
 	deliver(t, e, updatePacket(flow, isa.OpAdd, 9, -1, 16, mc.geom))
 	deliver(t, e, updatePacket(flow, isa.OpAdd, 11, -1, 16, mc.geom))
 	tick(e, 2)
 
-	g := network.NewPacket(0, network.GatherReq, 16, 5)
+	g := network.NewPacket(network.GatherReq, 16, 5)
 	g.Flow, g.Op = flow, isa.OpAdd
 	g.Src = 16
-	deliver(t, e, g)
+	deliver(t, e, &g)
 	tick(e, 2)
 
-	replicas := map[int]bool{}
+	replicas := map[uint8]bool{}
 	for _, out := range mc.out {
 		if out.Kind == network.GatherReq {
 			replicas[out.Dst] = true
@@ -419,19 +448,18 @@ func TestGatherReplicatesToChildren(t *testing.T) {
 		t.Fatal("flow released before children responded")
 	}
 	for _, child := range []int{9, 11} {
-		r := network.NewPacket(0, network.GatherResp, child, 5)
+		r := network.NewPacket(network.GatherResp, child, 5)
 		r.Flow, r.Op, r.Value = flow, isa.OpAdd, 2.5
-		r.Src = child
-		deliver(t, e, r)
+		deliver(t, e, &r)
 	}
 	tick(e, 2)
 	if e.Flows.Lookup(flow) != nil {
 		t.Fatal("flow not released after all children responded")
 	}
 	var resp *network.Packet
-	for _, out := range mc.out {
-		if out.Kind == network.GatherResp {
-			resp = out
+	for i := range mc.out {
+		if mc.out[i].Kind == network.GatherResp {
+			resp = &mc.out[i]
 		}
 	}
 	if resp == nil || resp.Value != 5 {
@@ -443,7 +471,7 @@ func TestOperandBufferExhaustionStalls(t *testing.T) {
 	mc := newMockCube(t, 3)
 	cfg := DefaultEngineConfig()
 	cfg.OperandBufs = 1
-	e := NewEngine(3, 3, cfg, mc, nil)
+	e := NewEngine(3, 3, cfg, mc)
 	flow := network.FlowKey{Flow: 900}
 	// Two two-operand updates: the second must stall while the first holds
 	// the only buffer (operand responses withheld).
@@ -476,7 +504,7 @@ func TestFlowTableExhaustionStalls(t *testing.T) {
 	mc := newMockCube(t, 3)
 	cfg := DefaultEngineConfig()
 	cfg.MaxFlows = 1
-	e := NewEngine(3, 3, cfg, mc, nil)
+	e := NewEngine(3, 3, cfg, mc)
 	deliver(t, e, updatePacket(network.FlowKey{Flow: 1}, isa.OpAdd, 3, -1, 16, mc.geom))
 	deliver(t, e, updatePacket(network.FlowKey{Flow: 2}, isa.OpAdd, 3, -1, 16, mc.geom))
 	tick(e, 4)
@@ -490,14 +518,14 @@ func TestFlowTableExhaustionStalls(t *testing.T) {
 
 func TestUpdateAfterGatherPanics(t *testing.T) {
 	mc := newMockCube(t, 3)
-	e := NewEngine(3, 3, DefaultEngineConfig(), mc, nil)
+	e := NewEngine(3, 3, DefaultEngineConfig(), mc)
 	flow := network.FlowKey{Flow: 1000}
 	deliver(t, e, updatePacket(flow, isa.OpAdd, 9, -1, 16, mc.geom))
 	tick(e, 2)
-	g := network.NewPacket(0, network.GatherReq, 16, 3)
+	g := network.NewPacket(network.GatherReq, 16, 3)
 	g.Flow, g.Op = flow, isa.OpAdd
 	g.Src = 16
-	deliver(t, e, g)
+	deliver(t, e, &g)
 	tick(e, 2)
 	// A late update for a gathered flow is an ordering violation the
 	// engine must surface loudly.
@@ -514,7 +542,7 @@ func TestBypassDisabledAblation(t *testing.T) {
 	mc := newMockCube(t, 3)
 	cfg := DefaultEngineConfig()
 	cfg.BypassOff = true
-	e := NewEngine(3, 3, cfg, mc, nil)
+	e := NewEngine(3, 3, cfg, mc)
 	pa := addrInCube(mc.geom, 3)
 	mc.store.WriteF64(pa, 1)
 	deliver(t, e, updatePacket(network.FlowKey{Flow: 1}, isa.OpAdd, 3, -1, 16, mc.geom))
@@ -529,7 +557,7 @@ func TestBypassDisabledAblation(t *testing.T) {
 
 func TestVectoredUpdateExpands(t *testing.T) {
 	mc := newMockCube(t, 3)
-	e := NewEngine(3, 3, DefaultEngineConfig(), mc, nil)
+	e := NewEngine(3, 3, DefaultEngineConfig(), mc)
 	base := addrInCube(mc.geom, 3)
 	for i := 0; i < 4; i++ {
 		mc.store.WriteF64(base+mem.PAddr(i*8), float64(i+1))
@@ -562,7 +590,7 @@ func TestVectoredUpdateResumesOnBufferExhaustion(t *testing.T) {
 	mc := newMockCube(t, 3)
 	cfg := DefaultEngineConfig()
 	cfg.OperandBufs = 2
-	e := NewEngine(3, 3, cfg, mc, nil)
+	e := NewEngine(3, 3, cfg, mc)
 	base := addrInCube(mc.geom, 3)
 	flow := network.FlowKey{Flow: 1200}
 	p := updatePacket(flow, isa.OpMac, 3, 3, 16, mc.geom)

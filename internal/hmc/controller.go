@@ -20,8 +20,7 @@ type Controller struct {
 	geom      mem.HMCGeometry
 	fabric    *network.Fabric
 
-	pool     *network.Pool // the fabric's packet free list
-	queue    sim.FIFO[*network.Packet]
+	queue    sim.FIFO[network.Packet]
 	queueCap int
 	nextTag  uint64
 	pending  map[uint64]uint64         // packet tag -> the caller's access token
@@ -51,7 +50,6 @@ func NewController(index, node, entryCube int, geom mem.HMCGeometry, fabric *net
 		geom:      geom,
 		fabric:    fabric,
 		queueCap:  queueCap,
-		pool:      fabric.Pool,
 		pending:   make(map[uint64]uint64),
 		done:      done,
 	}
@@ -69,7 +67,7 @@ func (c *Controller) Node() int { return c.node }
 func (c *Controller) EntryNode() int { return c.entryCube }
 
 // Inject implements core.Port: direct injection of coordinator packets.
-func (c *Controller) Inject(p *network.Packet) bool {
+func (c *Controller) Inject(p network.Packet) bool {
 	return c.fabric.Inject(c.node, p, 0)
 }
 
@@ -87,7 +85,7 @@ func (c *Controller) Access(pa mem.PAddr, write bool, token uint64) bool {
 	if write {
 		kind = network.MemWriteReq
 	}
-	p := c.pool.Get(kind, c.node, c.geom.CubeOf(pa))
+	p := network.NewPacket(kind, c.node, c.geom.CubeOf(pa))
 	p.Addr = pa
 	c.nextTag++
 	p.Tag = uint64(c.Index)<<56 | c.nextTag
@@ -97,9 +95,8 @@ func (c *Controller) Access(pa mem.PAddr, write bool, token uint64) bool {
 }
 
 // Deliver implements network.Endpoint for responses arriving from the
-// memory network. Every case is a reply completion — the packet's single
-// point of final consumption — so the packet is released here after its
-// handler returns (handlers must not retain it; they copy what they need).
+// memory network. Every case is a reply completion; the coordinator
+// callbacks read the lent packet and keep nothing of it.
 func (c *Controller) Deliver(p *network.Packet, cycle uint64) bool {
 	switch p.Kind {
 	case network.MemReadResp, network.MemWriteAck:
@@ -122,7 +119,6 @@ func (c *Controller) Deliver(p *network.Packet, cycle uint64) bool {
 	default:
 		panic(fmt.Sprintf("hmc: controller %d cannot handle packet kind %s", c.Index, p.Kind))
 	}
-	c.pool.Put(p)
 	return true
 }
 

@@ -83,13 +83,12 @@ type Cube struct {
 	ID     int
 	cfg    CubeConfig
 	fabric *network.Fabric
-	pool   *network.Pool // the fabric's packet free list
 	store  *mem.Store
 	vaults []*dram.BankSet
 	are    *core.Engine
 
 	staged sim.FIFO[cubeOp]
-	outbox sim.FIFO[*network.Packet]
+	outbox sim.FIFO[network.Packet]
 
 	// pend is the token table for in-flight vault accesses: the dram layer
 	// hands the token back at completion and vaultDone dispatches on the
@@ -114,7 +113,7 @@ type Cube struct {
 // NewCube builds cube id attached to the fabric. The ARE is attached later
 // (AttachARE) for Active-Routing schemes.
 func NewCube(id int, cfg CubeConfig, fabric *network.Fabric, store *mem.Store) *Cube {
-	c := &Cube{ID: id, cfg: cfg, fabric: fabric, pool: fabric.Pool, store: store}
+	c := &Cube{ID: id, cfg: cfg, fabric: fabric, store: store}
 	c.vaults = make([]*dram.BankSet, cfg.Geom.VaultsPerCube)
 	done := c.vaultDone // one completion hook shared by every vault
 	for v := range c.vaults {
@@ -127,10 +126,9 @@ func NewCube(id int, cfg CubeConfig, fabric *network.Fabric, store *mem.Store) *
 // SetWaker implements sim.Component.
 func (c *Cube) SetWaker(w *sim.Waker) { c.waker = w }
 
-// AttachARE places an Active-Routing Engine on the cube's logic layer,
-// sharing the fabric's packet pool.
+// AttachARE places an Active-Routing Engine on the cube's logic layer.
 func (c *Cube) AttachARE(cfg core.EngineConfig) *core.Engine {
-	c.are = core.NewEngine(c.ID, c.ID, cfg, c, c.pool)
+	c.are = core.NewEngine(c.ID, c.ID, cfg, c)
 	return c.are
 }
 
@@ -185,13 +183,11 @@ func (c *Cube) Deliver(p *network.Packet, cycle uint64) bool {
 		return c.stageOperandRead(p, cycle)
 	case network.OperandResp:
 		// Remote operand values feed the ARE directly: they free operand
-		// buffers, so they are never refused (deadlock freedom). The packet
-		// is fully consumed here.
+		// buffers, so they are never refused (deadlock freedom).
 		if c.are == nil {
 			panic(fmt.Sprintf("hmc: operand response at cube %d without an ARE", c.ID))
 		}
 		c.are.OperandResp(p.Tag, p.Value, cycle)
-		c.pool.Put(p)
 		return true
 	case network.ActiveStoreReq:
 		return c.stageActiveStore(p, cycle)
@@ -211,54 +207,37 @@ func (c *Cube) stage(cycle uint64, op cubeOp) bool {
 	return true
 }
 
-// stageMemAccess admits a block access. The packet's fields are copied into
-// the staged operation, so a successful stage is the packet's final
-// consumption point and releases it; a refused stage leaves the packet with
+// stageMemAccess admits a block access. The stage paths copy the packet's
+// fields into the staged operation; a refused stage leaves the packet with
 // the fabric for a later re-offer.
 func (c *Cube) stageMemAccess(p *network.Packet, cycle uint64) bool {
 	kind := opMemRead
 	if p.Kind == network.MemWriteReq {
 		kind = opMemWrite
 	}
-	ok := c.stage(cycle, cubeOp{kind: kind, addr: p.Addr, src: p.Src, tag: p.Tag})
-	if ok {
-		c.pool.Put(p)
-	}
-	return ok
+	return c.stage(cycle, cubeOp{kind: kind, addr: p.Addr, src: int(p.Src), tag: p.Tag})
 }
 
 func (c *Cube) stageOperandRead(p *network.Packet, cycle uint64) bool {
-	ok := c.stage(cycle, cubeOp{kind: opOperandRead, addr: p.Addr, src: p.Src, tag: p.Tag})
-	if ok {
-		c.pool.Put(p)
-	}
-	return ok
+	return c.stage(cycle, cubeOp{kind: opOperandRead, addr: p.Addr, src: int(p.Src), tag: p.Tag})
 }
 
 // stageActiveStore handles mov/const_assign stores. A mov whose source
 // lives here but whose target lives elsewhere reads locally and forwards
-// the value; the final write acks to the originating controller. As with
-// the other stage paths, the packet's fields are copied at admission and
-// the packet released.
+// the value; the final write acks to the originating controller.
 func (c *Cube) stageActiveStore(p *network.Packet, cycle uint64) bool {
-	origin := p.Origin
+	origin := int(p.Origin)
 	if origin == 0 {
-		origin = p.Src
+		origin = int(p.Src)
 	}
-	var ok bool
 	if p.Src1 != 0 { // mov: the source operand must be read first
-		ok = c.stage(cycle, cubeOp{kind: opMovRead, addr: p.Src1,
+		return c.stage(cycle, cubeOp{kind: opMovRead, addr: p.Src1,
 			target: p.Target, tag: p.Tag, origin: origin})
-	} else {
-		// Value-carrying store (const_assign, flow write-back, forwarded
-		// mov). The vault access targets the destination word.
-		ok = c.stage(cycle, cubeOp{kind: opStoreWrite, addr: p.Target,
-			target: p.Target, value: p.Value, tag: p.Tag, origin: origin})
 	}
-	if ok {
-		c.pool.Put(p)
-	}
-	return ok
+	// Value-carrying store (const_assign, flow write-back, forwarded mov).
+	// The vault access targets the destination word.
+	return c.stage(cycle, cubeOp{kind: opStoreWrite, addr: p.Target,
+		target: p.Target, value: p.Value, tag: p.Tag, origin: origin})
 }
 
 // startVault enqueues op's DRAM access at the owning vault, recording the
@@ -302,17 +281,17 @@ func (c *Cube) vaultDone(token uint64, cycle uint64) {
 	switch op.kind {
 	case opMemRead:
 		c.Stats.MemReads++
-		resp := c.pool.Get(network.MemReadResp, c.ID, op.src)
+		resp := network.NewPacket(network.MemReadResp, c.ID, op.src)
 		resp.Addr, resp.Tag = op.addr, op.tag
 		c.outbox.Push(resp)
 	case opMemWrite:
 		c.Stats.MemWrites++
-		ack := c.pool.Get(network.MemWriteAck, c.ID, op.src)
+		ack := network.NewPacket(network.MemWriteAck, c.ID, op.src)
 		ack.Addr, ack.Tag = op.addr, op.tag
 		c.outbox.Push(ack)
 	case opOperandRead:
 		c.Stats.OperandServes++
-		resp := c.pool.Get(network.OperandResp, c.ID, op.src)
+		resp := network.NewPacket(network.OperandResp, c.ID, op.src)
 		resp.Addr, resp.Tag, resp.Value = op.addr, op.tag, c.store.ReadF64(op.addr&^7)
 		c.outbox.Push(resp)
 	case opMovRead:
@@ -325,12 +304,12 @@ func (c *Cube) vaultDone(token uint64, cycle uint64) {
 				target: op.target, value: v, tag: op.tag, origin: op.origin})
 			return
 		}
-		fwd := c.pool.Get(network.ActiveStoreReq, c.ID, c.cfg.Geom.CubeOf(op.target))
-		fwd.Target, fwd.Value, fwd.Tag, fwd.Origin = op.target, v, op.tag, op.origin
+		fwd := network.NewPacket(network.ActiveStoreReq, c.ID, c.cfg.Geom.CubeOf(op.target))
+		fwd.Target, fwd.Value, fwd.Tag, fwd.Origin = op.target, v, op.tag, uint8(op.origin)
 		c.outbox.Push(fwd)
 	case opStoreWrite:
 		c.store.WriteF64(op.target, op.value)
-		ack := c.pool.Get(network.ActiveStoreAck, c.ID, op.origin)
+		ack := network.NewPacket(network.ActiveStoreAck, c.ID, op.origin)
 		ack.Tag = op.tag
 		c.outbox.Push(ack)
 	case opAREOperand:
@@ -393,7 +372,7 @@ func (c *Cube) VaultReadTag(pa mem.PAddr, tag uint64) bool {
 }
 
 // Inject implements core.Cube.
-func (c *Cube) Inject(p *network.Packet) bool {
+func (c *Cube) Inject(p network.Packet) bool {
 	return c.fabric.Inject(c.ID, p, 0)
 }
 

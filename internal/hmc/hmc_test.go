@@ -128,7 +128,7 @@ func TestActiveUpdateThroughNetwork(t *testing.T) {
 	r.store.WriteF64(b, 7)
 	r.store.WriteF64(target, 100)
 
-	coord := core.NewCoordinator(core.PolicyStatic, geom, []core.Port{r.ctrl, r.ctrl, r.ctrl, r.ctrl}, r.store, nil, 32)
+	coord := core.NewCoordinator(core.PolicyStatic, geom, []core.Port{r.ctrl, r.ctrl, r.ctrl, r.ctrl}, r.store, 32)
 	r.ctrl.OnGatherResp = coord.OnGatherResp
 	r.ctrl.OnActiveAck = coord.OnActiveAck
 
@@ -166,7 +166,7 @@ func TestActiveStoreMovThroughNetwork(t *testing.T) {
 	dst := mem.PAddr(11 * mem.PageSize)
 	r.store.WriteF64(src, 3.75)
 
-	coord := core.NewCoordinator(core.PolicyStatic, geom, []core.Port{r.ctrl, r.ctrl, r.ctrl, r.ctrl}, r.store, nil, 32)
+	coord := core.NewCoordinator(core.PolicyStatic, geom, []core.Port{r.ctrl, r.ctrl, r.ctrl, r.ctrl}, r.store, 32)
 	r.ctrl.OnGatherResp = coord.OnGatherResp
 	r.ctrl.OnActiveAck = coord.OnActiveAck
 	if !coord.EnqueueUpdate(core.UpdateCmd{Op: isa.OpMov, Src1: src, Target: dst}, 0) {

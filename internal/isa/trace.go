@@ -72,7 +72,8 @@ func (t *Trace) Len() int { return t.recs.n }
 
 // Append adds in to the trace. It panics when the record cannot hold the
 // instruction exactly: an unknown kind, a class or op above 15, an address
-// above MaxTraceAddr, or a nonzero field the kind does not use.
+// above MaxTraceAddr, an Update count outside [0, MaxCount], or a nonzero
+// field the kind does not use.
 func (t *Trace) Append(in Inst) {
 	kind := in.Kind
 	in.Kind = 0 // in keeps what remains once the record's fields are taken out
@@ -89,6 +90,9 @@ func (t *Trace) Append(in Inst) {
 		addr, in.Addr = in.Addr, 0
 		w1, in.Value = math.Float64bits(in.Value), 0
 	case KindUpdate:
+		if in.Count < 0 || in.Count > MaxCount {
+			panic(fmt.Sprintf("isa: update element count %d outside [0,%d]", in.Count, MaxCount))
+		}
 		sub, in.Op = uint8(in.Op), 0
 		addr, in.Src1 = in.Src1, 0
 		ops = updateOperands{src2: in.Src2, target: in.Target, imm: in.Imm, count: in.Count}

@@ -152,6 +152,8 @@ func TestTraceRejectsUnrepresentable(t *testing.T) {
 		{Kind: KindUpdate, Src1: MaxTraceAddr + 1, Op: OpAdd},
 		{Kind: KindGather, Target: 1 << 60, Threads: 1},
 		{Kind: KindUpdate, Op: ALUOp(16)},
+		{Kind: KindUpdate, Op: OpMac, Src1: 8, Src2: 16, Count: MaxCount + 1},
+		{Kind: KindUpdate, Op: OpAdd, Src1: 8, Count: -1},
 		{Kind: KindCompute, Class: CompClass(16)},
 		{Kind: Kind(KindBarrier + 1)},
 		{Kind: KindLoad, Value: 1},
@@ -216,7 +218,7 @@ func representable(in Inst) bool {
 	case KindStore, KindAtomicAdd:
 		return fits(in.Addr) && zeroed(func(z *Inst) { z.Addr, z.Value = in.Addr, in.Value })
 	case KindUpdate:
-		return in.Op < 16 && fits(in.Src1) && zeroed(func(z *Inst) {
+		return in.Op < 16 && fits(in.Src1) && in.Count >= 0 && in.Count <= MaxCount && zeroed(func(z *Inst) {
 			z.Op, z.Src1, z.Src2, z.Target, z.Imm, z.Count = in.Op, in.Src1, in.Src2, in.Target, in.Imm, in.Count
 		})
 	case KindGather:

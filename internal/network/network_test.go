@@ -3,6 +3,9 @@ package network
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"repro/internal/isa"
 )
 
 func TestMeshNeighborSymmetry(t *testing.T) {
@@ -129,6 +132,10 @@ func TestDragonflyHopClassMonotonic(t *testing.T) {
 }
 
 func TestPacketSizes(t *testing.T) {
+	// Rings and arrival wheels copy packets at every hop.
+	if sz := unsafe.Sizeof(Packet{}); sz > 96 {
+		t.Fatalf("Packet is %d bytes, want at most 96", sz)
+	}
 	if SizeOf(MemReadResp) != HeaderBytes+64 {
 		t.Fatal("read response must carry a block")
 	}
@@ -163,13 +170,13 @@ func TestKindClassification(t *testing.T) {
 	}
 }
 
-// collector is a test endpoint recording deliveries.
+// collector is a test endpoint recording copies of its deliveries.
 type collector struct {
-	got []*Packet
+	got []Packet
 }
 
 func (c *collector) Deliver(p *Packet, cycle uint64) bool {
-	c.got = append(c.got, p)
+	c.got = append(c.got, *p)
 	return true
 }
 
@@ -186,7 +193,7 @@ func newTestFabric(t *testing.T) (*Fabric, []*collector) {
 
 func TestFabricDeliversPacket(t *testing.T) {
 	f, cols := newTestFabric(t)
-	p := NewPacket(f.NextID(), MemReadReq, 0, 15)
+	p := NewPacket(MemReadReq, 0, 15)
 	if !f.Inject(0, p, 0) {
 		t.Fatal("injection failed")
 	}
@@ -199,7 +206,7 @@ func TestFabricDeliversPacket(t *testing.T) {
 	if !f.Drained() {
 		t.Fatal("fabric should be drained")
 	}
-	if cols[15].got[0].Hops == 0 {
+	if f.HopBytes == 0 {
 		t.Fatal("hops not counted")
 	}
 }
@@ -212,7 +219,7 @@ func TestFabricAllPairsDelivery(t *testing.T) {
 			if s == d {
 				continue
 			}
-			p := NewPacket(f.NextID(), MemReadReq, s, d)
+			p := NewPacket(MemReadReq, s, d)
 			for cyc := uint64(0); !f.Inject(s, p, cyc); cyc++ {
 				f.Tick(cyc)
 			}
@@ -234,7 +241,7 @@ func TestFabricAllPairsDelivery(t *testing.T) {
 	}
 	for d, c := range cols {
 		for _, p := range c.got {
-			if p.Dst != d {
+			if int(p.Dst) != d {
 				t.Fatalf("packet for %d delivered at %d", p.Dst, d)
 			}
 		}
@@ -247,7 +254,7 @@ func TestFabricFIFOPerPath(t *testing.T) {
 	f, cols := newTestFabric(t)
 	const n = 50
 	for i := 0; i < n; i++ {
-		p := NewPacket(uint64(i+1), UpdateReq, 0, 15)
+		p := NewPacket(UpdateReq, 0, 15)
 		p.Tag = uint64(i)
 		for cyc := uint64(0); !f.Inject(0, p, cyc); cyc++ {
 			f.Tick(cyc)
@@ -282,8 +289,7 @@ func TestFabricBackpressureRefusedEndpoint(t *testing.T) {
 	}))
 	f.SetEndpoint(2, EndpointFunc(func(p *Packet, c uint64) bool { return false }))
 	f.SetEndpoint(3, EndpointFunc(func(p *Packet, c uint64) bool { return false }))
-	p := NewPacket(1, MemReadReq, 0, 1)
-	if !f.Inject(0, p, 0) {
+	if !f.Inject(0, NewPacket(MemReadReq, 0, 1), 0) {
 		t.Fatal("inject failed")
 	}
 	for cyc := uint64(0); cyc < 100; cyc++ {
@@ -316,13 +322,13 @@ func TestFabricCreditTurnaround(t *testing.T) {
 	for n := 0; n < f.Topo.Nodes(); n++ {
 		f.SetEndpoint(n, EndpointFunc(func(*Packet, uint64) bool { return !refuse }))
 	}
-	if !f.Inject(0, NewPacket(1, MemReadReq, 0, 1), 0) {
+	if !f.Inject(0, NewPacket(MemReadReq, 0, 1), 0) {
 		t.Fatal("inject failed")
 	}
 	const c = 20 // the held packet ejects in cycle c
 	for cyc := uint64(0); cyc < c; cyc++ {
 		f.Tick(cyc)
-		if cyc == 0 && !f.Inject(0, NewPacket(2, MemReadReq, 0, 1), 0) {
+		if cyc == 0 && !f.Inject(0, NewPacket(MemReadReq, 0, 1), 0) {
 			t.Fatal("inject failed")
 		}
 	}
@@ -344,12 +350,37 @@ func TestFabricCreditTurnaround(t *testing.T) {
 	}
 }
 
+// TestDeliveredCountersSurviveSynchronousRelease pins the lending rule at
+// the ejection commit: the slot Deliver lends is dead once the call
+// accepts, so the fabric must not read the packet afterwards. The endpoint
+// here scribbles over the slot, which makes any such read visible.
+func TestDeliveredCountersSurviveSynchronousRelease(t *testing.T) {
+	f := NewFabric(NewMesh(4, nil), DefaultNoCConfig())
+	for n := 0; n < f.Topo.Nodes(); n++ {
+		f.SetEndpoint(n, EndpointFunc(func(p *Packet, cycle uint64) bool {
+			*p = Packet{Kind: KindInvalid, Dst: 0xff, Size: 0xff}
+			return true
+		}))
+	}
+	if !f.Inject(0, NewPacket(MemReadReq, 0, 5), 0) {
+		t.Fatal("inject refused")
+	}
+	for c := uint64(0); c < 200 && !f.Drained(); c++ {
+		f.Tick(c)
+	}
+	if !f.Drained() {
+		t.Fatal("packet never delivered")
+	}
+	if f.Delivered != 1 || f.Movement.NormReq != MemReadReqBytes {
+		t.Fatalf("Delivered = %d, request bytes = %d; want 1 and %d", f.Delivered, f.Movement.NormReq, MemReadReqBytes)
+	}
+}
+
 func TestFabricInjectionBackpressure(t *testing.T) {
 	f, _ := newTestFabric(t)
 	n := 0
 	for ; n < 1000; n++ {
-		p := NewPacket(f.NextID(), MemReadReq, 0, 15)
-		if !f.Inject(0, p, 0) {
+		if !f.Inject(0, NewPacket(MemReadReq, 0, 15), 0) {
 			break
 		}
 	}
@@ -360,10 +391,8 @@ func TestFabricInjectionBackpressure(t *testing.T) {
 
 func TestFabricCountsMovement(t *testing.T) {
 	f, cols := newTestFabric(t)
-	u := NewPacket(1, UpdateReq, 0, 5)
-	r := NewPacket(2, MemReadResp, 0, 5)
-	f.Inject(0, u, 0)
-	f.Inject(0, r, 0)
+	f.Inject(0, NewPacket(UpdateReq, 0, 5), 0)
+	f.Inject(0, NewPacket(MemReadResp, 0, 5), 0)
 	for cyc := uint64(0); len(cols[5].got) < 2 && cyc < 1000; cyc++ {
 		f.Tick(cyc)
 	}
@@ -394,18 +423,31 @@ func TestDragonflyRouteProperty(t *testing.T) {
 
 // TestFabricRandomTrafficConservation is a property test: under random
 // many-to-many traffic with random kinds, every injected packet is
-// delivered to its destination exactly once.
+// delivered to its destination exactly once and unchanged, apart from the
+// Src, InjectCycle and ArriveCycle stamps the fabric sets. Packets carry
+// nonzero values in every field at full width, so a narrowed or dropped
+// field shows up as a mismatch.
 func TestFabricRandomTrafficConservation(t *testing.T) {
 	topo := NewDragonfly([]int{0, 4, 8, 12})
 	f := NewFabric(topo, DefaultMemNetConfig())
+	sent := map[uint64]Packet{}
 	got := map[uint64]int{}
 	for i := 0; i < topo.Nodes(); i++ {
 		i := i
 		f.SetEndpoint(i, EndpointFunc(func(p *Packet, c uint64) bool {
-			if p.Dst != i {
-				t.Fatalf("packet %d for %d delivered at %d", p.ID, p.Dst, i)
+			if int(p.Dst) != i {
+				t.Fatalf("packet %d for %d delivered at %d", p.Tag, p.Dst, i)
 			}
-			got[p.ID]++
+			if p.ArriveCycle != c || p.InjectCycle == 0 {
+				t.Fatalf("packet %d stamps: inject %d arrive %d at cycle %d", p.Tag, p.InjectCycle, p.ArriveCycle, c)
+			}
+			want := sent[p.Tag]
+			q := *p
+			q.Src, q.InjectCycle, q.ArriveCycle = want.Src, want.InjectCycle, want.ArriveCycle
+			if q != want {
+				t.Fatalf("packet %d changed in flight:\n got %+v\nwant %+v", p.Tag, q, want)
+			}
+			got[p.Tag]++
 			return true
 		}))
 	}
@@ -419,15 +461,27 @@ func TestFabricRandomTrafficConservation(t *testing.T) {
 	}
 	const total = 400
 	injected := 0
-	var cycle uint64
+	cycle := uint64(1) // nonzero, so every InjectCycle stamp is visible
 	for injected < total {
 		src := next(16)
 		dst := next(topo.Nodes())
 		if dst == src {
 			dst = (dst + 1) % 16
 		}
-		p := NewPacket(uint64(injected+1), kinds[next(len(kinds))], src, dst)
+		if injected == 0 {
+			dst = 19 // the highest controller node
+		}
+		p := NewPacket(kinds[next(len(kinds))], src, dst)
+		p.Tag = uint64(injected+1) | 0xabcd<<48
+		p.Host = 0xbeef
+		p.Count = isa.MaxCount
+		p.Origin = 19
+		p.Op = isa.OpMac
+		p.Addr, p.Src1, p.Src2, p.Target = 0x7fff_0000_0008, 0x7fff_0000_0010, 0x7fff_0000_0018, 0x7fff_0000_0020
+		p.Value = -1.5e300
+		p.Flow = FlowKey{Flow: 0x7fff_0000_0040, Tree: 3}
 		if f.Inject(src, p, cycle) {
+			sent[p.Tag] = p
 			injected++
 		}
 		f.Tick(cycle)
@@ -440,9 +494,9 @@ func TestFabricRandomTrafficConservation(t *testing.T) {
 	if len(got) != total {
 		t.Fatalf("delivered %d of %d", len(got), total)
 	}
-	for id, n := range got {
+	for tag, n := range got {
 		if n != 1 {
-			t.Fatalf("packet %d delivered %d times", id, n)
+			t.Fatalf("packet %d delivered %d times", tag, n)
 		}
 	}
 	if !f.Drained() {

@@ -16,7 +16,7 @@ func TestOccupancyCountersMatchScan(t *testing.T) {
 			if s == d {
 				continue
 			}
-			p := NewPacket(f.NextID(), UpdateReq, s, d)
+			p := NewPacket(UpdateReq, s, d)
 			for cyc := uint64(0); !f.Inject(s, p, cyc); cyc++ {
 				f.Tick(cyc)
 			}
@@ -82,7 +82,7 @@ func TestFabricNextWork(t *testing.T) {
 	if w := f.NextWork(7); w != never {
 		t.Fatalf("empty fabric NextWork = %d, want Never", w)
 	}
-	p := NewPacket(f.NextID(), MemReadReq, 0, 15)
+	p := NewPacket(MemReadReq, 0, 15)
 	if !f.Inject(0, p, 0) {
 		t.Fatal("injection failed")
 	}

@@ -168,18 +168,23 @@ type FlowKey struct {
 	Tree uint8
 }
 
-// Packet is one network packet. A single struct covers all kinds; unused
-// fields stay zero. Size is derived from Kind at construction.
+// Packet is one network packet, a plain value. A single struct covers all
+// kinds; unused fields stay zero. Size is derived from Kind at
+// construction. Node ids are bytes: NewFabric rejects topologies of more
+// than 64 nodes. Small fields sit together so the struct stays at 96
+// bytes, which router rings and arrival wheels copy at every hop.
 type Packet struct {
-	ID   uint64
 	Kind Kind
 	// Host is an opaque header word for host-side messages tunneled over
 	// the NoC (coherence and memory-interface traffic); the fabric never
 	// reads it, and package cache owns its encoding.
 	Host uint16
-	Src  int // source node id
-	Dst  int // destination node id
-	Size int // bytes on the wire
+	Src  uint8 // source node id
+	Dst  uint8 // destination node id
+	Size uint8 // bytes on the wire
+	// Count is a vectored update's element count (0/1 = scalar), at most
+	// isa.MaxCount.
+	Count uint8
 
 	// Memory / operand fields.
 	Addr  mem.PAddr
@@ -188,8 +193,6 @@ type Packet struct {
 
 	// Active-Routing fields.
 	Flow   FlowKey
-	Op     isa.ALUOp
-	Count  int       // vectored update element count (0/1 = scalar)
 	Src1   mem.PAddr // first operand physical address
 	Src2   mem.PAddr // second operand physical address (0 = single-operand)
 	Target mem.PAddr // physical address of the reduction target
@@ -198,20 +201,15 @@ type Packet struct {
 	InjectCycle uint64
 	ArriveCycle uint64
 
-	Hops int
-
+	Op isa.ALUOp
 	// Origin is the node that must receive the final acknowledgement for
 	// multi-hop transactions (active stores read at one cube and written
 	// at another).
-	Origin int
-
-	// poolState tracks the free-list lifecycle (see Pool); zero means the
-	// packet was built outside any pool.
-	poolState uint8
+	Origin uint8
 }
 
 // NewPacket builds a packet of kind k from src to dst with the standard
 // size for its kind.
-func NewPacket(id uint64, k Kind, src, dst int) *Packet {
-	return &Packet{ID: id, Kind: k, Src: src, Dst: dst, Size: SizeOf(k)}
+func NewPacket(k Kind, src, dst int) Packet {
+	return Packet{Kind: k, Src: uint8(src), Dst: uint8(dst), Size: uint8(SizeOf(k))}
 }

@@ -9,47 +9,56 @@ func ceilPow2(n int) int {
 	return c
 }
 
-// packetRing is a fixed-capacity FIFO of packets backed by a power-of-two
-// ring, replacing the append/copy churn of a slice queue: push and pop are
-// O(1) index arithmetic and the backing array never grows after
-// construction. Capacity is sized from the fabric Config (QueueDepth for
-// input queues, InjDepth for injection queues) whose admission checks and
-// credit accounting guarantee the ring can never overflow; push panics if
-// that invariant is ever broken.
+// packetRing is a fixed-capacity FIFO of packet values backed by a
+// power-of-two ring, replacing the append/copy churn of a slice queue: push
+// and pop are O(1) index arithmetic and the backing array never grows.
+// Capacity is sized from the fabric Config (QueueDepth for input queues,
+// InjDepth for injection queues) whose admission checks and credit
+// accounting guarantee the ring can never overflow; push panics if that
+// invariant is ever broken. The backing array is allocated on the first
+// push: most (port, VC) queues of a fabric never hold a packet, and
+// allocating every ring up front costs the Fig 5.1a suite about 21 MB
+// more (BenchmarkFig51a).
 type packetRing struct {
-	buf  []*Packet
+	buf  []Packet
 	mask uint32
 	head uint32
 	tail uint32
 }
 
-// newPacketRing returns a ring holding at least capacity packets.
+// newPacketRing returns an empty ring for at least capacity packets.
 func newPacketRing(capacity int) packetRing {
-	n := ceilPow2(capacity)
-	return packetRing{buf: make([]*Packet, n), mask: uint32(n - 1)}
+	return packetRing{mask: uint32(ceilPow2(capacity) - 1)}
 }
 
-func (r *packetRing) len() int      { return int(r.tail - r.head) }
-func (r *packetRing) peek() *Packet { return r.buf[r.head&r.mask] }
+func (r *packetRing) len() int { return int(r.tail - r.head) }
 
+// peek returns the head packet in place, valid until the next push.
+func (r *packetRing) peek() *Packet { return &r.buf[r.head&r.mask] }
+
+// push copies *p in at the tail.
+//
 //ar:hotpath
 func (r *packetRing) push(p *Packet) {
-	if r.tail-r.head == uint32(len(r.buf)) {
+	if r.buf == nil {
+		r.buf = make([]Packet, r.mask+1) //ar:exempt(hotpath) one backing array per queue that ever holds a packet, allocated once
+	}
+	if r.tail-r.head > r.mask {
 		panic("network: packet ring overflow (queue admission invariant broken)")
 	}
-	r.buf[r.tail&r.mask] = p
+	r.buf[r.tail&r.mask] = *p
 	r.tail++
 }
 
+// pop drops the head packet. Packets hold no pointers, so the vacated slot
+// needs no clearing.
+//
 //ar:hotpath
-func (r *packetRing) pop() *Packet {
+func (r *packetRing) pop() {
 	if r.head == r.tail {
 		panic("network: pop from empty packet ring")
 	}
-	p := r.buf[r.head&r.mask]
-	r.buf[r.head&r.mask] = nil
 	r.head++
-	return p
 }
 
 // arrivalWheel is a calendar queue of in-flight arrivals bucketed by
@@ -98,9 +107,7 @@ func (w *arrivalWheel) take(netCycle uint64) []arrival {
 }
 
 // putBack returns a drained bucket's storage to its slot for reuse, unless
-// a push during draining already started a new bucket there. Stale packet
-// pointers in the retained capacity are not cleared: packets are pool-owned
-// and live for the fabric's lifetime anyway.
+// a push during draining already started a new bucket there.
 //
 //ar:hotpath
 func (w *arrivalWheel) putBack(netCycle uint64, b []arrival) {

@@ -17,30 +17,32 @@ func FuzzPacketRing(f *testing.F) {
 	f.Fuzz(func(t *testing.T, capacity uint8, ops []byte) {
 		capInt := int(capacity%64) + 1
 		r := newPacketRing(capInt)
-		ringCap := len(r.buf)
+		ringCap := int(r.mask) + 1
 		if ringCap < capInt || ringCap&(ringCap-1) != 0 {
 			t.Fatalf("capacity %d not rounded to a power of two >= request", ringCap)
 		}
-		var ref []*Packet
+		var ref []Packet
 		next := uint64(1)
 		for _, op := range ops {
 			switch {
 			case op&1 == 0 && len(ref) < ringCap:
-				p := NewPacket(next, MemReadReq, 0, 1)
+				p := NewPacket(MemReadReq, 0, 1)
+				p.Tag = next
 				next++
-				r.push(p)
+				r.push(&p)
 				ref = append(ref, p)
 			case op&1 == 1 && len(ref) > 0:
-				if got, want := r.pop(), ref[0]; got != want {
-					t.Fatalf("pop returned id %d, want %d", got.ID, want.ID)
+				if got, want := r.peek().Tag, ref[0].Tag; got != want {
+					t.Fatalf("pop would return tag %d, want %d", got, want)
 				}
+				r.pop()
 				ref = ref[1:]
 			}
 			if r.len() != len(ref) {
 				t.Fatalf("len %d, want %d", r.len(), len(ref))
 			}
-			if len(ref) > 0 && r.peek() != ref[0] {
-				t.Fatalf("peek id %d, want %d", r.peek().ID, ref[0].ID)
+			if len(ref) > 0 && *r.peek() != ref[0] {
+				t.Fatalf("peek tag %d, want %d", r.peek().Tag, ref[0].Tag)
 			}
 		}
 	})
@@ -64,7 +66,7 @@ func FuzzArrivalWheel(f *testing.F) {
 				if int(at-now) >= len(w.buckets) {
 					continue
 				}
-				w.push(at, arrival{cycle: at})
+				w.push(at, arrival{p: Packet{ArriveCycle: at}})
 				pending[at]++
 				total++
 			} else { // advance and drain a few cycles
@@ -72,8 +74,8 @@ func FuzzArrivalWheel(f *testing.F) {
 					now++
 					b := w.take(now)
 					for i := range b {
-						if b[i].cycle != now {
-							t.Fatalf("bucket %d held arrival for %d", now, b[i].cycle)
+						if b[i].p.ArriveCycle != now {
+							t.Fatalf("bucket %d held arrival for %d", now, b[i].p.ArriveCycle)
 						}
 					}
 					if len(b) != pending[now] {

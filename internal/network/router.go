@@ -14,9 +14,9 @@ import (
 // Routing Engine stalls propagate back into the network (Fig 5.2's stall
 // component).
 //
-// A successful Deliver transfers packet ownership to the endpoint, which
-// must release the packet to the fabric's Pool at its single point of final
-// consumption (see Pool and DESIGN.md "Memory discipline").
+// p points at the packet in the fabric's own queue and is valid only for
+// the call: an endpoint that keeps the packet copies what it keeps (see
+// DESIGN.md "Memory discipline").
 type Endpoint interface {
 	Deliver(p *Packet, cycle uint64) bool
 }
@@ -92,10 +92,9 @@ func vcBase(k Kind) int {
 }
 
 type arrival struct {
-	p     *Packet
-	port  int
-	vc    int
-	cycle uint64
+	p    Packet
+	port int
+	vc   int
 }
 
 type upstream struct {
@@ -182,7 +181,7 @@ func (f *Fabric) updateHead(r *router, idx int) {
 		return
 	}
 	h := q.peek()
-	if h.Dst == r.node {
+	if int(h.Dst) == r.node {
 		r.headOut[idx] = -1
 		r.ejectHead |= 1 << uint(idx)
 		return
@@ -204,10 +203,6 @@ func (r *router) unmarkIn(idx int) { r.occ &^= 1 << uint(idx) }
 type Fabric struct {
 	Topo Topology
 	Cfg  Config
-
-	// Pool is the fabric's packet free list. Components attached to the
-	// fabric acquire and release packets here.
-	Pool *Pool
 
 	routers   []*router
 	endpoints []Endpoint
@@ -249,7 +244,6 @@ type Fabric struct {
 	HopBytes  uint64
 	Delivered uint64
 	Movement  stats.DataMovement
-	nextID    uint64
 }
 
 // NewFabric builds a network over topo. Endpoints are attached later with
@@ -261,7 +255,7 @@ func NewFabric(topo Topology, cfg Config) *Fabric {
 	if cfg.VCs != NumVCs || cfg.QueueDepth <= 0 || cfg.LinkBandwidth <= 0 || cfg.ClockDiv == 0 {
 		panic("network: invalid fabric config")
 	}
-	f := &Fabric{Topo: topo, Cfg: cfg, Pool: NewPool()}
+	f := &Fabric{Topo: topo, Cfg: cfg}
 	n := topo.Nodes()
 	if n > 64 {
 		panic(fmt.Sprintf("network: %d nodes exceed the 64-bit occupancy masks", n))
@@ -359,25 +353,14 @@ func (f *Fabric) SetEndpoint(n int, e Endpoint) { f.endpoints[n] = e }
 // external entry point; everything else advances through its own Tick.
 func (f *Fabric) SetWaker(w *sim.Waker) { f.waker = w }
 
-// NextID returns a fresh packet id (diagnostics only).
-func (f *Fabric) NextID() uint64 {
-	f.nextID++
-	return f.nextID
-}
-
-// InjectionFree reports the free injection slots for p's VC at node n.
-func (f *Fabric) InjectionFree(n int, p *Packet) int {
-	vc := vcBase(p.Kind) // injection queues keyed by base class only
-	return f.Cfg.InjDepth - f.routers[n].inj[vc].len()
-}
-
-// Inject offers packet p for injection at node n; it reports false when the
-// injection queue is full. Src is forced to n.
-func (f *Fabric) Inject(n int, p *Packet, cycle uint64) bool {
-	if p.Dst < 0 || p.Dst >= f.Topo.Nodes() {
+// Inject copies packet p into the injection queue at node n; it reports
+// false when the queue is full. The queued copy's Src is forced to n and
+// its InjectCycle, when zero, set to cycle.
+func (f *Fabric) Inject(n int, p Packet, cycle uint64) bool {
+	if int(p.Dst) >= f.Topo.Nodes() {
 		panic(fmt.Sprintf("network: inject to invalid node %d", p.Dst))
 	}
-	if p.Dst == n {
+	if int(p.Dst) == n {
 		panic("network: inject to self; deliver locally instead")
 	}
 	r := f.routers[n]
@@ -385,11 +368,11 @@ func (f *Fabric) Inject(n int, p *Packet, cycle uint64) bool {
 	if r.inj[vc].len() >= f.Cfg.InjDepth {
 		return false
 	}
-	p.Src = n
+	p.Src = uint8(n)
 	if p.InjectCycle == 0 {
 		p.InjectCycle = cycle
 	}
-	r.inj[vc].push(p)
+	r.inj[vc].push(&p)
 	idx := r.ports*f.Cfg.VCs + vc
 	r.markIn(idx)
 	if r.inj[vc].len() == 1 {
@@ -400,7 +383,7 @@ func (f *Fabric) Inject(n int, p *Packet, cycle uint64) bool {
 	f.waker.Wake()
 	f.inflight++
 	f.queued++
-	f.account(p)
+	f.account(&p)
 	return true
 }
 
@@ -553,7 +536,7 @@ func (f *Fabric) land(r *router, cycle uint64) {
 		for i := range b {
 			a := &b[i]
 			idx := a.port*f.Cfg.VCs + a.vc
-			r.in[idx].push(a.p)
+			r.in[idx].push(&a.p)
 			if r.in[idx].len() == 1 {
 				f.updateHead(r, idx)
 			}
@@ -605,14 +588,12 @@ func (f *Fabric) eject(r *router, cycle uint64) {
 
 // ejectQueue delivers at most one packet from input queue idx (each queue
 // gets one ejection attempt per class pass); it reports whether a packet
-// was popped. A successful Deliver is the
-// ejection commit: ownership passes to the endpoint, which releases the
-// packet to the fabric's pool at its final consumption point.
+// was popped. Deliver borrows the head slot; a successful Deliver pops it.
 //
 //ar:hotpath
 func (f *Fabric) ejectQueue(r *router, ep Endpoint, idx int, cycle uint64) bool {
 	q := &r.in[idx]
-	if q.len() == 0 || q.peek().Dst != r.node {
+	if q.len() == 0 || int(q.peek().Dst) != r.node {
 		return false
 	}
 	p := q.peek()
@@ -620,8 +601,6 @@ func (f *Fabric) ejectQueue(r *router, ep Endpoint, idx int, cycle uint64) bool 
 		panic(fmt.Sprintf("network: packet %s for node %d with no endpoint", p.Kind, r.node))
 	}
 	p.ArriveCycle = cycle
-	// A successful Deliver transfers ownership — synchronous consumers
-	// release the packet before returning — so p must not be touched after.
 	if !ep.Deliver(p, cycle) {
 		return false
 	}
@@ -704,7 +683,7 @@ func (f *Fabric) tryForward(r *router, out, idx int, l link, cycle uint64, nin i
 		return false
 	}
 	p := q.peek()
-	if p.Dst == r.node {
+	if int(p.Dst) == r.node {
 		return false // ejection handles it
 	}
 	if int(r.routeTo[p.Dst]) != out {
@@ -714,7 +693,20 @@ func (f *Fabric) tryForward(r *router, out, idx int, l link, cycle uint64, nin i
 	if r.credits[out*f.Cfg.VCs+vc] <= 0 {
 		return false
 	}
-	// Transmit.
+	// Transmit: copy the head onto the peer's wheel, then pop it.
+	ser := uint64((int(p.Size) + f.Cfg.LinkBandwidth - 1) / f.Cfg.LinkBandwidth)
+	if ser+f.Cfg.LinkLatency+f.Cfg.RouterDelay >= f.wheelHorizon {
+		panic("network: arrival beyond wheel horizon")
+	}
+	arrive := cycle + (ser+f.Cfg.LinkLatency+f.Cfg.RouterDelay)*f.Cfg.ClockDiv
+	peer := f.routers[l.peer]
+	peer.pending.push(f.netCycle(arrive), arrival{p: *p, port: l.peerPort, vc: vc})
+	if arrive < peer.pendingMin {
+		peer.pendingMin = arrive
+	}
+	f.pendingNodes |= 1 << uint(l.peer)
+	f.HopBytes += uint64(p.Size)
+	r.linkBusy[out] = cycle + ser*f.Cfg.ClockDiv
 	q.pop()
 	if q.len() == 0 {
 		r.unmarkIn(idx)
@@ -731,21 +723,6 @@ func (f *Fabric) tryForward(r *router, out, idx int, l link, cycle uint64, nin i
 	}
 	f.queued--
 	r.credits[out*f.Cfg.VCs+vc]--
-	ser := uint64((p.Size + f.Cfg.LinkBandwidth - 1) / f.Cfg.LinkBandwidth)
-	busy := ser * f.Cfg.ClockDiv
-	r.linkBusy[out] = cycle + busy
-	arrive := cycle + (ser+f.Cfg.LinkLatency+f.Cfg.RouterDelay)*f.Cfg.ClockDiv
-	p.Hops++
-	f.HopBytes += uint64(p.Size)
-	if ser+f.Cfg.LinkLatency+f.Cfg.RouterDelay >= f.wheelHorizon {
-		panic("network: arrival beyond wheel horizon")
-	}
-	peer := f.routers[l.peer]
-	peer.pending.push(f.netCycle(arrive), arrival{p: p, port: l.peerPort, vc: vc, cycle: arrive})
-	if arrive < peer.pendingMin {
-		peer.pendingMin = arrive
-	}
-	f.pendingNodes |= 1 << uint(l.peer)
 	r.rrPort = (idx + 1) % nin
 	return true
 }

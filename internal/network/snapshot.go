@@ -44,7 +44,7 @@ func (f *Fabric) Snapshot(e *sim.Enc) {
 
 	e.U64(f.HopBytes)
 	e.U64(f.Delivered)
-	e.U64(f.nextID)
+	e.U64(0) // retired packet-id counter; the slot keeps the wire format
 	e.U64(f.Movement.NormReq)
 	e.U64(f.Movement.NormResp)
 	e.U64(f.Movement.ActiveReq)
@@ -87,7 +87,10 @@ func (f *Fabric) Restore(d *sim.Dec) {
 	}
 	f.HopBytes = d.U64()
 	f.Delivered = d.U64()
-	f.nextID = d.U64()
+	if id := d.U64(); d.Err() == nil && id != 0 {
+		d.Fail("fabric packet-id word %d, want 0", id)
+		return
+	}
 	f.Movement.NormReq = d.U64()
 	f.Movement.NormResp = d.U64()
 	f.Movement.ActiveReq = d.U64()

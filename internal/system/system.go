@@ -118,16 +118,10 @@ type tileHub struct {
 	mc   *mcPort // the tile's memory controller port; nil at non-MC tiles
 }
 
-// Deliver implements network.Endpoint for the NoC. An accepted packet has
-// served its purpose as a message carrier and is released here (the NoC
-// packet's single point of final consumption); a refused one stays in the
-// fabric, which offers it again.
+// Deliver implements network.Endpoint for the NoC by unpacking the
+// message; a refused packet stays in the fabric, which offers it again.
 func (h *tileHub) Deliver(p *network.Packet, cycle uint64) bool {
-	if !h.deliverMsg(cache.MsgOf(p), cycle) {
-		return false
-	}
-	h.sys.noc.Pool.Put(p)
-	return true
+	return h.deliverMsg(cache.MsgOf(p), cycle)
 }
 
 // deliverMsg demultiplexes a coherence message; false refuses it. A memory
@@ -294,7 +288,7 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 			ports[i] = s.hmcCtrls[i]
 		}
 		if cfg.Scheme.Active() {
-			s.coord = core.NewCoordinator(cfg.Scheme.Policy(), cfg.HMCGeom, ports, s.env.Store, s.memnet.Pool, cfg.CoordQueue)
+			s.coord = core.NewCoordinator(cfg.Scheme.Policy(), cfg.HMCGeom, ports, s.env.Store, cfg.CoordQueue)
 			memTopo := topo
 			s.coord.SetDistanceFn(func(port, cube int) int {
 				entry := ctrlCubes[port]
@@ -378,14 +372,8 @@ func (s *System) sendFrom(src, dst int, m cache.Msg) bool {
 	if src == dst {
 		return s.hubs[dst].deliverMsg(m, s.engine.Cycle())
 	}
-	p := cache.PacketFor(s.noc.Pool, m, src, dst)
-	if !s.noc.Inject(src, p, s.engine.Cycle()) {
-		// The packet never entered the fabric; the caller keeps its copy
-		// of the message and retries.
-		s.noc.Pool.Put(p)
-		return false
-	}
-	return true
+	// On refusal the caller keeps its copy of the message and retries.
+	return s.noc.Inject(src, cache.PacketFor(m, src, dst), s.engine.Cycle())
 }
 
 // table lists the machine's components once, in tick order. The order is
