@@ -1,0 +1,107 @@
+package system
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/isa"
+	"repro/internal/workload"
+)
+
+// earlyGather is a one-flow workload whose thread 0 offloads its update and
+// gathers at once while threads 1-15 first run a long stretch of integer
+// work, so thread 0 sits gather-fenced across an early quiescent point.
+type earlyGather struct {
+	vals, sum workload.F64Array
+}
+
+func (w *earlyGather) Name() string { return "early_gather" }
+
+func (w *earlyGather) Init(env *workload.Env) {
+	w.vals = workload.NewF64Array(env, env.Threads)
+	w.sum = workload.NewF64Array(env, 1)
+	for i := 0; i < env.Threads; i++ {
+		w.vals.Set(i, float64(i+1))
+	}
+	w.sum.Set(0, 0)
+}
+
+func (w *earlyGather) Streams(workload.Mode) []isa.Stream {
+	threads := w.vals.N
+	out := make([]isa.Stream, threads)
+	for tid := range out {
+		t := &workload.Trace{}
+		if tid > 0 {
+			for i := 0; i < 4000; i++ {
+				t.Int()
+			}
+		}
+		t.Update(w.vals.At(tid), 0, w.sum.At(0), isa.OpAdd)
+		t.Gather(w.sum.At(0), threads)
+		out[tid] = t.Stream()
+	}
+	return out
+}
+
+func (w *earlyGather) Verify() error {
+	n := w.vals.N
+	if got, want := w.sum.Get(0), float64(n*(n+1)/2); got != want {
+		return fmt.Errorf("early_gather sum = %g, want %g", got, want)
+	}
+	return nil
+}
+
+// TestCheckpointRearmsGatherFence checkpoints while a core is fenced on a
+// Gather whose flow is still collecting arrivals, so Restore must re-attach
+// that core to the coordinator flow. The restored run must match the
+// straight run and re-encode to the same blob.
+func TestCheckpointRearmsGatherFence(t *testing.T) {
+	build := func() *System {
+		t.Helper()
+		sys, err := NewWith(DefaultConfig(SchemeARFtid), &earlyGather{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	want, err := build().Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	src := build()
+	snap, err := src.RunToCheckpoint(context.Background(), 200, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil {
+		t.Fatal("no quiescent point found at or after cycle 200")
+	}
+	if c := src.engine.Cycle(); c != 200 {
+		t.Fatalf("checkpoint landed at cycle %d, want 200", c)
+	}
+	if n := src.coord.LiveFlows(); n != 1 {
+		t.Fatalf("checkpoint holds %d coordinator flows, want thread 0's one", n)
+	}
+	if src.cores[0].Finished() {
+		t.Fatal("thread 0 finished before the checkpoint; its gather fence is not held")
+	}
+
+	dst := build()
+	if err := dst.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if again := dst.Snapshot(nil); !bytes.Equal(again, snap) {
+		t.Fatalf("re-snapshot after restore differs from the blob (%d vs %d bytes)", len(again), len(snap))
+	}
+	got, err := dst.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("restored run diverged from straight run:\n got: %+v\nwant: %+v", got, want)
+	}
+}
