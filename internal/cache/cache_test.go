@@ -14,6 +14,7 @@ type harness struct {
 	l2   *L2Bank
 	mem  []uint64 // outstanding memory access tags, in issue order
 	mems int      // memory accesses accepted; the count is also the tag
+	done []uint64 // completed access tokens, in completion order
 	cyc  uint64
 }
 
@@ -38,7 +39,8 @@ func newHarness(t *testing.T) *harness {
 	cfg2 := DefaultL2Config()
 	cfg2.BankSizeBytes = 4 << 10
 	cfg2.Ways = 4
-	h.l1 = NewL1(0, cfg1, l1Send, func(mem.PAddr) int { return 100 })
+	h.l1 = NewL1(0, cfg1, l1Send, func(mem.PAddr) int { return 100 },
+		func(tok uint64) { h.done = append(h.done, tok) })
 	h.l2 = NewL2Bank(100, cfg2, l2Send, memPort)
 	return h
 }
@@ -60,35 +62,33 @@ func (h *harness) settle(n int) {
 
 func TestL1MissFillsAndHits(t *testing.T) {
 	h := newHarness(t)
-	done := 0
-	if !h.l1.Access(0x1000, false, 0, func(uint64) { done++ }) {
+	if !h.l1.Access(0x1000, false, 0, 1) {
 		t.Fatal("access refused")
 	}
 	h.settle(100)
-	if done != 1 {
+	if len(h.done) != 1 {
 		t.Fatal("miss never completed")
 	}
 	if h.l1.Stats.L1Misses != 1 || h.l2.Stats.L2Misses != 1 || h.mems != 1 {
 		t.Fatalf("stats: l1=%+v l2=%+v", h.l1.Stats, h.l2.Stats)
 	}
 	// Second access hits in L1 without new messages.
-	if !h.l1.Access(0x1008, false, h.cyc, func(uint64) { done++ }) {
+	if !h.l1.Access(0x1008, false, h.cyc, 2) {
 		t.Fatal("hit refused")
 	}
 	h.settle(50)
-	if done != 2 || h.l1.Stats.L1Hits != 1 {
-		t.Fatalf("hit path broken: done=%d stats=%+v", done, h.l1.Stats)
+	if len(h.done) != 2 || h.l1.Stats.L1Hits != 1 {
+		t.Fatalf("hit path broken: done=%d stats=%+v", len(h.done), h.l1.Stats)
 	}
 }
 
 func TestL1CoalescesMisses(t *testing.T) {
 	h := newHarness(t)
-	done := 0
-	h.l1.Access(0x2000, false, 0, func(uint64) { done++ })
-	h.l1.Access(0x2010, false, 0, func(uint64) { done++ })
+	h.l1.Access(0x2000, false, 0, 1)
+	h.l1.Access(0x2010, false, 0, 2)
 	h.settle(100)
-	if done != 2 {
-		t.Fatalf("coalesced waiters = %d, want 2", done)
+	if len(h.done) != 2 || h.done[0] != 1 || h.done[1] != 2 {
+		t.Fatalf("coalesced waiters completed tokens %v, want [1 2]", h.done)
 	}
 	if h.l1.Stats.L1Misses != 1 {
 		t.Fatalf("misses = %d, want 1 (coalesced)", h.l1.Stats.L1Misses)
@@ -97,16 +97,15 @@ func TestL1CoalescesMisses(t *testing.T) {
 
 func TestWriteGetsExclusive(t *testing.T) {
 	h := newHarness(t)
-	done := 0
-	h.l1.Access(0x3000, true, 0, func(uint64) { done++ })
+	h.l1.Access(0x3000, true, 0, 1)
 	h.settle(100)
-	if done != 1 {
+	if len(h.done) != 1 {
 		t.Fatal("write never completed")
 	}
 	// Writing again is a silent hit (M state).
-	h.l1.Access(0x3000, true, h.cyc, func(uint64) { done++ })
+	h.l1.Access(0x3000, true, h.cyc, 2)
 	h.settle(50)
-	if done != 2 || h.l1.Stats.L1Hits != 1 {
+	if len(h.done) != 2 || h.l1.Stats.L1Hits != 1 {
 		t.Fatalf("M-state write hit broken: %+v", h.l1.Stats)
 	}
 }
@@ -114,16 +113,15 @@ func TestWriteGetsExclusive(t *testing.T) {
 func TestDirtyEvictionWritesBack(t *testing.T) {
 	h := newHarness(t)
 	// Dirty a block, then evict it by filling its set (4 ways + 1).
-	done := 0
-	h.l1.Access(0x4000, true, 0, func(uint64) { done++ })
+	h.l1.Access(0x4000, true, 0, 1)
 	h.settle(100)
 	// Same L1 set: stride = sets(4) * 64 = 256 bytes.
 	for i := 1; i <= 4; i++ {
-		h.l1.Access(mem.PAddr(0x4000+i*256), false, h.cyc, func(uint64) { done++ })
+		h.l1.Access(mem.PAddr(0x4000+i*256), false, h.cyc, 2)
 		h.settle(100)
 	}
-	if done != 5 {
-		t.Fatalf("done = %d", done)
+	if len(h.done) != 5 {
+		t.Fatalf("done = %d", len(h.done))
 	}
 	if h.l1.Stats.L1Evictions == 0 {
 		t.Fatal("no eviction happened")
@@ -155,8 +153,7 @@ func TestBackInvalMiss(t *testing.T) {
 
 func TestBackInvalHitInvalidates(t *testing.T) {
 	h := newHarness(t)
-	done := 0
-	h.l1.Access(0xA000, true, 0, func(uint64) { done++ }) // cached M in L1
+	h.l1.Access(0xA000, true, 0, 1) // cached M in L1
 	h.settle(100)
 	got := false
 	h.l2.send = func(dst int, m Msg) bool {
@@ -175,7 +172,7 @@ func TestBackInvalHitInvalidates(t *testing.T) {
 		t.Fatalf("hit not counted: %+v", h.l2.Stats)
 	}
 	// The L1 copy must be gone: re-access misses.
-	h.l1.Access(0xA000, false, h.cyc, func(uint64) { done++ })
+	h.l1.Access(0xA000, false, h.cyc, 2)
 	h.settle(100)
 	if h.l1.Stats.L1Misses != 2 {
 		t.Fatalf("L1 copy survived back-invalidation: %+v", h.l1.Stats)
@@ -237,6 +234,7 @@ type twoL1Harness struct {
 	l2   *L2Bank
 	mem  []uint64 // outstanding memory access tags, in issue order
 	tags uint64
+	done []uint64 // completed access tokens, in completion order
 	cyc  uint64
 }
 
@@ -262,8 +260,9 @@ func newTwoL1(t *testing.T) *twoL1Harness {
 	cfg2 := DefaultL2Config()
 	cfg2.BankSizeBytes = 4 << 10
 	cfg2.Ways = 4
-	h.l1s[0] = NewL1(0, cfg1, send, func(mem.PAddr) int { return 100 })
-	h.l1s[1] = NewL1(1, cfg1, send, func(mem.PAddr) int { return 100 })
+	done := func(tok uint64) { h.done = append(h.done, tok) }
+	h.l1s[0] = NewL1(0, cfg1, send, func(mem.PAddr) int { return 100 }, done)
+	h.l1s[1] = NewL1(1, cfg1, send, func(mem.PAddr) int { return 100 }, done)
 	h.l2 = NewL2Bank(100, cfg2, send, memPort)
 	return h
 }
@@ -284,27 +283,26 @@ func (h *twoL1Harness) settle(n int) {
 
 func TestWriteInvalidatesSharer(t *testing.T) {
 	h := newTwoL1(t)
-	done := 0
 	// Core 0 reads (becomes E owner), core 1 reads (both S), core 1 writes
 	// (invalidates core 0).
-	h.l1s[0].Access(0x5000, false, 0, func(uint64) { done++ })
+	h.l1s[0].Access(0x5000, false, 0, 1)
 	h.settle(100)
-	h.l1s[1].Access(0x5000, false, h.cyc, func(uint64) { done++ })
+	h.l1s[1].Access(0x5000, false, h.cyc, 2)
 	h.settle(100)
 	if h.l2.Stats.Fetches == 0 {
 		t.Fatal("reading an owned line must fetch from the owner")
 	}
-	h.l1s[1].Access(0x5000, true, h.cyc, func(uint64) { done++ })
+	h.l1s[1].Access(0x5000, true, h.cyc, 3)
 	h.settle(200)
-	if done != 3 {
-		t.Fatalf("done = %d, want 3", done)
+	if len(h.done) != 3 {
+		t.Fatalf("done = %d, want 3", len(h.done))
 	}
 	if h.l2.Stats.Invals == 0 {
 		t.Fatal("write must invalidate the other sharer")
 	}
 	// Core 0's next read misses (it was invalidated).
 	before := h.l1s[0].Stats.L1Misses
-	h.l1s[0].Access(0x5000, false, h.cyc, func(uint64) { done++ })
+	h.l1s[0].Access(0x5000, false, h.cyc, 4)
 	h.settle(200)
 	if h.l1s[0].Stats.L1Misses != before+1 {
 		t.Fatal("stale copy survived invalidation")
@@ -313,19 +311,18 @@ func TestWriteInvalidatesSharer(t *testing.T) {
 
 func TestOwnershipMigration(t *testing.T) {
 	h := newTwoL1(t)
-	done := 0
-	h.l1s[0].Access(0x6000, true, 0, func(uint64) { done++ }) // core 0 owns M
+	h.l1s[0].Access(0x6000, true, 0, 1) // core 0 owns M
 	h.settle(100)
-	h.l1s[1].Access(0x6000, true, h.cyc, func(uint64) { done++ }) // migrate to core 1
+	h.l1s[1].Access(0x6000, true, h.cyc, 2) // migrate to core 1
 	h.settle(200)
-	if done != 2 {
-		t.Fatalf("done = %d", done)
+	if len(h.done) != 2 {
+		t.Fatalf("done = %d", len(h.done))
 	}
 	if h.l2.Stats.Fetches == 0 {
 		t.Fatal("ownership migration must fetch-invalidate the old owner")
 	}
 	// Core 1 now hits.
-	h.l1s[1].Access(0x6000, true, h.cyc, func(uint64) { done++ })
+	h.l1s[1].Access(0x6000, true, h.cyc, 3)
 	h.settle(100)
 	if h.l1s[1].Stats.L1Hits == 0 {
 		t.Fatal("new owner must hit")

@@ -41,12 +41,13 @@ type l1MSHR struct {
 	block   mem.PAddr
 	write   bool
 	sent    bool
-	waiters []func(cycle uint64)
+	waiters []uint64 // tokens of the accesses coalesced into the miss
 }
 
+// timedCall completes access token at cycle at.
 type timedCall struct {
-	at uint64
-	fn func(cycle uint64)
+	at    uint64
+	token uint64
 }
 
 type outMsg struct {
@@ -71,6 +72,9 @@ type L1 struct {
 	mshrFree []*l1MSHR // recycled MSHR entries (waiters arrays retained)
 	send     Sender
 	homeBank func(block mem.PAddr) int
+	// done receives each accepted access's token once, at the cycle the
+	// access completes.
+	done func(token uint64)
 
 	inQ        sim.FIFO[Msg]
 	outbox     sim.FIFO[outMsg]
@@ -88,8 +92,9 @@ type L1 struct {
 const never = sim.Never
 
 // NewL1 builds an L1 for core id. send injects messages into the NoC;
-// homeBank maps a block to its S-NUCA L2 bank tile.
-func NewL1(id int, cfg L1Config, send Sender, homeBank func(mem.PAddr) int) *L1 {
+// homeBank maps a block to its S-NUCA L2 bank tile; done is the completion
+// hook that receives each access's token.
+func NewL1(id int, cfg L1Config, send Sender, homeBank func(mem.PAddr) int, done func(token uint64)) *L1 {
 	sets := cfg.SizeBytes / mem.BlockSize / cfg.Ways
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: L1 set count %d must be a positive power of two", sets))
@@ -101,6 +106,7 @@ func NewL1(id int, cfg L1Config, send Sender, homeBank func(mem.PAddr) int) *L1 
 		lines:    make([][]l1Line, sets),
 		send:     send,
 		homeBank: homeBank,
+		done:     done,
 	}
 	for i := range l.lines {
 		l.lines[i] = make([]l1Line, cfg.Ways)
@@ -143,10 +149,11 @@ func (l *L1) Busy() bool {
 	return len(l.mshrs) > 0 || l.inQ.Len() > 0 || l.outbox.Len() > 0 || len(l.calls) > 0
 }
 
-// Access performs a load (write=false) or store (write=true) at addr. done
-// fires when the access completes. It reports false when the access cannot
-// be accepted this cycle (MSHR pressure); the core retries.
-func (l *L1) Access(addr mem.PAddr, write bool, cycle uint64, done func(cycle uint64)) bool {
+// Access performs a load (write=false) or store (write=true) at addr; the
+// done hook receives token when the access completes. It reports false when
+// the access cannot be accepted this cycle (MSHR pressure); the core
+// retries.
+func (l *L1) Access(addr mem.PAddr, write bool, cycle uint64, token uint64) bool {
 	l.waker.Wake()
 	block := mem.BlockAlign(addr)
 	if ms := l.findMSHR(block); ms != nil {
@@ -155,7 +162,7 @@ func (l *L1) Access(addr mem.PAddr, write bool, cycle uint64, done func(cycle ui
 		if write && !ms.write {
 			return false
 		}
-		ms.waiters = append(ms.waiters, done)
+		ms.waiters = append(ms.waiters, token)
 		l.Stats.L1Accesses++
 		return true
 	}
@@ -169,7 +176,7 @@ func (l *L1) Access(addr mem.PAddr, write bool, cycle uint64, done func(cycle ui
 				line.state = stMod
 			}
 			l.touch(line)
-			l.after(cycle+l.cfg.HitLat, done)
+			l.after(cycle+l.cfg.HitLat, token)
 			return true
 		}
 		// Store to a Shared line: upgrade via GetX. The line stays S until
@@ -182,7 +189,7 @@ func (l *L1) Access(addr mem.PAddr, write bool, cycle uint64, done func(cycle ui
 	l.Stats.L1Misses++
 	ms := l.getMSHR()
 	ms.block, ms.write = block, write
-	ms.waiters = append(ms.waiters, done)
+	ms.waiters = append(ms.waiters, token)
 	l.mshrs = append(l.mshrs, ms)
 	l.trySendMiss(ms)
 	if !ms.sent {
@@ -203,9 +210,6 @@ func (l *L1) getMSHR() *l1MSHR {
 }
 
 func (l *L1) releaseMSHR(ms *l1MSHR) {
-	for i := range ms.waiters {
-		ms.waiters[i] = nil
-	}
 	ms.waiters = ms.waiters[:0]
 	ms.sent = false
 	l.mshrFree = append(l.mshrFree, ms) //ar:exempt(hotpath) free list reaches steady-state capacity; append stops growing after warm-up
@@ -226,8 +230,8 @@ func (l *L1) touch(line *l1Line) {
 	line.lru = l.lruTick
 }
 
-func (l *L1) after(at uint64, fn func(uint64)) {
-	l.calls = append(l.calls, timedCall{at: at, fn: fn}) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
+func (l *L1) after(at, token uint64) {
+	l.calls = append(l.calls, timedCall{at: at, token: token}) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
 }
 
 func (l *L1) post(dst int, m Msg) {
@@ -288,7 +292,7 @@ func (l *L1) Tick(cycle uint64) {
 		l.calls = l.callsSpare[:0]
 		for _, c := range due {
 			if c.at <= cycle {
-				c.fn(cycle)
+				l.done(c.token)
 			} else {
 				l.calls = append(l.calls, c) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
 			}

@@ -9,8 +9,9 @@ import (
 // (Busy() false): no MSHRs, transactions, queued messages, queued or
 // outstanding memory ops or timed events — so the surviving state is the
 // line/directory arrays, the LRU clocks and the counters. MSHR and
-// transaction free lists are rebuilt structurally fresh on restore (pool
-// identity never affects simulated behavior; see DESIGN.md "Checkpointing").
+// transaction free lists are rebuilt structurally fresh on restore (which
+// recycled entry serves a miss never affects simulated behavior; see
+// DESIGN.md "Checkpointing").
 
 func encCacheStats(e *sim.Enc, s *Stats) {
 	for _, p := range s.counters() {

@@ -71,14 +71,13 @@ type UpdateCmd struct {
 	Count int
 }
 
-// GatherCmd is an offloaded Gather instruction. Wake is invoked once when
-// the flow's reduction has been written back (the thread barrier of
-// Gather(target, num_threads) releases).
+// GatherCmd is an offloaded Gather instruction. Once the flow's reduction
+// has been written back, the coordinator passes ThreadID to its gather-done
+// hook (the thread barrier of Gather(target, num_threads) releases).
 type GatherCmd struct {
 	ThreadID int
 	Target   mem.PAddr
 	Threads  int
-	Wake     func(cycle uint64)
 }
 
 // coordFlow is the runtime's view of one flow across the forest.
@@ -91,7 +90,7 @@ type coordFlow struct {
 	gatherSent  bool
 	pendingTree int
 	partial     float64
-	wake        []func(cycle uint64)
+	waiting     []int // thread ids fenced on the flow, in arrival order
 }
 
 // CoordStats counts coordinator activity.
@@ -132,6 +131,10 @@ type Coordinator struct {
 	// (PolicyEnergyAware); nil falls back to the address policy.
 	dist func(port, cube int) int
 
+	// gatherDone releases the fence of a thread waiting on a completed
+	// flow.
+	gatherDone func(tid int)
+
 	// waker invalidates the engine's cached idle hint on external input
 	// (Enqueue* from the MIs, controller response callbacks).
 	waker *sim.Waker
@@ -139,11 +142,10 @@ type Coordinator struct {
 	Stats CoordStats
 }
 
-// NewCoordinator builds the runtime over the given ports.
-func NewCoordinator(policy PortPolicy, geom mem.HMCGeometry, ports []Port, store *mem.Store, queueCap int) *Coordinator {
-	if queueCap <= 0 {
-		queueCap = 32
-	}
+// NewCoordinator builds the runtime over the given ports; gatherDone
+// receives the thread id of every Gather once its flow completes.
+func NewCoordinator(policy PortPolicy, geom mem.HMCGeometry, ports []Port, store *mem.Store, queueCap int,
+	gatherDone func(tid int)) *Coordinator {
 	return &Coordinator{
 		policy:      policy,
 		geom:        geom,
@@ -153,6 +155,7 @@ func NewCoordinator(policy PortPolicy, geom mem.HMCGeometry, ports []Port, store
 		queueCap:    queueCap,
 		flows:       make(map[mem.PAddr]*coordFlow),
 		pendingAcks: make(map[uint64]*coordFlow),
+		gatherDone:  gatherDone,
 	}
 }
 
@@ -304,9 +307,7 @@ func (c *Coordinator) EnqueueGather(cmd GatherCmd, cycle uint64) bool {
 	f := c.flowFor(cmd.Target, isa.OpNop)
 	f.gathersSeen++
 	f.threads = cmd.Threads
-	if cmd.Wake != nil {
-		f.wake = append(f.wake, cmd.Wake)
-	}
+	f.waiting = append(f.waiting, cmd.ThreadID)
 	c.Stats.Gathers++
 	if f.gathersSeen > f.threads {
 		panic(fmt.Sprintf("core: %d gathers for target %#x with num_threads=%d",
@@ -387,8 +388,8 @@ func (c *Coordinator) OnActiveAck(p *network.Packet, cycle uint64) {
 	if f == nil {
 		return // plain mov/const store
 	}
-	for _, w := range f.wake {
-		w(cycle)
+	for _, tid := range f.waiting {
+		c.gatherDone(tid)
 	}
 	delete(c.flows, f.target)
 	c.Stats.FlowsComplete++

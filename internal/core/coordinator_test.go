@@ -35,7 +35,7 @@ func newCoord(policy PortPolicy) (*Coordinator, []*fakePort, *mem.Store) {
 		ports[i] = fakes[i]
 	}
 	store := mem.NewStore()
-	return NewCoordinator(policy, geom, ports, store, 8), fakes, store
+	return NewCoordinator(policy, geom, ports, store, 8, func(int) {}), fakes, store
 }
 
 func addrOnCube(cube int) mem.PAddr { return mem.PAddr(cube * mem.PageSize) }
@@ -153,8 +153,9 @@ func TestForestReductionAndWriteback(t *testing.T) {
 	store.WriteF64(target, 10)
 	c.EnqueueUpdate(UpdateCmd{ThreadID: 0, Op: isa.OpAdd, Src1: addrOnCube(1), Target: target}, 0)
 	c.EnqueueUpdate(UpdateCmd{ThreadID: 1, Op: isa.OpAdd, Src1: addrOnCube(2), Target: target}, 0)
-	woken := false
-	c.EnqueueGather(GatherCmd{ThreadID: 0, Target: target, Threads: 1, Wake: func(uint64) { woken = true }}, 0)
+	var released []int
+	c.gatherDone = func(tid int) { released = append(released, tid) }
+	c.EnqueueGather(GatherCmd{ThreadID: 3, Target: target, Threads: 1}, 0)
 	c.Tick(1)
 
 	// Fake the two tree responses.
@@ -180,14 +181,14 @@ func TestForestReductionAndWriteback(t *testing.T) {
 	if wb.Value != 15 { // 10 (prior) + 2.5 + 2.5
 		t.Fatalf("write-back value %v, want 15", wb.Value)
 	}
-	if woken {
-		t.Fatal("woken before the write-back was acknowledged")
+	if len(released) != 0 {
+		t.Fatal("released before the write-back was acknowledged")
 	}
 	ack := network.NewPacket(network.ActiveStoreAck, 0, 16)
 	ack.Tag = wb.Tag
 	c.OnActiveAck(&ack, 20)
-	if !woken {
-		t.Fatal("gather barrier never released")
+	if len(released) != 1 || released[0] != 3 {
+		t.Fatalf("gather barrier released threads %v, want [3]", released)
 	}
 	if c.Busy() {
 		t.Fatal("coordinator left busy")
@@ -199,7 +200,8 @@ func TestZeroUpdateFlowCompletes(t *testing.T) {
 	target := addrOnCube(5)
 	store.WriteF64(target, 3)
 	woken := false
-	c.EnqueueGather(GatherCmd{ThreadID: 0, Target: target, Threads: 1, Wake: func(uint64) { woken = true }}, 0)
+	c.gatherDone = func(int) { woken = true }
+	c.EnqueueGather(GatherCmd{ThreadID: 0, Target: target, Threads: 1}, 0)
 	c.Tick(1)
 	// No trees: finalize writes the unchanged value back.
 	var wb *network.Packet

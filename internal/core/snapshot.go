@@ -19,7 +19,7 @@ import (
 // and the input queue empty the private fields are all zero/false and only
 // the architectural Table 3.1 fields need encoding. The coordinator's
 // flows map is likewise mid-construction only: gatherSent false,
-// pendingTree zero, and its wake closures are re-attached from the
+// pendingTree zero, and its waiting thread ids are re-attached from the
 // gather-fenced cores (RearmFence) rather than serialized.
 
 // SnapshotReady reports whether the engine holds only checkpointable
@@ -191,10 +191,10 @@ func (c *Coordinator) Snapshot(e *sim.Enc) {
 }
 
 // Restore implements sim.Snapshotter for a freshly constructed
-// coordinator. Wake closures are not decoded: the system re-attaches them
-// by calling RearmFence on each gather-fenced core, which lands in
-// AttachGatherWake. Re-attachment in core-ID order is bit-identity-safe
-// because each wake only raises its own core's flags.
+// coordinator. Waiting thread ids are not decoded: the system re-attaches
+// them by calling RearmFence on each gather-fenced core, which lands in
+// AttachGather. Re-attachment in core-ID order is bit-identity-safe
+// because each release only touches its own core.
 func (c *Coordinator) Restore(d *sim.Dec) {
 	d.Tag("coord")
 	c.nextTag = d.U64()
@@ -235,14 +235,14 @@ func (c *Coordinator) Restore(d *sim.Dec) {
 	}
 }
 
-// AttachGatherWake re-registers a restored gather-fence wake with its
+// AttachGather re-registers restored gather-fenced thread tid with its
 // flow's thread barrier; it reports false when the flow does not exist (a
 // corrupt or inconsistent snapshot).
-func (c *Coordinator) AttachGatherWake(target mem.PAddr, wake func(cycle uint64)) bool {
+func (c *Coordinator) AttachGather(target mem.PAddr, tid int) bool {
 	f, ok := c.flows[target]
 	if !ok {
 		return false
 	}
-	f.wake = append(f.wake, wake)
+	f.waiting = append(f.waiting, tid)
 	return true
 }

@@ -46,14 +46,16 @@ func DefaultConfig() Config {
 	}
 }
 
-// MemPort is the core's load/store path into its L1.
+// MemPort is the core's load/store path into its L1. token is the access's
+// ROB slot; the memory side completes the access by passing it to MemDone.
 type MemPort interface {
-	Access(addr mem.PAddr, write bool, cycle uint64, done func(cycle uint64)) bool
+	Access(addr mem.PAddr, write bool, cycle uint64, token uint64) bool
 }
 
 // OffloadPort is the core's Message Interface for the Update/Gather ISA
-// extension (§3.1.2). Update is fire-and-forget once accepted; Gather's
-// wake callback releases the issuing thread's fence.
+// extension (§3.1.2). Update is fire-and-forget once accepted; an accepted
+// Gather fences the issuing thread until the flow's write-back is
+// acknowledged and the coordinator's gather-done hook calls ReleaseFence.
 type OffloadPort interface {
 	Update(cmd core.UpdateCmd, cycle uint64) bool
 	Gather(cmd core.GatherCmd, cycle uint64) bool
@@ -84,18 +86,12 @@ func (s *Stats) counters() []*uint64 {
 
 // robEntry is one ROB slot. Slots live in a fixed ring allocated at core
 // construction and are recycled in FIFO order, so the steady-state core
-// allocates nothing per instruction. The completion callbacks are created
-// lazily, once per slot, and reused for the slot's lifetime — they capture
-// only the slot pointer (stable: the ring's backing array never moves), so
-// handing them to the memory system or the offload port costs no
-// allocation. A callback can never outlive its instruction: an entry is not
-// retired until done, and done fires exactly once.
+// allocates nothing per instruction. A completion names its slot by ring
+// index (MemDone) or, for a fence, by position (ReleaseFence); a slot is not
+// retired until done, so its index cannot be reused while a completion for
+// it is outstanding.
 type robEntry struct {
 	done bool
-
-	memDone     func(cycle uint64) // load/store completion: done = true
-	gatherWake  func(cycle uint64) // gather write-back: done = true, fence drops
-	barrierWake func()             // barrier release: done = true, fence drops
 }
 
 // Core executes one thread's instruction stream.
@@ -125,15 +121,15 @@ type Core struct {
 
 	// Fence provenance, recorded at issue so a checkpoint can re-arm the
 	// fence on restore: which primitive holds the thread and — for a
-	// Gather — the flow target whose completion wake must re-attach.
+	// Gather — the flow target the thread id must re-attach to.
 	fenceKind   FenceKind
 	fenceTarget mem.PAddr
 
 	calls      []timedCall
 	callsSpare []timedCall // recycled backing array for the calls queue
 
-	// waker invalidates the engine's cached idle hint; completion
-	// callbacks (the core's only external inputs) wake the core.
+	// waker invalidates the engine's cached idle hint; MemDone and
+	// ReleaseFence (the core's only external inputs) wake the core.
 	waker *sim.Waker
 
 	// Idle-skip bookkeeping: the last cycle NextWork or Tick observed and
@@ -147,11 +143,10 @@ type Core struct {
 }
 
 // timedCall is a pending fixed-latency completion (a compute retiring): at
-// cycle `at`, entry e is marked done. Storing the target entry instead of a
-// closure keeps the dispatch hot path allocation-free.
+// cycle `at`, ROB slot `slot` is marked done.
 type timedCall struct {
-	at uint64
-	e  *robEntry
+	at   uint64
+	slot uint32
 }
 
 func (c *Core) robLen() int { return int(c.robTail - c.robHead) }
@@ -264,7 +259,7 @@ func (c *Core) Tick(cycle uint64) {
 		c.calls = c.callsSpare[:0]
 		for _, t := range due {
 			if t.at <= cycle {
-				t.e.done = true
+				c.rob[t.slot].done = true
 			} else {
 				c.calls = append(c.calls, t) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
 			}
@@ -365,15 +360,35 @@ func (c *Core) stash(in *isa.Inst) {
 	c.hasPending = true
 }
 
+// MemDone completes the load or store in ROB slot token, the token the core
+// passed to MemPort.Access.
+func (c *Core) MemDone(token uint64) {
+	c.rob[token].done = true
+	c.waker.Wake()
+}
+
+// ReleaseFence completes the instruction holding the core's fence (a Gather
+// or a barrier), drops the fence and wakes the core. While fenced, dispatch
+// has stopped, so the fencing instruction is the ROB tail's predecessor.
+func (c *Core) ReleaseFence() {
+	if !c.fenced {
+		panic(fmt.Sprintf("cpu: fence release for unfenced core %d", c.ID))
+	}
+	c.rob[(c.robTail-1)&c.robMask].done = true
+	c.fenced = false
+	c.waker.Wake()
+}
+
 // issue places one instruction in the ROB and starts its execution. It
 // reports false when a downstream structure refused the instruction.
 //
-// The prospective ROB slot is the ring's tail; its fields are initialized
-// before any downstream call and the slot is committed (tail advanced) only
-// on success. A refused instruction registers no callback anywhere, so the
+// The prospective ROB slot is the ring's tail; its flag is cleared before
+// any downstream call and the slot is committed (tail advanced) only on
+// success. A refused instruction leaves no token anywhere, so the
 // uncommitted slot simply gets reinitialized on the next attempt.
 func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
-	e := &c.rob[c.robTail&c.robMask]
+	slot := c.robTail & c.robMask
+	e := &c.rob[slot]
 	e.done = false
 	switch in.Kind {
 	case isa.KindCompute:
@@ -386,18 +401,12 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 		default:
 			lat = c.cfg.FPMulLat
 		}
-		c.calls = append(c.calls, timedCall{at: cycle + lat, e: e}) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
+		c.calls = append(c.calls, timedCall{at: cycle + lat, slot: slot}) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
 		c.Stats.Computes++
 	case isa.KindLoad, isa.KindStore, isa.KindAtomicAdd:
 		pa := c.as.Translate(in.Addr)
 		write := in.Kind != isa.KindLoad
-		if e.memDone == nil {
-			e.memDone = func(uint64) { //ar:exempt(hotpath) allocated once per inflight entry, cached in the entry and reused
-				e.done = true
-				c.waker.Wake()
-			}
-		}
-		if !c.mem.Access(pa, write, cycle, e.memDone) {
+		if !c.mem.Access(pa, write, cycle, uint64(slot)) {
 			c.Stats.MemStalls++
 			return false
 		}
@@ -428,18 +437,10 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 		e.done = true // fire-and-forget (§3.3: offload overlaps processing)
 		c.Stats.Updates++
 	case isa.KindGather:
-		if e.gatherWake == nil {
-			e.gatherWake = func(uint64) { //ar:exempt(hotpath) allocated once per inflight entry, cached in the entry and reused
-				e.done = true
-				c.fenced = false
-				c.waker.Wake()
-			}
-		}
 		cmd := core.GatherCmd{
 			ThreadID: c.ID,
 			Target:   c.as.Translate(in.Target),
 			Threads:  in.Threads,
-			Wake:     e.gatherWake,
 		}
 		if !c.offload.Gather(cmd, cycle) {
 			c.Stats.OffloadStalls++
@@ -455,17 +456,10 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 		if c.barrier == nil {
 			panic(fmt.Sprintf("cpu: core %d hit a barrier without one configured", c.ID))
 		}
-		if e.barrierWake == nil {
-			e.barrierWake = func() { //ar:exempt(hotpath) allocated once per inflight entry, cached in the entry and reused
-				e.done = true
-				c.fenced = false
-				c.waker.Wake()
-			}
-		}
 		c.fenced = true
 		c.fenceKind = FenceBarrier
 		c.Stats.Barriers++
-		c.barrier.Arrive(e.barrierWake)
+		c.barrier.Arrive(c)
 	default:
 		panic(fmt.Sprintf("cpu: unknown instruction kind %s", in.Kind))
 	}
@@ -474,19 +468,18 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 }
 
 // Barrier is a reusable centralized thread barrier and a sim.Component.
-// Completion is deferred: when the n-th thread arrives the waiters move to
-// a release list and the barrier wakes itself; registered last in the tick
-// order, it ticks at the end of that same cycle and fires the releases, so
-// every waiter — regardless of its position in the tick order relative to
-// the last arriver — resumes on the next cycle. The uniform one-cycle
-// release latency models a real barrier's notification delay, and it makes
-// the release cycle independent of where the last arriver sits in the tick
-// order (DESIGN.md "Simulation kernel: tick order").
+// Completion is deferred: when the n-th thread arrives the waiting cores
+// move to a release list and the barrier wakes itself; registered last in
+// the tick order, it ticks at the end of that same cycle and releases their
+// fences, so every waiter — regardless of its position in the tick order
+// relative to the last arriver — resumes on the next cycle. The uniform
+// one-cycle release latency models a real barrier's notification delay,
+// and it makes the release cycle independent of where the last arriver
+// sits in the tick order (DESIGN.md "Simulation kernel: tick order").
 type Barrier struct {
 	n         int
-	arrived   int
-	waiters   []func()
-	release   []func()
+	waiters   []*Core // arrived cores of the crossing in progress
+	release   []*Core
 	waker     *sim.Waker
 	Crossings uint64
 }
@@ -498,14 +491,12 @@ func NewBarrier(n int) *Barrier { return &Barrier{n: n} }
 // only input.
 func (b *Barrier) SetWaker(w *sim.Waker) { b.waker = w }
 
-// Arrive registers a thread; when the n-th arrives the barrier resets and
-// every waiter is queued for release at the barrier's next Tick.
-func (b *Barrier) Arrive(wake func()) {
-	b.arrived++
-	b.waiters = append(b.waiters, wake) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
-	if b.arrived == b.n {
+// Arrive registers a barrier-fenced core; when the n-th arrives the barrier
+// resets and every waiter is queued for release at the barrier's next Tick.
+func (b *Barrier) Arrive(c *Core) {
+	b.waiters = append(b.waiters, c) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
+	if len(b.waiters) == b.n {
 		b.release = append(b.release, b.waiters...) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
-		b.arrived = 0
 		b.waiters = b.waiters[:0]
 		b.Crossings++
 		b.waker.Wake()
@@ -524,11 +515,10 @@ func (b *Barrier) NextWork(now uint64) uint64 {
 	return sim.Never
 }
 
-// Tick fires the queued release wakes of a completed crossing.
+// Tick releases the fences of a completed crossing's cores.
 func (b *Barrier) Tick(uint64) {
-	for i, w := range b.release {
-		b.release[i] = nil
-		w()
+	for _, c := range b.release {
+		c.ReleaseFence()
 	}
 	b.release = b.release[:0]
 }

@@ -10,26 +10,26 @@ import (
 	"repro/internal/sim"
 )
 
-// instantMem completes every access after a fixed latency, driven by tick.
+// instantMem completes every access of core c after a fixed latency,
+// driven by tick.
 type instantMem struct {
+	c       *Core
 	lat     uint64
 	pending []struct {
-		at   uint64
-		done func(uint64)
+		at, token uint64
 	}
 	accesses int
 	refuse   bool
 }
 
-func (m *instantMem) Access(addr mem.PAddr, write bool, cycle uint64, done func(uint64)) bool {
+func (m *instantMem) Access(addr mem.PAddr, write bool, cycle uint64, token uint64) bool {
 	if m.refuse {
 		return false
 	}
 	m.accesses++
 	m.pending = append(m.pending, struct {
-		at   uint64
-		done func(uint64)
-	}{cycle + m.lat, done})
+		at, token uint64
+	}{cycle + m.lat, token})
 	return true
 }
 
@@ -37,7 +37,7 @@ func (m *instantMem) tick(cycle uint64) {
 	kept := m.pending[:0]
 	for _, p := range m.pending {
 		if p.at <= cycle {
-			p.done(cycle)
+			m.c.MemDone(p.token)
 		} else {
 			kept = append(kept, p)
 		}
@@ -82,6 +82,9 @@ func replay(insts []isa.Inst) isa.Stream {
 }
 
 func runCore(c *Core, m *instantMem, budget int) int {
+	if m != nil {
+		m.c = c
+	}
 	for i := 0; i < budget; i++ {
 		if m != nil {
 			m.tick(uint64(i))
@@ -201,7 +204,7 @@ func TestGatherFencesDispatch(t *testing.T) {
 		t.Fatal("fence stall not counted")
 	}
 	// Release the gather: the update must now flow.
-	off.gathers[0].Wake(50)
+	c.ReleaseFence()
 	for i := 50; i < 100; i++ {
 		c.Tick(uint64(i))
 	}

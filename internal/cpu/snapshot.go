@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -18,9 +19,9 @@ const (
 
 // Snapshotable reports whether the core's state is capturable: every
 // in-flight ROB entry must be accounted for by a timed call or the fence
-// (an outstanding memory access would hold a completion callback inside
-// the cache hierarchy, which the system-level quiescence predicate rules
-// out before asking). The stream needs no check: an isa.Stream replays a
+// (an outstanding memory access would hold the core's token inside the
+// cache hierarchy, which the system-level quiescence predicate rules out
+// before asking). The stream needs no check: an isa.Stream replays a
 // pre-built trace, so its cursor is its whole state.
 func (c *Core) Snapshotable() bool {
 	pend := 0
@@ -84,9 +85,9 @@ func decInst(d *sim.Dec, in *isa.Inst) {
 // Snapshot appends the core's quiescent-point state: replay cursor, ROB
 // ring occupancy with completion flags, pending timed calls as (cycle,
 // slot) pairs, fence provenance, stall bookkeeping, stats and IPC series.
-// Completion closures are not serialized — they are recreated on restore
-// (compute completions through the calls list, fence wakes through
-// RearmFence, memory completions impossible at quiescence).
+// The fence's waiting registration at its barrier or coordinator flow is
+// not serialized: RearmFence recreates it from the provenance (memory
+// completions are impossible at quiescence).
 func (c *Core) Snapshot(e *sim.Enc) {
 	e.Tag("core")
 	e.Int(c.ID)
@@ -102,14 +103,7 @@ func (c *Core) Snapshot(e *sim.Enc) {
 	e.Int(len(c.calls))
 	for _, t := range c.calls {
 		e.U64(t.at)
-		idx := -1
-		for j := range c.rob {
-			if &c.rob[j] == t.e {
-				idx = j
-				break
-			}
-		}
-		e.Int(idx)
+		e.Int(int(t.slot))
 	}
 	fk := c.fenceKind
 	var ft mem.PAddr
@@ -173,7 +167,7 @@ func (c *Core) Restore(d *sim.Dec) {
 			d.Fail("core %d timed call slot %d out of range", c.ID, idx)
 			return
 		}
-		c.calls = append(c.calls, timedCall{at: at, e: &c.rob[idx]})
+		c.calls = append(c.calls, timedCall{at: at, slot: uint32(idx)})
 	}
 	c.fenced = d.Bool()
 	c.fenceKind = FenceKind(d.U32())
@@ -194,41 +188,26 @@ func (c *Core) Restore(d *sim.Dec) {
 	}
 }
 
-// RearmFence re-attaches a restored core's fence wake to its primitive:
-// barrier fences re-arrive at the core's barrier (wake order across cores
-// is commutative — each wake only raises its own core's flags — so
-// re-arrival in core-ID order reproduces the original machine state
-// bit-identically); gather fences re-attach to the coordinator flow via
-// attach, which reports whether the flow exists. It returns false when a
-// fence cannot be re-armed (a corrupt or inconsistent snapshot).
-func (c *Core) RearmFence(attach func(target mem.PAddr, wake func(cycle uint64)) bool) bool {
+// RearmFence re-registers a restored fenced core with the primitive that
+// releases it: a barrier fence re-arrives at the core's barrier, a gather
+// fence re-attaches the core's thread id to its coordinator flow. Release
+// order across cores is commutative — each release only touches its own
+// core — so re-arming in core-ID order reproduces the original machine
+// bit-identically. It returns false when a fence cannot be re-armed (a
+// corrupt or inconsistent snapshot).
+func (c *Core) RearmFence(coord *core.Coordinator) bool {
 	if !c.fenced {
 		return true
 	}
-	e := &c.rob[(c.robTail-1)&c.robMask]
 	switch c.fenceKind {
 	case FenceBarrier:
 		if c.barrier == nil {
 			return false
 		}
-		if e.barrierWake == nil {
-			e.barrierWake = func() {
-				e.done = true
-				c.fenced = false
-				c.waker.Wake()
-			}
-		}
-		c.barrier.Arrive(e.barrierWake)
+		c.barrier.Arrive(c)
 		return true
 	case FenceGather:
-		if e.gatherWake == nil {
-			e.gatherWake = func(uint64) {
-				e.done = true
-				c.fenced = false
-				c.waker.Wake()
-			}
-		}
-		return attach != nil && attach(c.fenceTarget, e.gatherWake)
+		return coord != nil && coord.AttachGather(c.fenceTarget, c.ID)
 	}
 	return false
 }

@@ -79,8 +79,8 @@ type bankState struct {
 type BankSet struct {
 	timing    Timing
 	banks     []bankState
-	queue     []*Request
-	inflight  []*Request
+	queue     []Request
+	inflight  []Request
 	maxQueue  int
 	busFreeAt uint64
 	// earliestDone is the exact minimum doneAt over inflight (sim.Never
@@ -91,7 +91,6 @@ type BankSet struct {
 	// absent new arrivals) re-scanning the queue would pick nothing.
 	earliestDone      uint64
 	banksBlockedUntil uint64
-	reqFree           []*Request // recycled request records (Enqueue copies into one)
 
 	// Done receives each request's Token exactly once, at the simulator
 	// cycle its data transfer completes.
@@ -105,9 +104,6 @@ func NewBankSet(n int, timing Timing, maxQueue int, done func(token, cycle uint6
 	if n <= 0 {
 		panic("dram: bank set needs at least one bank")
 	}
-	if maxQueue <= 0 {
-		maxQueue = 32
-	}
 	return &BankSet{
 		timing:       timing,
 		banks:        make([]bankState, n),
@@ -118,9 +114,7 @@ func NewBankSet(n int, timing Timing, maxQueue int, done func(token, cycle uint6
 }
 
 // Enqueue presents a request by value; it reports false when the queue is
-// full (the caller must retry, modeling controller backpressure). The bank
-// set copies the request into an internally recycled record, so a steady
-// stream of accesses allocates nothing.
+// full (the caller must retry, modeling controller backpressure).
 func (b *BankSet) Enqueue(r Request) bool {
 	if len(b.queue) >= b.maxQueue {
 		b.Stats.QueueFullRej++
@@ -129,15 +123,7 @@ func (b *BankSet) Enqueue(r Request) bool {
 	if r.Bank < 0 || r.Bank >= len(b.banks) {
 		panic("dram: request bank out of range")
 	}
-	var rec *Request
-	if n := len(b.reqFree); n > 0 {
-		rec = b.reqFree[n-1]
-		b.reqFree = b.reqFree[:n-1]
-	} else {
-		rec = new(Request)
-	}
-	*rec = r
-	b.queue = append(b.queue, rec)
+	b.queue = append(b.queue, r)
 	b.banksBlockedUntil = 0 // new candidate: the scheduler must re-scan
 	return true
 }
@@ -174,10 +160,8 @@ func (b *BankSet) Tick(cycle uint64) {
 			r := b.inflight[i]
 			if r.doneAt <= cycle {
 				b.inflight[i] = b.inflight[len(b.inflight)-1]
-				b.inflight[len(b.inflight)-1] = nil
 				b.inflight = b.inflight[:len(b.inflight)-1]
 				b.Done(r.Token, cycle)
-				b.reqFree = append(b.reqFree, r)
 				continue
 			}
 			i++
@@ -225,7 +209,7 @@ func (b *BankSet) Tick(cycle uint64) {
 	b.issue(r, cycle)
 }
 
-func (b *BankSet) issue(r *Request, cycle uint64) {
+func (b *BankSet) issue(r Request, cycle uint64) {
 	t := &b.timing
 	bank := &b.banks[r.Bank]
 	start := cycle

@@ -128,15 +128,16 @@ func TestActiveUpdateThroughNetwork(t *testing.T) {
 	r.store.WriteF64(b, 7)
 	r.store.WriteF64(target, 100)
 
-	coord := core.NewCoordinator(core.PolicyStatic, geom, []core.Port{r.ctrl, r.ctrl, r.ctrl, r.ctrl}, r.store, 32)
+	woken := false
+	coord := core.NewCoordinator(core.PolicyStatic, geom, []core.Port{r.ctrl, r.ctrl, r.ctrl, r.ctrl}, r.store, 32,
+		func(int) { woken = true })
 	r.ctrl.OnGatherResp = coord.OnGatherResp
 	r.ctrl.OnActiveAck = coord.OnActiveAck
 
 	if !coord.EnqueueUpdate(core.UpdateCmd{Op: isa.OpMac, Src1: a, Src2: b, Target: target}, 0) {
 		t.Fatal("update rejected")
 	}
-	woken := false
-	coord.EnqueueGather(core.GatherCmd{Target: target, Threads: 1, Wake: func(uint64) { woken = true }}, 0)
+	coord.EnqueueGather(core.GatherCmd{Target: target, Threads: 1}, 0)
 	for i := 0; i < 20000 && !woken; i++ {
 		r.cycle++
 		r.fabric.Tick(r.cycle)
@@ -166,7 +167,7 @@ func TestActiveStoreMovThroughNetwork(t *testing.T) {
 	dst := mem.PAddr(11 * mem.PageSize)
 	r.store.WriteF64(src, 3.75)
 
-	coord := core.NewCoordinator(core.PolicyStatic, geom, []core.Port{r.ctrl, r.ctrl, r.ctrl, r.ctrl}, r.store, 32)
+	coord := core.NewCoordinator(core.PolicyStatic, geom, []core.Port{r.ctrl, r.ctrl, r.ctrl, r.ctrl}, r.store, 32, nil)
 	r.ctrl.OnGatherResp = coord.OnGatherResp
 	r.ctrl.OnActiveAck = coord.OnActiveAck
 	if !coord.EnqueueUpdate(core.UpdateCmd{Op: isa.OpMov, Src1: src, Target: dst}, 0) {

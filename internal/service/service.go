@@ -419,9 +419,10 @@ type Stats struct {
 	Cluster *ClusterStats `json:"cluster,omitempty"`
 
 	// Allocation/GC gauges (runtime.MemStats snapshots) so operators can
-	// watch the simulator's memory discipline in production: with the
-	// pooled packet lifecycle the per-simulation allocation rate
-	// should stay near-constant as traffic grows.
+	// watch the simulator's memory discipline in production: the machine
+	// allocates nothing per operation in steady state, so the
+	// per-simulation allocation rate should stay near-constant as traffic
+	// grows.
 	HeapAllocBytes  uint64  `json:"heap_alloc_bytes"`
 	HeapSysBytes    uint64  `json:"heap_sys_bytes"`
 	TotalAllocBytes uint64  `json:"total_alloc_bytes"`

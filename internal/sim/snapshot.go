@@ -10,7 +10,7 @@ import (
 // encoder writing into a caller-owned buffer and a sticky-error decoder.
 // Components implement Snapshotter to serialize exactly the state that
 // survives a quiescent point (DESIGN.md "Checkpointing"); everything
-// rebuilt by construction (pools, free lists, wiring, closures) is omitted
+// rebuilt by construction (free lists, wiring, completion hooks) is omitted
 // and restored structurally fresh.
 
 // Snapshotter is the component snapshot protocol. Snapshot appends the

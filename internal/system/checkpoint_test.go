@@ -57,8 +57,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Run(c.workload+"/"+c.scheme.String(), func(t *testing.T) {
 			t.Parallel()
 			want := runStraight(t, c.scheme, c.workload)
-			// "seq-seq": the snapshot is taken and resumed on the
-			// sequential engine.
+			// "seq-seq": the snapshot is taken from one machine and
+			// resumed on a freshly built one.
 			t.Run("seq-seq", func(t *testing.T) {
 				src := buildSys(t, c.scheme, c.workload)
 				snap, err := src.RunToCheckpoint(context.Background(), want.Cycles/2, nil)

@@ -3,6 +3,8 @@ package system
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 func TestDefaultConfigValidates(t *testing.T) {
@@ -30,6 +32,10 @@ func TestValidateRejectsBadFields(t *testing.T) {
 		{"zero L2 input queue", func(c *Config) { c.L2.InQDepth = 0 }, "L2.InQDepth"},
 		{"zero ARE input queue", func(c *Config) { c.ARE.InQDepth = 0 }, "ARE.InQDepth"},
 		{"zero ARE clock divider", func(c *Config) { c.ARE.ClockDiv = 0 }, "ARE.ClockDiv"},
+		{"zero MI queue", func(c *Config) { c.MIQueue = 0 }, "MI queue/window"},
+		{"zero MI window", func(c *Config) { c.MIWindow = 0 }, "MI queue/window"},
+		{"zero vault queue", func(c *Config) { c.Cube.VaultQueue = 0 }, "vault queue"},
+		{"zero coordinator queue", func(c *Config) { c.CoordQueue = 0 }, "CoordQueue"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(SchemeARFtid)
@@ -40,6 +46,12 @@ func TestValidateRejectsBadFields(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: error %q does not name %q", tc.name, err, tc.want)
+		}
+		// Machine construction applies the same gate, so no component
+		// needs a default for a zero-valued field.
+		wl := workload.NewReduce(workload.ScaleTiny, 16, false)
+		if _, err := NewWith(cfg, wl); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: NewWith returned error %v, want one naming %q", tc.name, err, tc.want)
 		}
 	}
 }

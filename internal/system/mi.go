@@ -46,12 +46,6 @@ type miEntry struct {
 
 // NewMessageInterface builds the MI for the core at tile.
 func NewMessageInterface(tile int, send cache.Sender, coord *core.Coordinator, capacity, window int) *MessageInterface {
-	if capacity <= 0 {
-		capacity = 16
-	}
-	if window <= 0 {
-		window = 8
-	}
 	return &MessageInterface{
 		tile:   tile,
 		send:   send,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -17,9 +16,9 @@ import (
 // idle, no outstanding memory accesses, ARE and
 // coordinator holding only mid-construction flow state, cores blocked
 // solely on fences or timed compute completions. At such a point the
-// machine is plain data: no closure needs serializing, because every live
-// callback is recoverable from structure (compute completions from the
-// ROB timed-call list, fence wakes from recorded fence provenance).
+// machine is plain data. The one relation the sections do not encode, which
+// barrier or coordinator flow each fenced core waits on, is rebuilt from
+// the cores' recorded fence provenance (RearmFence).
 //
 // Restore never rebases the clock: the engine restarts at the snapshot
 // cycle (StartAt), so absolute-cycle state — DRAM freeAt/activatedAt,
@@ -156,14 +155,11 @@ func (s *System) Restore(data []byte) error {
 		return fmt.Errorf("system: %d trailing bytes after snapshot", n)
 	}
 
-	// Re-arm fences in core-ID order: barrier fences re-arrive (wake order
-	// is commutative, so arrival order never shows), gather fences
+	// Re-arm fences in core-ID order: barrier fences re-arrive (release
+	// order is commutative, so arrival order never shows), gather fences
 	// re-attach to their coordinator flow's thread barrier.
-	attach := func(target mem.PAddr, wake func(cycle uint64)) bool {
-		return s.coord != nil && s.coord.AttachGatherWake(target, wake)
-	}
 	for _, c := range s.cores {
-		if !c.RearmFence(attach) {
+		if !c.RearmFence(s.coord) {
 			return fmt.Errorf("system: core %d fence cannot be re-armed (inconsistent snapshot)", c.ID)
 		}
 	}

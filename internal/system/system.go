@@ -232,8 +232,13 @@ func New(cfg Config, wlName string, scale workload.Scale) (*System, error) {
 	return NewWith(cfg, wl)
 }
 
-// NewWith builds a machine around an existing workload value.
+// NewWith builds a machine around an existing workload value. It refuses a
+// configuration Config.Validate rejects, so no component needs a default
+// for a zero-valued field.
 func NewWith(cfg Config, wl workload.Workload) (*System, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	s := &System{cfg: cfg, wl: wl, engine: sim.NewEngine()}
 	s.env = workload.NewEnv(cfg.Threads, cfg.Seed)
 	wl.Init(s.env)
@@ -288,7 +293,8 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 			ports[i] = s.hmcCtrls[i]
 		}
 		if cfg.Scheme.Active() {
-			s.coord = core.NewCoordinator(cfg.Scheme.Policy(), cfg.HMCGeom, ports, s.env.Store, cfg.CoordQueue)
+			s.coord = core.NewCoordinator(cfg.Scheme.Policy(), cfg.HMCGeom, ports, s.env.Store, cfg.CoordQueue,
+				func(tid int) { s.cores[tid].ReleaseFence() })
 			memTopo := topo
 			s.coord.SetDistanceFn(func(port, cube int) int {
 				entry := ctrlCubes[port]
@@ -328,7 +334,8 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 	s.l1s = make([]*cache.L1, tiles)
 	for t := 0; t < tiles; t++ {
 		s.l1s[t] = cache.NewL1(t, cfg.L1, s.senderFor(t),
-			func(block mem.PAddr) int { return cache.BankOf(block, tiles) })
+			func(block mem.PAddr) int { return cache.BankOf(block, tiles) },
+			func(token uint64) { s.cores[t].MemDone(token) })
 	}
 
 	// --- Message interfaces (Active-Routing schemes only).
