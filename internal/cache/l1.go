@@ -131,9 +131,6 @@ func (l *L1) find(block mem.PAddr) *l1Line {
 // SetWaker implements sim.Component.
 func (l *L1) SetWaker(w *sim.Waker) { l.waker = w }
 
-// MSHRsInUse reports outstanding misses.
-func (l *L1) MSHRsInUse() int { return len(l.mshrs) }
-
 // findMSHR returns the live miss entry for block, or nil.
 func (l *L1) findMSHR(block mem.PAddr) *l1MSHR {
 	for _, ms := range l.mshrs {

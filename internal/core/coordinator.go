@@ -286,7 +286,8 @@ func (c *Coordinator) activeStoreRoute(cmd UpdateCmd) (dstCube, port int) {
 // non-nil for flow final write-backs.
 func (c *Coordinator) activeStorePacket(cmd UpdateCmd, f *coordFlow) network.Packet {
 	dstCube, port := c.activeStoreRoute(cmd)
-	p := network.NewPacket(network.ActiveStoreReq, c.ports[port].Node(), c.nodeOfCube(port, dstCube))
+	// Cube ids equal their memory-network node ids.
+	p := network.NewPacket(network.ActiveStoreReq, c.ports[port].Node(), dstCube)
 	p.Op = cmd.Op
 	p.Src1 = cmd.Src1
 	p.Target = cmd.Target
@@ -296,9 +297,6 @@ func (c *Coordinator) activeStorePacket(cmd UpdateCmd, f *coordFlow) network.Pac
 	c.pendingAcks[p.Tag] = f
 	return p
 }
-
-// nodeOfCube: cube ids equal their network node ids in the memory network.
-func (c *Coordinator) nodeOfCube(port, cube int) int { return cube }
 
 // EnqueueGather accepts a Gather command. Commands are idempotent per
 // thread; the flow completes (and wakes every waiter) after all

@@ -37,7 +37,7 @@ type EngineConfig struct {
 	DecodeRate  int    // packets decoded per ARE cycle
 	ALURate     int    // update commits per ARE cycle
 	InQDepth    int    // ARE input queue depth (packets)
-	ClockDiv    uint64 // simulator cycles per ARE cycle (logic layer @1 GHz)
+	ClockDiv    uint64 // simulator cycles per ARE cycle (logic layer @1 GHz); a power of two
 	BypassOff   bool   // ablation: disable the single-operand bypass (§3.2.3)
 }
 
@@ -112,10 +112,8 @@ type Engine struct {
 	nextTag   uint64
 	bypassOff bool // ablation: disable the single-operand bypass
 
-	// clockMask enables mask arithmetic for the (common) power-of-two
-	// ClockDiv; valid only when clockPow2.
+	// ClockDiv is a power of two, so cycle%ClockDiv == cycle&clockMask.
 	clockMask uint64
-	clockPow2 bool
 
 	Stats     EngineStats
 	Breakdown stats.LatencyBreakdown
@@ -132,7 +130,6 @@ func NewEngine(cubeID, node int, cfg EngineConfig, cube Cube) *Engine {
 		byTag:     make(map[uint64]*OperandEntry),
 		bypassOff: cfg.BypassOff,
 		clockMask: cfg.ClockDiv - 1,
-		clockPow2: cfg.ClockDiv&(cfg.ClockDiv-1) == 0,
 	}
 }
 
@@ -182,24 +179,14 @@ func (e *Engine) NextWork(now uint64) uint64 {
 		e.outQ[0].Len() == 0 && e.outQ[1].Len() == 0 && e.fwdQ.Len() == 0 {
 		return sim.Never
 	}
-	if e.clockPow2 {
-		return (now + e.clockMask) &^ e.clockMask
-	}
-	if rem := now % e.cfg.ClockDiv; rem != 0 {
-		return now + e.cfg.ClockDiv - rem
-	}
-	return now
+	return (now + e.clockMask) &^ e.clockMask
 }
 
 // Tick advances the engine one simulator cycle.
 //
 //ar:hotpath
 func (e *Engine) Tick(cycle uint64) {
-	if e.clockPow2 {
-		if cycle&e.clockMask != 0 {
-			return
-		}
-	} else if cycle%e.cfg.ClockDiv != 0 {
+	if cycle&e.clockMask != 0 {
 		return
 	}
 	e.drainOut(cycle)

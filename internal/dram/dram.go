@@ -101,16 +101,27 @@ type BankSet struct {
 
 // NewBankSet creates a bank set with n banks, the given queue depth and Done.
 func NewBankSet(n int, timing Timing, maxQueue int, done func(token, cycle uint64)) *BankSet {
+	return &NewBankSets(1, n, timing, maxQueue, done)[0]
+}
+
+// NewBankSets creates count bank sets of n banks each, sharing the queue
+// depth and Done. The sets share one allocation and their banks a second.
+func NewBankSets(count, n int, timing Timing, maxQueue int, done func(token, cycle uint64)) []BankSet {
 	if n <= 0 {
 		panic("dram: bank set needs at least one bank")
 	}
-	return &BankSet{
-		timing:       timing,
-		banks:        make([]bankState, n),
-		maxQueue:     maxQueue,
-		earliestDone: sim.Never,
-		Done:         done,
+	sets := make([]BankSet, count)
+	banks := make([]bankState, count*n)
+	for i := range sets {
+		sets[i] = BankSet{
+			timing:       timing,
+			banks:        banks[i*n : (i+1)*n : (i+1)*n],
+			maxQueue:     maxQueue,
+			earliestDone: sim.Never,
+			Done:         done,
+		}
 	}
+	return sets
 }
 
 // Enqueue presents a request by value; it reports false when the queue is

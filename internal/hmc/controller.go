@@ -40,9 +40,6 @@ type Controller struct {
 // entry cube, and registers it as the node's endpoint. done receives each
 // Access's token when its response arrives.
 func NewController(index, node, entryCube int, geom mem.HMCGeometry, fabric *network.Fabric, queueCap int, done func(token, cycle uint64)) *Controller {
-	if queueCap <= 0 {
-		queueCap = 32
-	}
 	c := &Controller{
 		Index:     index,
 		node:      node,

@@ -84,7 +84,7 @@ type Cube struct {
 	cfg    CubeConfig
 	fabric *network.Fabric
 	store  *mem.Store
-	vaults []*dram.BankSet
+	vaults []dram.BankSet
 	are    *core.Engine
 
 	staged sim.FIFO[cubeOp]
@@ -114,11 +114,7 @@ type Cube struct {
 // (AttachARE) for Active-Routing schemes.
 func NewCube(id int, cfg CubeConfig, fabric *network.Fabric, store *mem.Store) *Cube {
 	c := &Cube{ID: id, cfg: cfg, fabric: fabric, store: store}
-	c.vaults = make([]*dram.BankSet, cfg.Geom.VaultsPerCube)
-	done := c.vaultDone // one completion hook shared by every vault
-	for v := range c.vaults {
-		c.vaults[v] = dram.NewBankSet(cfg.Geom.BanksPerVault, cfg.Timing, cfg.VaultQueue, done)
-	}
+	c.vaults = dram.NewBankSets(cfg.Geom.VaultsPerCube, cfg.Geom.BanksPerVault, cfg.Timing, cfg.VaultQueue, c.vaultDone)
 	fabric.SetEndpoint(id, c)
 	return c
 }
@@ -328,7 +324,7 @@ func (c *Cube) Tick(cycle uint64) {
 		for m := c.vaultBusy; m != 0; {
 			v := bits.TrailingZeros64(m)
 			m &= m - 1
-			vault := c.vaults[v]
+			vault := &c.vaults[v]
 			if vault.NextWork(cycle) > cycle {
 				continue
 			}

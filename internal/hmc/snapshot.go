@@ -28,8 +28,8 @@ func (c *Cube) Snapshot(e *sim.Enc) {
 		e.U64(*p)
 	}
 	e.Int(len(c.vaults))
-	for _, v := range c.vaults {
-		v.Snapshot(e)
+	for v := range c.vaults {
+		c.vaults[v].Snapshot(e)
 	}
 	e.Bool(c.are != nil)
 	if c.are != nil {
@@ -51,8 +51,8 @@ func (c *Cube) Restore(d *sim.Dec) {
 		d.Fail("cube %d vault count mismatch: snapshot %d, machine %d", c.ID, n, len(c.vaults))
 		return
 	}
-	for _, v := range c.vaults {
-		v.Restore(d)
+	for v := range c.vaults {
+		c.vaults[v].Restore(d)
 	}
 	hasARE := d.Bool()
 	if d.Err() != nil {

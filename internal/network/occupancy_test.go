@@ -105,3 +105,20 @@ func TestFabricNextWork(t *testing.T) {
 		t.Fatal("fabric should drain")
 	}
 }
+
+// TestNewFabricRejectsNonPow2ClockDiv: the fabric has only the mask-and-
+// shift clock path, so a divider it cannot serve must panic at build time.
+func TestNewFabricRejectsNonPow2ClockDiv(t *testing.T) {
+	for _, div := range []uint64{0, 3, 6} {
+		cfg := DefaultMemNetConfig()
+		cfg.ClockDiv = div
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewFabric accepted ClockDiv %d", div)
+				}
+			}()
+			NewFabric(NewDragonfly([]int{0, 4, 8, 12}), cfg)
+		}()
+	}
+}

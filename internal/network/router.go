@@ -37,7 +37,7 @@ type Config struct {
 	LinkLatency   uint64 // link traversal latency, network cycles
 	LinkBandwidth int    // bytes per network cycle per link
 	RouterDelay   uint64 // router pipeline latency, network cycles
-	ClockDiv      uint64 // simulator cycles per network cycle
+	ClockDiv      uint64 // simulator cycles per network cycle: a power of two
 }
 
 // DefaultMemNetConfig returns the memory-network parameters: 1 GHz network
@@ -228,12 +228,10 @@ type Fabric struct {
 
 	wheelHorizon uint64 // arrival-wheel capacity in network cycles
 
-	// clockMask enables mask/shift arithmetic for the (common) power-of-two
-	// ClockDiv: cycle%ClockDiv == cycle&clockMask. clockShift is
-	// log2(ClockDiv); both are valid only when clockPow2.
+	// ClockDiv is a power of two, so cycle%ClockDiv == cycle&clockMask
+	// and cycle/ClockDiv == cycle>>clockShift.
 	clockMask  uint64
 	clockShift uint
-	clockPow2  bool
 
 	// classMask[c] selects input-queue occupancy bits whose VC belongs to
 	// ejection class c (vc/2 == c); shared by all routers since the bit
@@ -250,22 +248,17 @@ type Fabric struct {
 // SetEndpoint. The occupancy masks are single words, so the topology may
 // have at most 64 nodes and a router at most 64 input queues (ports*VCs
 // link inputs plus VCs injection queues); every topology in this package
-// fits.
+// fits. ClockDiv must be a power of two.
 func NewFabric(topo Topology, cfg Config) *Fabric {
-	if cfg.VCs != NumVCs || cfg.QueueDepth <= 0 || cfg.LinkBandwidth <= 0 || cfg.ClockDiv == 0 {
+	if cfg.VCs != NumVCs || cfg.QueueDepth <= 0 || cfg.LinkBandwidth <= 0 ||
+		cfg.ClockDiv == 0 || cfg.ClockDiv&(cfg.ClockDiv-1) != 0 {
 		panic("network: invalid fabric config")
 	}
-	f := &Fabric{Topo: topo, Cfg: cfg}
+	f := &Fabric{Topo: topo, Cfg: cfg,
+		clockMask: cfg.ClockDiv - 1, clockShift: uint(bits.TrailingZeros64(cfg.ClockDiv))}
 	n := topo.Nodes()
 	if n > 64 {
 		panic(fmt.Sprintf("network: %d nodes exceed the 64-bit occupancy masks", n))
-	}
-	if cfg.ClockDiv&(cfg.ClockDiv-1) == 0 {
-		f.clockPow2 = true
-		f.clockMask = cfg.ClockDiv - 1
-		for d := cfg.ClockDiv; d > 1; d >>= 1 {
-			f.clockShift++
-		}
 	}
 	// Size the arrival wheels to the worst-case wire latency in network
 	// cycles: serialization of the largest packet plus link and router
@@ -450,30 +443,17 @@ func (f *Fabric) NextWork(now uint64) uint64 {
 
 // alignUp rounds c up to the next network clock edge.
 func (f *Fabric) alignUp(c uint64) uint64 {
-	if f.clockPow2 {
-		return (c + f.clockMask) &^ f.clockMask
-	}
-	div := f.Cfg.ClockDiv
-	if rem := c % div; rem != 0 {
-		return c + div - rem
-	}
-	return c
+	return (c + f.clockMask) &^ f.clockMask
 }
 
 // onEdge reports whether c is a network clock edge.
 func (f *Fabric) onEdge(c uint64) bool {
-	if f.clockPow2 {
-		return c&f.clockMask == 0
-	}
-	return c%f.Cfg.ClockDiv == 0
+	return c&f.clockMask == 0
 }
 
 // netCycle converts a (clock-edge) simulator cycle to network cycles.
 func (f *Fabric) netCycle(c uint64) uint64 {
-	if f.clockPow2 {
-		return c >> f.clockShift
-	}
-	return c / f.Cfg.ClockDiv
+	return c >> f.clockShift
 }
 
 // Tick advances the fabric by one simulator cycle: apply deferred credits,

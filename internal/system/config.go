@@ -174,14 +174,14 @@ func (c *Config) Validate() error {
 		{c.NoC.LinkBandwidth > 0, "NoC.LinkBandwidth must be positive"},
 		{c.NoC.QueueDepth > 0, "NoC.QueueDepth must be positive"},
 		{c.NoC.InjDepth > 0, "NoC.InjDepth must be positive"},
-		{c.NoC.ClockDiv > 0, "NoC.ClockDiv must be positive"},
+		{isPow2(c.NoC.ClockDiv), "NoC.ClockDiv must be a power of two"},
 		{c.MemNet.LinkBandwidth > 0, "MemNet.LinkBandwidth must be positive"},
 		{c.MemNet.QueueDepth > 0, "MemNet.QueueDepth must be positive"},
 		{c.MemNet.InjDepth > 0, "MemNet.InjDepth must be positive"},
-		{c.MemNet.ClockDiv > 0, "MemNet.ClockDiv must be positive"},
+		{isPow2(c.MemNet.ClockDiv), "MemNet.ClockDiv must be a power of two"},
 		{c.ARE.MaxFlows > 0, "ARE.MaxFlows must be positive"},
 		{c.ARE.InQDepth > 0, "ARE.InQDepth must be positive"},
-		{c.ARE.ClockDiv > 0, "ARE.ClockDiv must be positive"},
+		{isPow2(c.ARE.ClockDiv), "ARE.ClockDiv must be a power of two"},
 		{c.ARE.OperandBufs > 0, "ARE.OperandBufs must be positive"},
 		{c.ARE.DecodeRate > 0 && c.ARE.ALURate > 0, "ARE decode/ALU rates must be positive"},
 		{c.DRAMGeom.Channels > 0, "DRAM channels must be positive"},
@@ -195,7 +195,7 @@ func (c *Config) Validate() error {
 		{c.DRAMTiming.CyclesPerTick > 0, "DRAM timing CyclesPerTick must be positive"},
 		{c.DRAMTiming.BL > 0, "DRAM timing burst length must be positive"},
 		{c.MaxCycles > 0, "MaxCycles must be positive"},
-		{c.IPCSampleCycles > 0, "IPCSampleCycles must be positive"},
+		{isPow2(c.IPCSampleCycles), "IPCSampleCycles must be a power of two"},
 	}
 	for _, ch := range checks {
 		if !ch.ok {
@@ -216,8 +216,17 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("system: invalid config: HMCGeom.Cubes must be %d (both memory-network topologies have %d cubes), got %d",
 			network.MemNetCubes, network.MemNetCubes, c.HMCGeom.Cubes)
 	}
+	// The cubes decode addresses with Cube.Geom and everything else with
+	// HMCGeom; two geometries would be two machines.
+	if c.Cube.Geom != c.HMCGeom {
+		return fmt.Errorf("system: invalid config: Cube.Geom %+v must equal HMCGeom %+v", c.Cube.Geom, c.HMCGeom)
+	}
 	return nil
 }
+
+// isPow2 reports whether x is a power of two. Clock dividers and the IPC
+// sampling window must be, so every clock edge is a mask test.
+func isPow2(x uint64) bool { return x != 0 && x&(x-1) == 0 }
 
 // cfgHashVersion salts Config.Hash. Bump it whenever the configuration
 // schema changes shape, so results cached under the old schema (service

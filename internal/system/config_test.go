@@ -36,6 +36,12 @@ func TestValidateRejectsBadFields(t *testing.T) {
 		{"zero MI window", func(c *Config) { c.MIWindow = 0 }, "MI queue/window"},
 		{"zero vault queue", func(c *Config) { c.Cube.VaultQueue = 0 }, "vault queue"},
 		{"zero coordinator queue", func(c *Config) { c.CoordQueue = 0 }, "CoordQueue"},
+		{"NoC clock divider 3", func(c *Config) { c.NoC.ClockDiv = 3 }, "NoC.ClockDiv must be a power of two"},
+		{"MemNet clock divider 3", func(c *Config) { c.MemNet.ClockDiv = 3 }, "MemNet.ClockDiv must be a power of two"},
+		{"ARE clock divider 3", func(c *Config) { c.ARE.ClockDiv = 3 }, "ARE.ClockDiv must be a power of two"},
+		{"IPC sample window 3000", func(c *Config) { c.IPCSampleCycles = 3000 }, "IPCSampleCycles must be a power of two"},
+		{"zero cubes in the cube geometry", func(c *Config) { c.Cube.Geom.Cubes = 0 }, "Cube.Geom"},
+		{"16 vaults per cube in the cube geometry", func(c *Config) { c.Cube.Geom.VaultsPerCube = 16 }, "Cube.Geom"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(SchemeARFtid)

@@ -1,6 +1,8 @@
 package system
 
 import (
+	"fmt"
+
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -18,16 +20,16 @@ type MessageInterface struct {
 	send  cache.Sender
 	coord *core.Coordinator
 
-	queue     sim.FIFO[*miEntry]
-	free      []*miEntry // recycled queue entries
+	queue     sim.FIFO[miEntry]
 	cap       int
 	window    int
 	nextTag   uint64
-	byTag     map[uint64]*miEntry
 	unqueried int // updates whose coherence query has not been sent yet
 	// scanFrom is the queue offset of the first unqueried update: queries
 	// are issued strictly front to back, so every earlier entry is already
-	// queried (or a gather) and the per-tick window scan starts here.
+	// queried (or a gather) and the per-tick window scan starts here. An
+	// update leaves the queue only once cleared, so every outstanding query
+	// belongs to an entry before scanFrom, which is at most the window.
 	scanFrom int
 
 	// waker invalidates the engine's cached idle hint on external input
@@ -52,19 +54,7 @@ func NewMessageInterface(tile int, send cache.Sender, coord *core.Coordinator, c
 		coord:  coord,
 		cap:    capacity,
 		window: window,
-		byTag:  make(map[uint64]*miEntry),
 	}
-}
-
-// getEntry returns a recycled (or fresh) queue entry.
-func (mi *MessageInterface) getEntry() *miEntry {
-	if n := len(mi.free); n > 0 {
-		e := mi.free[n-1]
-		mi.free = mi.free[:n-1]
-		*e = miEntry{}
-		return e
-	}
-	return &miEntry{}
 }
 
 var _ cpu.OffloadPort = (*MessageInterface)(nil)
@@ -78,9 +68,7 @@ func (mi *MessageInterface) Update(cmd core.UpdateCmd, cycle uint64) bool {
 	if mi.queue.Len() >= mi.cap {
 		return false
 	}
-	e := mi.getEntry()
-	e.upd = cmd
-	mi.queue.Push(e)
+	mi.queue.Push(miEntry{upd: cmd})
 	mi.unqueried++
 	mi.waker.Wake()
 	return true
@@ -91,10 +79,7 @@ func (mi *MessageInterface) Gather(cmd core.GatherCmd, cycle uint64) bool {
 	if mi.queue.Len() >= mi.cap {
 		return false
 	}
-	e := mi.getEntry()
-	e.gather = cmd
-	e.isGather = true
-	mi.queue.Push(e)
+	mi.queue.Push(miEntry{gather: cmd, isGather: true})
 	mi.waker.Wake()
 	return true
 }
@@ -131,8 +116,7 @@ func queryAddr(cmd core.UpdateCmd) mem.PAddr {
 
 // Tick issues coherence queries for the leading window of un-queried
 // updates, starting at the cursor (everything before it is already
-// queried), then drains cleared commands to the coordinator in FIFO order,
-// recycling forwarded entries.
+// queried), then drains cleared commands to the coordinator in FIFO order.
 //
 //ar:hotpath
 func (mi *MessageInterface) Tick(cycle uint64) {
@@ -141,21 +125,20 @@ func (mi *MessageInterface) Tick(cycle uint64) {
 		limit = mi.queue.Len()
 	}
 	for i := mi.scanFrom; i < limit; i++ {
-		e := mi.queue.At(i)
+		e := mi.queue.PtrAt(i)
 		if e.isGather || e.queried {
 			mi.scanFrom = i + 1
 			continue
 		}
 		block := mem.BlockAlign(queryAddr(e.upd))
 		mi.nextTag++
-		tag := uint64(mi.tile)<<40 | mi.nextTag
+		tag := uint64(mi.tile)<<tagTileShift | mi.nextTag
 		m := cache.Msg{Type: cache.MsgBackInvalQ, Block: block, From: mi.tile, Tag: tag}
 		if !mi.send(cache.BankOf(block, 16), m) {
 			break
 		}
 		e.queried = true
 		e.tag = tag
-		mi.byTag[tag] = e
 		mi.unqueried--
 		mi.scanFrom = i + 1
 	}
@@ -177,7 +160,6 @@ func (mi *MessageInterface) Tick(cycle uint64) {
 		if mi.scanFrom > 0 {
 			mi.scanFrom--
 		}
-		mi.free = append(mi.free, e) //ar:exempt(hotpath) free list reaches steady-state capacity; append stops growing after warm-up
 	}
 }
 
@@ -195,11 +177,15 @@ func (mi *MessageInterface) Restore(d *sim.Dec) {
 	mi.nextTag = d.U64()
 }
 
-// OnBackInvalDone clears the queried entry so it can be forwarded.
+// OnBackInvalDone clears the queried entry so it can be forwarded. The
+// entry is still queued before scanFrom (see scanFrom).
 func (mi *MessageInterface) OnBackInvalDone(tag uint64) {
-	if e, ok := mi.byTag[tag]; ok {
-		e.cleared = true
-		delete(mi.byTag, tag)
-		mi.waker.Wake()
+	for i := 0; i < mi.scanFrom; i++ {
+		if e := mi.queue.PtrAt(i); !e.isGather && e.tag == tag {
+			e.cleared = true
+			mi.waker.Wake()
+			return
+		}
 	}
+	panic(fmt.Sprintf("system: MI %d back-invalidation done with unknown tag %d", mi.tile, tag))
 }

@@ -77,7 +77,7 @@ type System struct {
 	barrier   *cpu.Barrier
 
 	// memTags holds one memory-transaction tag counter per tile (tags are
-	// tile-scoped: tile<<40 | counter).
+	// tile-scoped: tile<<tagTileShift | counter).
 	memTags []uint64
 
 	// IPC sampling.
@@ -109,6 +109,10 @@ type part struct {
 
 // never aliases the sim.Never "quiescent until external input" sentinel.
 const never = sim.Never
+
+// tagTileShift places the issuing tile above a per-tile counter in the
+// memory-access and MI query tags, so a tag names the tile to answer.
+const tagTileShift = 40
 
 // tileHub is the NoC endpoint at one mesh tile, demultiplexing coherence
 // messages to the tile's components.
@@ -150,40 +154,29 @@ func (h *tileHub) deliverMsg(m cache.Msg, cycle uint64) bool {
 }
 
 // mcPort bridges an MC tile to the memory backend (a DDR channel or an HMC
-// controller) by request tag, queueing refused response sends for retry.
+// controller) by request tag, queueing refused response sends for retry. It
+// keeps no per-access state: a tag names its requesting tile.
 type mcPort struct {
 	sys     *System
 	tile    int
 	backend interface { // *dram.Controller or *hmc.Controller
 		Access(pa mem.PAddr, write bool, token uint64) bool
 	}
-	// pending holds each accepted request's reply address by tag.
-	pending map[uint64]mcReq
-	outbox  sim.FIFO[mcOut]
-	waker   *sim.Waker
-}
-
-// mcReq is what a memory response needs from its request.
-type mcReq struct {
-	from  int
-	block mem.PAddr
+	outbox sim.FIFO[uint64] // tags of refused response sends
+	waker  *sim.Waker
 }
 
 // SetWaker implements sim.Component: the only external input is a refused
 // response send queued from a memory completion.
 func (mc *mcPort) SetWaker(w *sim.Waker) { mc.waker = w }
 
-type mcOut struct {
-	dst int
-	m   cache.Msg
+func (mc *mcPort) deliver(m cache.Msg) bool {
+	return mc.backend.Access(m.Block, m.Type == cache.MsgMemWrite, m.Tag)
 }
 
-func (mc *mcPort) deliver(m cache.Msg) bool {
-	if !mc.backend.Access(m.Block, m.Type == cache.MsgMemWrite, m.Tag) {
-		return false
-	}
-	mc.pending[m.Tag] = mcReq{m.From, m.Block}
-	return true
+// respond sends tag's MsgMemResp to the tile the tag names.
+func (mc *mcPort) respond(tag uint64) bool {
+	return mc.sys.sendFrom(mc.tile, int(tag>>tagTileShift), cache.Msg{Type: cache.MsgMemResp, From: mc.tile, Tag: tag})
 }
 
 // complete is both backends' completion hook: it answers access tag with a
@@ -191,11 +184,8 @@ func (mc *mcPort) deliver(m cache.Msg) bool {
 //
 //ar:hotpath
 func (mc *mcPort) complete(tag, cycle uint64) {
-	req := mc.pending[tag]
-	delete(mc.pending, tag)
-	resp := cache.Msg{Type: cache.MsgMemResp, Block: req.block, From: mc.tile, Tag: tag}
-	if !mc.sys.sendFrom(mc.tile, req.from, resp) {
-		mc.outbox.Push(mcOut{req.from, resp})
+	if !mc.respond(tag) {
+		mc.outbox.Push(tag)
 		mc.waker.Wake()
 	}
 }
@@ -214,8 +204,7 @@ func (mc *mcPort) NextWork(now uint64) uint64 {
 //ar:hotpath
 func (mc *mcPort) Tick(cycle uint64) {
 	for !mc.outbox.Empty() {
-		o := mc.outbox.Peek()
-		if !mc.sys.sendFrom(mc.tile, o.dst, o.m) {
+		if !mc.respond(mc.outbox.Peek()) {
 			return
 		}
 		mc.outbox.Pop()
@@ -257,7 +246,7 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 	// --- Memory controller ports on the NoC corners.
 	s.mcs = make([]*mcPort, 4)
 	for i := range s.mcs {
-		s.mcs[i] = &mcPort{sys: s, tile: mcTiles[i], pending: make(map[uint64]mcReq)}
+		s.mcs[i] = &mcPort{sys: s, tile: mcTiles[i]}
 		s.hubs[mcTiles[i]].mc = s.mcs[i]
 	}
 
@@ -321,7 +310,7 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 				idx = cfg.HMCGeom.CubeOf(block) * 4 / cfg.HMCGeom.Cubes
 			}
 			s.memTags[tile]++
-			tag := uint64(tile)<<40 | s.memTags[tile]
+			tag := uint64(tile)<<tagTileShift | s.memTags[tile]
 			kind := cache.MsgMemRead
 			if write {
 				kind = cache.MsgMemWrite
@@ -404,7 +393,7 @@ func (s *System) table() []part {
 	}
 	for i, mi := range s.mis {
 		if mi != nil {
-			add(fmt.Sprintf("mi.%d", i), mi, mi.Busy, func() bool { return mi.Busy() || len(mi.byTag) > 0 }, mi)
+			add(fmt.Sprintf("mi.%d", i), mi, mi.Busy, mi.Busy, mi)
 		}
 	}
 	nocBusy := not(s.noc.Drained)
@@ -452,19 +441,13 @@ func (p ipcSampler) Tick(cycle uint64) { p.s.sampleIPC(cycle) }
 func (p ipcSampler) SetWaker(*sim.Waker) {}
 
 func (p ipcSampler) NextWork(now uint64) uint64 {
-	iv := p.s.cfg.IPCSampleCycles
-	if iv&(iv-1) == 0 { // power of two: avoid the hardware divide
-		return (now + iv - 1) &^ (iv - 1)
-	}
-	if rem := now % iv; rem != 0 {
-		return now + iv - rem
-	}
-	return now
+	mask := p.s.cfg.IPCSampleCycles - 1 // a power of two minus one
+	return (now + mask) &^ mask
 }
 
 // sampleIPC records the machine-wide IPC trace for Fig 5.8.
 func (s *System) sampleIPC(cycle uint64) {
-	if cycle == 0 || cycle%s.cfg.IPCSampleCycles != 0 {
+	if cycle == 0 || cycle&(s.cfg.IPCSampleCycles-1) != 0 {
 		return
 	}
 	var total uint64
