@@ -40,7 +40,7 @@ func newHarness(t *testing.T) *harness {
 	cfg2.BankSizeBytes = 4 << 10
 	cfg2.Ways = 4
 	h.l1 = NewL1(0, cfg1, l1Send, func(mem.PAddr) int { return 100 },
-		func(tok uint64) { h.done = append(h.done, tok) })
+		func(tok uint64) { h.done = append(h.done, tok) }, func() {})
 	h.l2 = NewL2Bank(100, cfg2, l2Send, memPort)
 	return h
 }
@@ -261,8 +261,8 @@ func newTwoL1(t *testing.T) *twoL1Harness {
 	cfg2.BankSizeBytes = 4 << 10
 	cfg2.Ways = 4
 	done := func(tok uint64) { h.done = append(h.done, tok) }
-	h.l1s[0] = NewL1(0, cfg1, send, func(mem.PAddr) int { return 100 }, done)
-	h.l1s[1] = NewL1(1, cfg1, send, func(mem.PAddr) int { return 100 }, done)
+	h.l1s[0] = NewL1(0, cfg1, send, func(mem.PAddr) int { return 100 }, done, func() {})
+	h.l1s[1] = NewL1(1, cfg1, send, func(mem.PAddr) int { return 100 }, done, func() {})
 	h.l2 = NewL2Bank(100, cfg2, send, memPort)
 	return h
 }

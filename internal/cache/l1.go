@@ -75,6 +75,9 @@ type L1 struct {
 	// done receives each accepted access's token once, at the cycle the
 	// access completes.
 	done func(token uint64)
+	// ready is called whenever a fill frees an MSHR, the only event that
+	// can turn a refused Access into an accepted one.
+	ready func()
 
 	inQ        sim.FIFO[Msg]
 	outbox     sim.FIFO[outMsg]
@@ -93,8 +96,9 @@ const never = sim.Never
 
 // NewL1 builds an L1 for core id. send injects messages into the NoC;
 // homeBank maps a block to its S-NUCA L2 bank tile; done is the completion
-// hook that receives each access's token.
-func NewL1(id int, cfg L1Config, send Sender, homeBank func(mem.PAddr) int, done func(token uint64)) *L1 {
+// hook that receives each access's token; ready is called whenever a fill
+// frees an MSHR, so a core refused by Access can wait for it.
+func NewL1(id int, cfg L1Config, send Sender, homeBank func(mem.PAddr) int, done func(token uint64), ready func()) *L1 {
 	sets := cfg.SizeBytes / mem.BlockSize / cfg.Ways
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: L1 set count %d must be a positive power of two", sets))
@@ -107,6 +111,7 @@ func NewL1(id int, cfg L1Config, send Sender, homeBank func(mem.PAddr) int, done
 		send:     send,
 		homeBank: homeBank,
 		done:     done,
+		ready:    ready,
 	}
 	for i := range l.lines {
 		l.lines[i] = make([]l1Line, cfg.Ways)
@@ -248,15 +253,22 @@ func (l *L1) Deliver(m Msg, cycle uint64) bool {
 	return true
 }
 
-// NextWork implements sim.Component: the L1 needs its Tick only while it
-// holds an unsent miss, a queued send, a timed completion or a delivered message.
-// Waiting on an outstanding (sent) miss is quiescent — the fill arrives via
-// Deliver.
+// NextWork implements sim.Component: the L1 needs its Tick while it holds
+// an unsent miss, a queued send or a delivered message, and otherwise at
+// its earliest timed completion. Waiting on an outstanding (sent) miss is
+// quiescent — the fill arrives via Deliver.
 func (l *L1) NextWork(now uint64) uint64 {
-	if len(l.unsent) > 0 || l.outbox.Len() > 0 || len(l.calls) > 0 || l.inQ.Len() > 0 {
+	if len(l.unsent) > 0 || l.outbox.Len() > 0 || l.inQ.Len() > 0 {
 		return now
 	}
-	return never
+	next := never
+	for _, c := range l.calls {
+		if c.at <= now {
+			return now
+		}
+		next = min(next, c.at)
+	}
+	return next
 }
 
 // Tick advances the cache: retries sends, fires timed completions and
@@ -366,6 +378,7 @@ func (l *L1) fill(m Msg, cycle uint64) {
 		l.after(cycle+l.cfg.HitLat, w)
 	}
 	l.releaseMSHR(ms)
+	l.ready()
 }
 
 // victim selects (and if needed evicts) a way for a new block.

@@ -97,7 +97,10 @@ type L2Bank struct {
 	lines [][]l2Line
 	lruTk uint64
 
-	busy    map[mem.PAddr]*txn
+	busy map[mem.PAddr]*txn
+	// setBusy counts the busy transactions per set, so a victim search
+	// in a set with no other transaction skips the busy lookups.
+	setBusy []int32
 	txnFree []*txn // recycled transactions (queued arrays retained)
 	send    Sender
 	mem     MemPort
@@ -130,6 +133,7 @@ func NewL2Bank(id int, cfg L2Config, send Sender, memPort MemPort) *L2Bank {
 		sets:    sets,
 		lines:   make([][]l2Line, sets),
 		busy:    make(map[mem.PAddr]*txn),
+		setBusy: make([]int32, sets),
 		memWait: make(map[uint64]*txn),
 		send:    send,
 		mem:     memPort,
@@ -182,15 +186,22 @@ func (b *L2Bank) Deliver(m Msg, cycle uint64) bool {
 	return true
 }
 
-// NextWork implements sim.Component: the bank needs its Tick only while it
-// has queued sends, deferred memory ops, timed completions or delivered
-// messages. Transactions blocked on acks/fetches/fills advance through
-// Deliver and MemDone, not through Tick.
+// NextWork implements sim.Component: the bank needs its Tick while it has
+// queued sends, deferred memory ops or delivered messages, and otherwise
+// at its earliest timed event. Transactions blocked on acks/fetches/fills
+// advance through Deliver and MemDone, not through Tick.
 func (b *L2Bank) NextWork(now uint64) uint64 {
-	if b.outbox.Len() > 0 || len(b.memQ) > 0 || len(b.calls) > 0 || b.inQ.Len() > 0 {
+	if b.outbox.Len() > 0 || len(b.memQ) > 0 || b.inQ.Len() > 0 {
 		return now
 	}
-	return never
+	next := never
+	for _, c := range b.calls {
+		if c.at <= now {
+			return now
+		}
+		next = min(next, c.at)
+	}
+	return next
 }
 
 // Tick processes queued messages, retries sends and fires completions.
@@ -360,6 +371,7 @@ func (b *L2Bank) start(m Msg, cycle uint64) {
 		b.Stats.BackInvalQ++
 	}
 	b.busy[m.Block] = t
+	b.setBusy[b.setOf(m.Block)]++
 
 	line := b.find(m.Block)
 	if t.kind == txBackInval {
@@ -497,6 +509,9 @@ func (b *L2Bank) install(t *txn, now uint64) {
 // L1 copies, dirty writeback to memory). It returns nil when every way is
 // held by an in-flight transaction.
 func (b *L2Bank) installVictim(block mem.PAddr) *l2Line {
+	// The installing transaction is busy in this set itself, without a
+	// valid way, so only a count above one can mark a valid way busy.
+	others := b.setBusy[b.setOf(block)] > 1
 	set := b.lines[b.setOf(block)]
 	var v *l2Line
 	for i := range set {
@@ -504,8 +519,10 @@ func (b *L2Bank) installVictim(block mem.PAddr) *l2Line {
 		if !ln.valid {
 			return ln
 		}
-		if _, busy := b.busy[ln.tag]; busy {
-			continue
+		if others {
+			if _, busy := b.busy[ln.tag]; busy {
+				continue
+			}
 		}
 		if v == nil || ln.lru < v.lru {
 			v = ln
@@ -564,6 +581,7 @@ func (b *L2Bank) grantX(t *txn, line *l2Line, cycle uint64) {
 // and recycles the transaction record.
 func (b *L2Bank) finish(t *txn, cycle uint64) {
 	delete(b.busy, t.block)
+	b.setBusy[b.setOf(t.block)]--
 	for _, q := range t.queued {
 		b.handle(q, cycle)
 	}

@@ -134,6 +134,10 @@ type Coordinator struct {
 	// gatherDone releases the fence of a thread waiting on a completed
 	// flow.
 	gatherDone func(tid int)
+	// portReady tells a thread's MI that the port queue which refused its
+	// update has popped; refused[port] lists the threads to tell.
+	portReady func(tid int)
+	refused   [][]int
 
 	// waker invalidates the engine's cached idle hint on external input
 	// (Enqueue* from the MIs, controller response callbacks).
@@ -143,9 +147,11 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds the runtime over the given ports; gatherDone
-// receives the thread id of every Gather once its flow completes.
+// receives the thread id of every Gather once its flow completes, and
+// portReady the thread id of every refused EnqueueUpdate once the refusing
+// port's queue pops.
 func NewCoordinator(policy PortPolicy, geom mem.HMCGeometry, ports []Port, store *mem.Store, queueCap int,
-	gatherDone func(tid int)) *Coordinator {
+	gatherDone, portReady func(tid int)) *Coordinator {
 	return &Coordinator{
 		policy:      policy,
 		geom:        geom,
@@ -156,6 +162,8 @@ func NewCoordinator(policy PortPolicy, geom mem.HMCGeometry, ports []Port, store
 		flows:       make(map[mem.PAddr]*coordFlow),
 		pendingAcks: make(map[uint64]*coordFlow),
 		gatherDone:  gatherDone,
+		portReady:   portReady,
+		refused:     make([][]int, len(ports)),
 	}
 }
 
@@ -230,7 +238,8 @@ func (c *Coordinator) flowFor(target mem.PAddr, op isa.ALUOp) *coordFlow {
 
 // EnqueueUpdate accepts an Update command from a core's Message Interface;
 // false means the chosen port queue is full and the MI must retry
-// (offloading backpressure).
+// (offloading backpressure). The refusing port's next pop passes
+// cmd.ThreadID to portReady.
 func (c *Coordinator) EnqueueUpdate(cmd UpdateCmd, cycle uint64) bool {
 	port := c.portFor(cmd)
 	if !cmd.Op.Reducing() {
@@ -240,6 +249,7 @@ func (c *Coordinator) EnqueueUpdate(cmd UpdateCmd, cycle uint64) bool {
 	}
 	if c.queues[port].Len() >= c.queueCap {
 		c.Stats.EnqueueRejects++
+		c.refused[port] = append(c.refused[port], cmd.ThreadID) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across pops
 		return false
 	}
 	var p network.Packet
@@ -405,17 +415,25 @@ func (c *Coordinator) NextWork(now uint64) uint64 {
 	return sim.Never
 }
 
-// Tick drains the per-port command queues into the network.
+// Tick drains the per-port command queues into the network and tells the
+// threads a drained port refused that it has room.
 //
 //ar:hotpath
 func (c *Coordinator) Tick(cycle uint64) {
 	for port := range c.queues {
-		for n := 0; n < 4 && c.queues[port].Len() > 0; n++ {
+		n := 0
+		for ; n < 4 && c.queues[port].Len() > 0; n++ {
 			if !c.ports[port].Inject(c.queues[port].Peek()) {
 				c.Stats.PortStalls++
 				break
 			}
 			c.queues[port].Pop()
+		}
+		if n > 0 && len(c.refused[port]) > 0 {
+			for _, tid := range c.refused[port] {
+				c.portReady(tid)
+			}
+			c.refused[port] = c.refused[port][:0]
 		}
 	}
 }

@@ -35,7 +35,7 @@ func newCoord(policy PortPolicy) (*Coordinator, []*fakePort, *mem.Store) {
 		ports[i] = fakes[i]
 	}
 	store := mem.NewStore()
-	return NewCoordinator(policy, geom, ports, store, 8, func(int) {}), fakes, store
+	return NewCoordinator(policy, geom, ports, store, 8, func(int) {}, func(int) {}), fakes, store
 }
 
 func addrOnCube(cube int) mem.PAddr { return mem.PAddr(cube * mem.PageSize) }

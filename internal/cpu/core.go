@@ -128,8 +128,9 @@ type Core struct {
 	calls      []timedCall
 	callsSpare []timedCall // recycled backing array for the calls queue
 
-	// waker invalidates the engine's cached idle hint; MemDone and
-	// ReleaseFence (the core's only external inputs) wake the core.
+	// waker invalidates the engine's cached idle hint; MemDone,
+	// ReleaseFence and PortReady (the core's only external inputs) wake
+	// the core.
 	waker *sim.Waker
 
 	// Idle-skip bookkeeping: the last cycle NextWork or Tick observed and
@@ -137,6 +138,10 @@ type Core struct {
 	// stall statistics stay bit-identical to the lockstep kernel.
 	lastSeen   uint64
 	skipReason skipReason
+	// refused names the port that refused the pending instruction's last
+	// issue attempt (skipMemStall or skipOffloadStall), until that port
+	// calls PortReady; skipNone otherwise.
+	refused skipReason
 
 	Stats Stats
 	IPC   *stats.IPCSeries
@@ -160,7 +165,23 @@ const (
 	skipNone skipReason = iota
 	skipFence
 	skipROBFull
+	skipMemStall     // the L1 refused the pending access
+	skipOffloadStall // the MI refused the pending Update or Gather
 )
+
+// credit adds n idle-skipped cycles to the stall counter of reason r.
+func (c *Core) credit(r skipReason, n uint64) {
+	switch r {
+	case skipFence:
+		c.Stats.FenceCycles += n
+	case skipROBFull:
+		c.Stats.ROBFullCycles += n
+	case skipMemStall:
+		c.Stats.MemStalls += n
+	case skipOffloadStall:
+		c.Stats.OffloadStalls += n
+	}
+}
 
 // NewCore builds core id over the given stream and ports. barrier may be
 // nil when the workload never synchronizes.
@@ -194,17 +215,24 @@ func (c *Core) Finished() bool {
 }
 
 // NextWork implements sim.Component. The core must tick whenever it can
-// retire, fire a timed completion, or dispatch; it is quiescent while
-// fenced, while the ROB is full with an incomplete head, or once its stream
-// is drained. In the first two states the lockstep kernel's Tick would bump
-// a per-cycle stall counter and nothing else, so skipping credits that
-// counter here (and catchUp back-fills stretches the engine jumped over
-// entirely), keeping the stall statistics bit-identical. This credit is the
-// one side effect a NextWork has (see sim.Component).
+// retire, fire a due timed completion, or attempt a dispatch; otherwise its
+// next work is its earliest timed completion (Never without one). It waits
+// while fenced, while the ROB is full with an incomplete head, once its
+// stream is drained, and while the port that refused its pending
+// instruction has not called PortReady. In all but the drained state the
+// lockstep kernel's Tick would bump a per-cycle stall counter and nothing
+// else, so skipping credits that counter here (and catchUp back-fills the
+// cycles the core was not polled), keeping the stall statistics
+// bit-identical. This credit is the one side effect a NextWork has (see
+// sim.Component).
 func (c *Core) NextWork(now uint64) uint64 {
 	c.catchUp(now)
-	if len(c.calls) > 0 {
-		return now
+	next := sim.Never
+	for _, t := range c.calls {
+		if t.at <= now {
+			return now
+		}
+		next = min(next, t.at)
 	}
 	if c.Finished() {
 		c.skipReason = skipNone
@@ -213,35 +241,30 @@ func (c *Core) NextWork(now uint64) uint64 {
 	if c.robLen() > 0 && c.rob[c.robHead&c.robMask].done {
 		return now // retirement can progress
 	}
-	if c.fenced {
+	switch {
+	case c.fenced:
 		c.skipReason = skipFence
-		c.Stats.FenceCycles++
-		return sim.Never
-	}
-	if c.robLen() >= c.cfg.ROBSize {
+	case c.robLen() >= c.cfg.ROBSize:
 		c.skipReason = skipROBFull
-		c.Stats.ROBFullCycles++
-		return sim.Never
-	}
-	if c.exhausted && !c.hasPending {
+	case c.exhausted && !c.hasPending:
 		// Stream drained, ROB waiting on in-flight memory: nothing to do.
 		c.skipReason = skipNone
-		return sim.Never
+	case c.refused != skipNone:
+		c.skipReason = c.refused
+	default:
+		return now // dispatch can make (or at least attempt) progress
 	}
-	return now // dispatch can make (or at least attempt) progress
+	c.credit(c.skipReason, 1)
+	return next
 }
 
-// catchUp credits cycles the engine jumped over (no NextWork evaluation at
-// all) to the stall counter recorded when the core last quiesced. A jump
-// freezes the whole machine, so every jumped cycle had that same state.
+// catchUp credits the cycles since the core was last polled or ticked to
+// the stall counter recorded when it last waited. The core is not polled
+// only while parked or jumped over, and its waiting state cannot change
+// without a wake, so every such cycle had that same state.
 func (c *Core) catchUp(now uint64) {
 	if gap := now - c.lastSeen; gap > 1 {
-		switch c.skipReason {
-		case skipFence:
-			c.Stats.FenceCycles += gap - 1
-		case skipROBFull:
-			c.Stats.ROBFullCycles += gap - 1
-		}
+		c.credit(c.skipReason, gap-1)
 	}
 	c.lastSeen = now
 }
@@ -367,6 +390,17 @@ func (c *Core) MemDone(token uint64) {
 	c.waker.Wake()
 }
 
+// PortReady tells the core that the port which refused its pending
+// instruction may accept it now: the L1 calls it when a fill frees an
+// MSHR, the MI when it drains an entry. The core retries on its next slot,
+// the cycle the lockstep kernel's retry would first succeed.
+func (c *Core) PortReady() {
+	if c.refused != skipNone {
+		c.refused = skipNone
+		c.waker.Wake()
+	}
+}
+
 // ReleaseFence completes the instruction holding the core's fence (a Gather
 // or a barrier), drops the fence and wakes the core. While fenced, dispatch
 // has stopped, so the fencing instruction is the ROB tail's predecessor.
@@ -390,6 +424,7 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 	slot := c.robTail & c.robMask
 	e := &c.rob[slot]
 	e.done = false
+	c.refused = skipNone
 	switch in.Kind {
 	case isa.KindCompute:
 		var lat uint64
@@ -408,6 +443,7 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 		write := in.Kind != isa.KindLoad
 		if !c.mem.Access(pa, write, cycle, uint64(slot)) {
 			c.Stats.MemStalls++
+			c.refused = skipMemStall
 			return false
 		}
 		c.applyEffect(in)
@@ -432,6 +468,7 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 		}
 		if !c.offload.Update(cmd, cycle) {
 			c.Stats.OffloadStalls++
+			c.refused = skipOffloadStall
 			return false
 		}
 		e.done = true // fire-and-forget (§3.3: offload overlaps processing)
@@ -444,6 +481,7 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 		}
 		if !c.offload.Gather(cmd, cycle) {
 			c.Stats.OffloadStalls++
+			c.refused = skipOffloadStall
 			return false
 		}
 		// Gather is a thread fence: later updates of a dependent flow must

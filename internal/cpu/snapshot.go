@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -87,8 +89,13 @@ func decInst(d *sim.Dec, in *isa.Inst) {
 // slot) pairs, fence provenance, stall bookkeeping, stats and IPC series.
 // The fence's waiting registration at its barrier or coordinator flow is
 // not serialized: RearmFence recreates it from the provenance (memory
-// completions are impossible at quiescence).
+// completions are impossible at quiescence). A core never waits on a
+// refusing port here: a refusal needs an L1 miss or an MI entry in flight,
+// and a quiescent machine has neither, so a refused core is a caller bug.
 func (c *Core) Snapshot(e *sim.Enc) {
+	if c.refused != skipNone {
+		panic(fmt.Sprintf("cpu: snapshot of core %d waiting on a refusing port", c.ID))
+	}
 	e.Tag("core")
 	e.Int(c.ID)
 	e.Int(c.stream.Pos())
@@ -174,6 +181,9 @@ func (c *Core) Restore(d *sim.Dec) {
 	c.fenceTarget = mem.PAddr(d.U64())
 	c.lastSeen = d.U64()
 	c.skipReason = skipReason(d.U32())
+	if c.skipReason > skipOffloadStall {
+		d.Fail("core %d stall reason %d out of range", c.ID, c.skipReason)
+	}
 	for _, p := range c.Stats.counters() {
 		*p = d.U64()
 	}

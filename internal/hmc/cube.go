@@ -140,27 +140,24 @@ func (c *Cube) Busy() bool {
 	return c.are != nil && c.are.Busy()
 }
 
-// NextWork implements sim.Component. The cube must tick while any vault
-// access, response or ARE work is outstanding; with only a not-yet-ready
-// crossbar head staged, the next work is its ready cycle.
+// NextWork implements sim.Component. The cube must tick while a response
+// waits in its outbox; otherwise its next work is the earliest of its busy
+// vaults' hints, its staged crossbar head's ready cycle and its ARE's hint.
 func (c *Cube) NextWork(now uint64) uint64 {
-	if c.vaultWork > 0 || c.outbox.Len() > 0 {
+	if c.outbox.Len() > 0 {
 		return now
 	}
 	next := sim.Never
+	for m := c.vaultBusy; m != 0; m &= m - 1 {
+		next = min(next, c.vaults[bits.TrailingZeros64(m)].NextWork(now))
+	}
 	if c.staged.Len() > 0 {
-		if head := c.staged.Peek().readyAt; head > now {
-			next = head
-		} else {
-			return now
-		}
+		next = min(next, c.staged.PtrAt(0).readyAt)
 	}
 	if c.are != nil {
-		if w := c.are.NextWork(now); w < next {
-			next = w
-		}
+		next = min(next, c.are.NextWork(now))
 	}
-	return next
+	return max(next, now)
 }
 
 // Deliver implements network.Endpoint: demultiplex arriving packets to the

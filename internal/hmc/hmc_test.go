@@ -130,7 +130,7 @@ func TestActiveUpdateThroughNetwork(t *testing.T) {
 
 	woken := false
 	coord := core.NewCoordinator(core.PolicyStatic, geom, []core.Port{r.ctrl, r.ctrl, r.ctrl, r.ctrl}, r.store, 32,
-		func(int) { woken = true })
+		func(int) { woken = true }, func(int) {})
 	r.ctrl.OnGatherResp = coord.OnGatherResp
 	r.ctrl.OnActiveAck = coord.OnActiveAck
 
@@ -167,7 +167,7 @@ func TestActiveStoreMovThroughNetwork(t *testing.T) {
 	dst := mem.PAddr(11 * mem.PageSize)
 	r.store.WriteF64(src, 3.75)
 
-	coord := core.NewCoordinator(core.PolicyStatic, geom, []core.Port{r.ctrl, r.ctrl, r.ctrl, r.ctrl}, r.store, 32, nil)
+	coord := core.NewCoordinator(core.PolicyStatic, geom, []core.Port{r.ctrl, r.ctrl, r.ctrl, r.ctrl}, r.store, 32, nil, nil)
 	r.ctrl.OnGatherResp = coord.OnGatherResp
 	r.ctrl.OnActiveAck = coord.OnActiveAck
 	if !coord.EnqueueUpdate(core.UpdateCmd{Op: isa.OpMov, Src1: src, Target: dst}, 0) {

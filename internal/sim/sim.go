@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"strconv"
 )
 
 // cancelStride is how many RunUntil iterations pass between context polls.
@@ -59,10 +60,11 @@ const Never = ^uint64(0)
 // calls the Waker handed over by SetWaker. Components whose hint is a pure
 // function of time may ignore the Waker.
 //
-// NextWork must not change simulated state, with one exception:
-// cpu.Core's NextWork credits the per-cycle stall counter of the cycle it
-// skips (and catchUp back-fills jumped cycles), keeping its statistics
-// identical to a lockstep run.
+// NextWork must not change simulated state, with one exception: per-cycle
+// stall counters. A component waiting on a refusal or a fence (cpu.Core,
+// the system's message interface) credits the counter its skipped Tick
+// would have bumped, for the polled cycle and for every cycle it was not
+// polled, keeping its statistics identical to a Lockstep run.
 type Component interface {
 	Tick(cycle uint64)
 	NextWork(now uint64) uint64
@@ -81,33 +83,56 @@ type Waker struct {
 // re-polls its NextWork: in this same cycle when the caller ticks at an
 // earlier slot, in the next cycle otherwise. Components call it from every
 // entry point through which the outside world hands them new work (a
-// Deliver, an Access, a completion callback).
+// Deliver, an Access, a completion callback). The component's entry in the
+// wake heap, if any, goes stale and is dropped when it surfaces.
 func (w *Waker) Wake() {
 	if w != nil {
 		e := w.e
-		e.wakeAt[w.idx] = 0
+		e.meta[w.idx].wakeAt = 0
 		e.active[w.idx>>6] |= 1 << uint(w.idx&63)
 	}
+}
+
+// wakeup is one wake-heap entry: component idx parked until cycle at.
+type wakeup struct {
+	at  uint64
+	idx int
+}
+
+// compMeta is the engine's bookkeeping for one registered component.
+type compMeta struct {
+	// wakeAt is the cycle the component is parked until (0 while it is
+	// active). A wake-heap entry is live only while its component is
+	// parked and wakeAt still holds the entry's cycle.
+	wakeAt uint64
+	ticks  uint64
+	// class and index name the component for diagnostics: the class
+	// alone when index < 0, else the class followed by the index.
+	class string
+	index int
 }
 
 // Engine owns the global clock and the ordered set of components.
 type Engine struct {
 	cycle uint64
 	comps []Component
-	// wakeAt[i] caches component i's last future NextWork result: while
-	// cycle < wakeAt[i] the engine skips the poll. It lives in its own
-	// dense array so the per-cycle scan touches eight bytes per component.
-	wakeAt []uint64
+	meta  []compMeta
 	// active is a bitmask over components: bit i set means component i
 	// must be polled/ticked this cycle. Parked components clear their bit
-	// and are re-activated either by Waker.Wake or by the minWake sweep
-	// when their cached cycle arrives. Iterating set bits ascending
-	// preserves registration (tick) order exactly.
+	// and are re-activated either by Waker.Wake or by the wake heap when
+	// their cycle arrives. Iterating set bits ascending preserves
+	// registration (tick) order exactly.
 	active []uint64
-	// minWake is the earliest cached wakeAt among parked components; when
-	// the clock reaches it the engine sweeps wakeAt to re-activate them.
-	minWake uint64
-	names   []string
+	// heap is a binary min-heap of wakeups ordered by cycle: parking a
+	// component pushes one, and each step pops those that are due. Entries
+	// made stale by a Wake or a later re-park are skipped, not removed.
+	heap []wakeup
+
+	// Lockstep makes every step tick every component and never consult
+	// NextWork: the plain kernel whose results the idle-aware scheduler
+	// must reproduce bit for bit. Tests set it as an oracle for the
+	// idle/wake contract; it is many times slower.
+	Lockstep bool
 
 	// SkippedTicks counts NextWork polls that suppressed a Tick and
 	// JumpedCycles counts clock advances beyond one cycle per step
@@ -120,28 +145,88 @@ type Engine struct {
 func NewEngine() *Engine { return &Engine{} }
 
 // Register appends a component to the tick order and hands it its Waker.
-// The name is used in diagnostics only.
-func (e *Engine) Register(name string, c Component) {
+// class and index name it in diagnostics only: the class alone when index
+// is negative, else the class followed by the index.
+func (e *Engine) Register(class string, index int, c Component) {
 	if c == nil {
 		panic("sim: Register called with nil component")
 	}
 	i := len(e.comps)
 	e.comps = append(e.comps, c)
-	e.wakeAt = append(e.wakeAt, 0)
-	e.names = append(e.names, name)
+	e.meta = append(e.meta, compMeta{class: class, index: index})
 	for len(e.active) <= i>>6 {
 		e.active = append(e.active, 0)
 	}
 	e.active[i>>6] |= 1 << uint(i&63)
-	e.minWake = 0
 	c.SetWaker(&Waker{e: e, idx: i})
 }
+
+// Name formats the diagnostic name of the component registered i-th.
+func (e *Engine) Name(i int) string {
+	if m := &e.meta[i]; m.index >= 0 {
+		return m.class + strconv.Itoa(m.index)
+	}
+	return e.meta[i].class
+}
+
+// Ticks reports how many times the component registered i-th has ticked:
+// a diagnostic like SkippedTicks, the same on every run of a machine.
+func (e *Engine) Ticks(i int) uint64 { return e.meta[i].ticks }
 
 // Cycle reports the current cycle (the number of completed steps).
 func (e *Engine) Cycle() uint64 { return e.cycle }
 
 // Components reports how many components are registered.
 func (e *Engine) Components() int { return len(e.comps) }
+
+// parked reports whether component i is parked until cycle at, i.e.
+// whether a wake-heap entry (at, i) is live.
+func (e *Engine) parked(i int, at uint64) bool {
+	return e.active[i>>6]&(1<<uint(i&63)) == 0 && e.meta[i].wakeAt == at
+}
+
+// push adds a wakeup to the heap.
+func (e *Engine) push(w wakeup) {
+	h := append(e.heap, w) //ar:exempt(hotpath) the heap grows to the parked high-water mark, then reuses its capacity
+	j := len(h) - 1
+	for j > 0 {
+		p := (j - 1) / 2
+		if h[p].at <= w.at {
+			break
+		}
+		h[j] = h[p]
+		j = p
+	}
+	h[j] = w
+	e.heap = h
+}
+
+// pop removes the earliest wakeup from the heap.
+func (e *Engine) pop() {
+	h := e.heap
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	j := 0
+	for {
+		c := 2*j + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].at < h[c].at {
+			c++
+		}
+		if last.at <= h[c].at {
+			break
+		}
+		h[j] = h[c]
+		j = c
+	}
+	if n > 0 {
+		h[j] = last
+	}
+	e.heap = h
+}
 
 // step advances the whole machine by one cycle, skipping components that
 // report no work. It returns the earliest cycle at which any skipped
@@ -152,24 +237,19 @@ func (e *Engine) Components() int { return len(e.comps) }
 //
 //ar:hotpath
 func (e *Engine) step() uint64 {
-	c := e.cycle
-	if c >= e.minWake {
-		// A cached wake is due (or the mask is stale): re-activate every
-		// component whose cached cycle has arrived and recompute the horizon.
-		min := Never
-		for i, wa := range e.wakeAt {
-			if e.active[i>>6]&(1<<uint(i&63)) != 0 {
-				continue
-			}
-			if wa <= c {
-				e.active[i>>6] |= 1 << uint(i&63)
-			} else if wa < min {
-				min = wa
-			}
-		}
-		e.minWake = min
+	if e.Lockstep {
+		return e.stepLockstep()
 	}
-	next := e.minWake
+	c := e.cycle
+	// Re-activate every parked component whose cycle has arrived.
+	for len(e.heap) > 0 && e.heap[0].at <= c {
+		w := e.heap[0]
+		e.pop()
+		if e.parked(w.idx, w.at) {
+			e.active[w.idx>>6] |= 1 << uint(w.idx&63)
+		}
+	}
+	next := Never
 	ran := false
 	for w := range e.active {
 		// The word is re-read every iteration so a component woken by an
@@ -188,24 +268,22 @@ func (e *Engine) step() uint64 {
 			done |= b<<1 - 1
 			comp := e.comps[i]
 			if wk := comp.NextWork(c); wk > c {
-				if wk < next {
-					next = wk
-				}
 				if wk > c+1 {
 					// Park the component: no polls until wk or a Wake. A
-					// one-cycle wait is cheaper to re-poll than to park
-					// (parking would trigger a re-activation sweep on the
-					// very next step).
-					e.wakeAt[i] = wk
+					// one-cycle wait is cheaper to re-poll than to park.
 					e.active[w] &^= b
-					if wk < e.minWake {
-						e.minWake = wk
+					e.meta[i].wakeAt = wk
+					if wk != Never {
+						e.push(wakeup{wk, i})
 					}
+				} else {
+					next = wk
 				}
 				e.SkippedTicks++
 				continue
 			}
 			comp.Tick(c)
+			e.meta[i].ticks++
 			ran = true
 		}
 	}
@@ -213,7 +291,23 @@ func (e *Engine) step() uint64 {
 	if ran {
 		return e.cycle
 	}
+	if len(e.heap) > 0 {
+		// A stale top only makes the jump stop short at a cycle where
+		// nothing happens; the next step jumps on.
+		next = min(next, e.heap[0].at)
+	}
 	return next
+}
+
+// stepLockstep is the Lockstep step: every component ticks, in
+// registration order, and NextWork is never called.
+func (e *Engine) stepLockstep() uint64 {
+	for i, comp := range e.comps {
+		comp.Tick(e.cycle)
+		e.meta[i].ticks++
+	}
+	e.cycle++
+	return e.cycle
 }
 
 // Step advances the whole machine by exactly one cycle.

@@ -11,8 +11,8 @@ import (
 func TestEngineStepOrder(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	e.Register("a", busy{func(uint64) { order = append(order, "a") }})
-	e.Register("b", busy{func(uint64) { order = append(order, "b") }})
+	e.Register("a", -1, busy{func(uint64) { order = append(order, "a") }})
+	e.Register("b", -1, busy{func(uint64) { order = append(order, "b") }})
 	e.Step()
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Fatalf("tick order = %v, want [a b]", order)
@@ -25,7 +25,7 @@ func TestEngineStepOrder(t *testing.T) {
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	e.Register("c", busy{func(uint64) { count++ }})
+	e.Register("c", -1, busy{func(uint64) { count++ }})
 	n, err := e.RunUntil(func() bool { return count >= 10 }, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +49,8 @@ func TestEngineRunUntilTimeout(t *testing.T) {
 // lists non-quiescent components with their NextWork hints.
 func TestEngineTimeoutErrorStructure(t *testing.T) {
 	e := NewEngine()
-	e.Register("spinner", busy{})
-	e.Register("timer", &pinger{interval: 1000, until: 1 << 50})
+	e.Register("spinner", -1, busy{})
+	e.Register("timer", -1, &pinger{interval: 1000, until: 1 << 50})
 	_, err := e.RunUntil(func() bool { return false }, 7)
 	var te *TimeoutError
 	if !errors.As(err, &te) {
@@ -76,7 +76,7 @@ func TestEngineTimeoutErrorStructure(t *testing.T) {
 // within the amortized poll stride and the error wraps context.Canceled.
 func TestEngineRunUntilCtxCancel(t *testing.T) {
 	e := NewEngine()
-	e.Register("busy", busy{})
+	e.Register("busy", -1, busy{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cycles, err := e.RunUntilCtx(ctx, func() bool { return false }, Never)
@@ -102,7 +102,7 @@ func TestEngineRegisterNilPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewEngine().Register("bad", nil)
+	NewEngine().Register("bad", -1, nil)
 }
 
 // pinger is a wake-aware test component: every interval cycles (before
@@ -240,13 +240,13 @@ func (l *latch) Tick(cycle uint64) {
 func TestEngineSameCycleWakeOrder(t *testing.T) {
 	l := &latch{}
 	e := NewEngine()
-	e.Register("early", busy{func(cycle uint64) {
+	e.Register("early", -1, busy{func(cycle uint64) {
 		if cycle == 10 {
 			l.raise()
 		}
 	}})
-	e.Register("latch", l)
-	e.Register("late", busy{func(cycle uint64) {
+	e.Register("latch", -1, l)
+	e.Register("late", -1, busy{func(cycle uint64) {
 		if cycle == 20 {
 			l.raise()
 		}
@@ -274,9 +274,9 @@ func TestEngineWakeAtDelivery(t *testing.T) {
 		ms.post(cycle + latency)
 	}}
 	e := NewEngine()
-	e.Register("recv", recv)
-	e.Register("send", send)
-	e.Register("mail", ms)
+	e.Register("recv", -1, recv)
+	e.Register("send", -1, send)
+	e.Register("mail", -1, ms)
 	if _, err := e.RunUntil(func() bool { return len(recv.recvAt) == 2 }, 100000); err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestEngineWakeAtDelivery(t *testing.T) {
 func TestEngineJumpsIdleStretches(t *testing.T) {
 	e := NewEngine()
 	p := &pinger{interval: 1000, until: 5000}
-	e.Register("p", p)
+	e.Register("p", -1, p)
 	cycles, err := e.RunUntil(func() bool { return p.count == 5 }, 100000)
 	if err != nil {
 		t.Fatal(err)

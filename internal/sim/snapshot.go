@@ -204,15 +204,15 @@ func (r *Rand) SetState(s uint64) {
 }
 
 // StartAt moves the engine clock to cycle and discards every cached idle
-// hint, so the next step re-polls all components. Polls are side-effect
-// free and exact, so starting from a restored machine state reproduces the
+// hint and wakeup, so the next step re-polls all components. Polls are
+// exact, so starting from a restored machine state reproduces the
 // straight-through run bit-identically (only the SkippedTicks/JumpedCycles
 // diagnostics may differ). Call only between runs.
 func (e *Engine) StartAt(cycle uint64) {
 	e.cycle = cycle
-	e.minWake = 0
-	for i := range e.wakeAt {
-		e.wakeAt[i] = 0
+	e.heap = e.heap[:0]
+	for i := range e.meta {
+		e.meta[i].wakeAt = 0
 		e.active[i>>6] |= 1 << uint(i&63)
 	}
 }

@@ -80,7 +80,7 @@ func (e *Engine) timeoutError(maxCycles uint64) *TimeoutError {
 	var pending []PendingWork
 	for i, c := range e.comps {
 		if wk := c.NextWork(e.cycle); wk != Never {
-			pending = append(pending, PendingWork{Name: e.names[i], NextWork: wk})
+			pending = append(pending, PendingWork{Name: e.Name(i), NextWork: wk})
 		}
 	}
 	sort.Slice(pending, func(i, j int) bool {

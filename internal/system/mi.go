@@ -33,8 +33,21 @@ type MessageInterface struct {
 	scanFrom int
 
 	// waker invalidates the engine's cached idle hint on external input
-	// (Update/Gather from the core, OnBackInvalDone from the directory).
+	// (Update/Gather from the core, OnBackInvalDone from the directory,
+	// PortReady from the coordinator).
 	waker *sim.Waker
+	// ready tells the core that a drained entry made room in the queue.
+	ready func()
+
+	// refused is set while the coordinator has refused the head update
+	// and its port has not popped since. Every cycle of that wait would
+	// have been one more refused retry in the lockstep kernel, so Tick,
+	// NextWork and catchUp credit EnqueueRejects for it without asking
+	// the coordinator again; stalled marks a wait NextWork parked on, as
+	// the core's skipReason does.
+	refused  bool
+	stalled  bool
+	lastSeen uint64
 }
 
 type miEntry struct {
@@ -46,14 +59,26 @@ type miEntry struct {
 	tag      uint64
 }
 
-// NewMessageInterface builds the MI for the core at tile.
-func NewMessageInterface(tile int, send cache.Sender, coord *core.Coordinator, capacity, window int) *MessageInterface {
+// NewMessageInterface builds the MI for the core at tile; ready is called
+// whenever the MI drains an entry, the only event that can turn a refused
+// Update or Gather into an accepted one.
+func NewMessageInterface(tile int, send cache.Sender, coord *core.Coordinator, capacity, window int, ready func()) *MessageInterface {
 	return &MessageInterface{
 		tile:   tile,
 		send:   send,
 		coord:  coord,
 		cap:    capacity,
 		window: window,
+		ready:  ready,
+	}
+}
+
+// PortReady tells the MI that the coordinator port which refused its head
+// update has popped, so a retry may succeed.
+func (mi *MessageInterface) PortReady() {
+	if mi.refused {
+		mi.refused = false
+		mi.waker.Wake()
 	}
 }
 
@@ -89,20 +114,38 @@ func (mi *MessageInterface) Busy() bool { return mi.queue.Len() > 0 }
 
 // NextWork implements sim.Component. The MI is quiescent when its queue is
 // empty, and also while every update in the query window has been queried
-// and the head is still waiting for its back-invalidation ack (which
-// arrives via OnBackInvalDone).
+// and the head is either still waiting for its back-invalidation ack
+// (which arrives via OnBackInvalDone) or refused by a coordinator port
+// that has not popped since (PortReady). A skipped cycle of the refused
+// wait is credited to the coordinator's EnqueueRejects, the count the
+// lockstep kernel's retry would have added.
 func (mi *MessageInterface) NextWork(now uint64) uint64 {
+	mi.catchUp(now)
+	mi.stalled = false
 	if mi.queue.Len() == 0 {
 		return never
-	}
-	head := mi.queue.Peek()
-	if head.isGather || head.cleared {
-		return now
 	}
 	if mi.unqueried > 0 && mi.scanFrom < mi.window {
 		return now // an unqueried update sits inside the query window
 	}
+	head := mi.queue.PtrAt(0)
+	if head.isGather || (head.cleared && !mi.refused) {
+		return now
+	}
+	if head.cleared {
+		mi.stalled = true
+		mi.coord.Stats.EnqueueRejects++
+	}
 	return never
+}
+
+// catchUp credits the cycles since the MI was last polled while it waited
+// on a refusal (see refused).
+func (mi *MessageInterface) catchUp(now uint64) {
+	if gap := now - mi.lastSeen; gap > 1 && mi.stalled {
+		mi.coord.Stats.EnqueueRejects += gap - 1
+	}
+	mi.lastSeen = now
 }
 
 // queryAddr picks the address whose directory bank is probed before the
@@ -142,24 +185,35 @@ func (mi *MessageInterface) Tick(cycle uint64) {
 		mi.unqueried--
 		mi.scanFrom = i + 1
 	}
+	popped := false
 	for mi.queue.Len() > 0 {
-		e := mi.queue.Peek()
+		e := mi.queue.PtrAt(0)
 		if e.isGather {
 			if !mi.coord.EnqueueGather(e.gather, cycle) {
-				return
+				break
 			}
 		} else {
 			if !e.cleared {
-				return
+				break
 			}
-			if !mi.coord.EnqueueUpdate(e.upd, cycle) {
-				return
+			if mi.refused {
+				// The refusing port has not popped since (PortReady), so
+				// the coordinator would refuse this head again.
+				mi.coord.Stats.EnqueueRejects++
+				break
+			}
+			if mi.refused = !mi.coord.EnqueueUpdate(e.upd, cycle); mi.refused {
+				break
 			}
 		}
 		mi.queue.Pop()
+		popped = true
 		if mi.scanFrom > 0 {
 			mi.scanFrom--
 		}
+	}
+	if popped {
+		mi.ready()
 	}
 }
 

@@ -95,8 +95,11 @@ type System struct {
 // registered component once; its order is the tick order, the drain-scan
 // order and the checkpoint section order.
 type part struct {
-	name string
-	comp sim.Component
+	// class and index name the row in diagnostics (sim.Engine.Register):
+	// the class alone when index < 0, else the class then the index.
+	class string
+	index int
+	comp  sim.Component
 	// busy is the O(1) drain probe: true while the component holds work
 	// the run must finish. nil: never busy.
 	busy func() bool
@@ -283,7 +286,8 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 		}
 		if cfg.Scheme.Active() {
 			s.coord = core.NewCoordinator(cfg.Scheme.Policy(), cfg.HMCGeom, ports, s.env.Store, cfg.CoordQueue,
-				func(tid int) { s.cores[tid].ReleaseFence() })
+				func(tid int) { s.cores[tid].ReleaseFence() },
+				func(tid int) { s.mis[tid].PortReady() })
 			memTopo := topo
 			s.coord.SetDistanceFn(func(port, cube int) int {
 				entry := ctrlCubes[port]
@@ -324,14 +328,16 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 	for t := 0; t < tiles; t++ {
 		s.l1s[t] = cache.NewL1(t, cfg.L1, s.senderFor(t),
 			func(block mem.PAddr) int { return cache.BankOf(block, tiles) },
-			func(token uint64) { s.cores[t].MemDone(token) })
+			func(token uint64) { s.cores[t].MemDone(token) },
+			func() { s.cores[t].PortReady() })
 	}
 
 	// --- Message interfaces (Active-Routing schemes only).
 	s.mis = make([]*MessageInterface, tiles)
 	if cfg.Scheme.Active() {
 		for t := 0; t < tiles; t++ {
-			s.mis[t] = NewMessageInterface(t, s.senderFor(t), s.coord, cfg.MIQueue, cfg.MIWindow)
+			s.mis[t] = NewMessageInterface(t, s.senderFor(t), s.coord, cfg.MIQueue, cfg.MIWindow,
+				func() { s.cores[t].PortReady() })
 		}
 	}
 
@@ -353,7 +359,7 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 
 	s.parts = s.table()
 	for _, p := range s.parts {
-		s.engine.Register(p.name, p.comp)
+		s.engine.Register(p.class, p.index, p.comp)
 	}
 	return s, nil
 }
@@ -379,54 +385,54 @@ func (s *System) sendFrom(src, dst int, m cache.Msg) bool {
 func (s *System) table() []part {
 	not := func(ready func() bool) func() bool { return func() bool { return !ready() } }
 	var t []part
-	add := func(name string, c sim.Component, busy, snapBusy func() bool, state sim.Snapshotter) {
-		t = append(t, part{name, c, busy, snapBusy, state})
+	add := func(class string, index int, c sim.Component, busy, snapBusy func() bool, state sim.Snapshotter) {
+		t = append(t, part{class, index, c, busy, snapBusy, state})
 	}
 	for i, c := range s.cores {
-		add(fmt.Sprintf("core%d", i), c, not(c.Finished), not(c.Snapshotable), c)
+		add("core", i, c, not(c.Finished), not(c.Snapshotable), c)
 	}
 	for i, l1 := range s.l1s {
-		add(fmt.Sprintf("l1.%d", i), l1, l1.Busy, l1.Busy, l1)
+		add("l1.", i, l1, l1.Busy, l1.Busy, l1)
 	}
 	for i, l2 := range s.l2s {
-		add(fmt.Sprintf("l2.%d", i), l2, l2.Busy, l2.Busy, l2)
+		add("l2.", i, l2, l2.Busy, l2.Busy, l2)
 	}
 	for i, mi := range s.mis {
 		if mi != nil {
-			add(fmt.Sprintf("mi.%d", i), mi, mi.Busy, mi.Busy, mi)
+			add("mi.", i, mi, mi.Busy, mi.Busy, mi)
 		}
 	}
 	nocBusy := not(s.noc.Drained)
-	add("noc", s.noc, nocBusy, nocBusy, s.noc)
+	add("noc", -1, s.noc, nocBusy, nocBusy, s.noc)
 	for i, mc := range s.mcs {
 		queued := func() bool { return !mc.outbox.Empty() }
-		add(fmt.Sprintf("mc.%d", i), mc, queued, queued, nil)
+		add("mc.", i, mc, queued, queued, nil)
 	}
 	for i, d := range s.dramCtrls {
 		pending := func() bool { return d.Banks.Pending() > 0 }
-		add(fmt.Sprintf("dram.%d", i), d, pending, pending, d.Banks)
+		add("dram.", i, d, pending, pending, d.Banks)
 	}
 	for i, h := range s.hmcCtrls {
 		// Outstanding accesses sit in tag tables that no section
 		// serializes, so busy also blocks snapshots.
-		add(fmt.Sprintf("hmcctrl.%d", i), h, h.Busy, h.Busy, h)
+		add("hmcctrl.", i, h, h.Busy, h.Busy, h)
 	}
 	if s.coord != nil {
-		add("coordinator", s.coord, s.coord.Busy, not(s.coord.SnapshotReady), s.coord)
+		add("coordinator", -1, s.coord, s.coord.Busy, not(s.coord.SnapshotReady), s.coord)
 	}
 	if s.memnet != nil {
 		memnetBusy := not(s.memnet.Drained)
-		add("memnet", s.memnet, memnetBusy, memnetBusy, s.memnet)
+		add("memnet", -1, s.memnet, memnetBusy, memnetBusy, s.memnet)
 	}
 	for i, c := range s.cubes {
-		add(fmt.Sprintf("cube%d", i), c, c.Busy, not(c.SnapshotReady), c)
+		add("cube", i, c, c.Busy, not(c.SnapshotReady), c)
 	}
 	// The sampler's state (the IPC trace) and the barrier's (its crossing
 	// count) sit in the snapshot header. The barrier ticks last, so a
 	// crossing completed during a cycle releases its waiters at the end of
 	// that cycle and every waiter resumes on the next one.
-	add("ipc-sampler", ipcSampler{s}, nil, nil, nil)
-	add("barrier-flush", s.barrier, nil, nil, nil)
+	add("ipc-sampler", -1, ipcSampler{s}, nil, nil, nil)
+	add("barrier-flush", -1, s.barrier, nil, nil, nil)
 	return t
 }
 
