@@ -132,7 +132,7 @@ func TestDragonflyHopClassMonotonic(t *testing.T) {
 }
 
 func TestPacketSizes(t *testing.T) {
-	// Rings and arrival wheels copy packets at every hop.
+	// Each hop copies the packet from one router ring into the next.
 	if sz := unsafe.Sizeof(Packet{}); sz > 96 {
 		t.Fatalf("Packet is %d bytes, want at most 96", sz)
 	}
@@ -332,20 +332,20 @@ func TestFabricCreditTurnaround(t *testing.T) {
 			t.Fatal("inject failed")
 		}
 	}
-	up := f.routers[0]
-	if up.injCount != 1 {
-		t.Fatalf("second packet left node 0 without a credit (injCount %d)", up.injCount)
+	inj := &f.routers[0].inj[vcBase(MemReadReq)]
+	if inj.len() != 1 {
+		t.Fatalf("second packet left node 0 without a credit (injection queue holds %d)", inj.len())
 	}
 	refuse = false
 	f.Tick(c)
 	if f.Delivered != 1 {
 		t.Fatalf("delivered %d packets in cycle %d, want 1", f.Delivered, c)
 	}
-	if up.injCount != 1 {
+	if inj.len() != 1 {
 		t.Fatalf("credit freed in cycle %d was used in the same cycle", c)
 	}
 	f.Tick(c + 1)
-	if up.injCount != 0 {
+	if inj.len() != 0 {
 		t.Fatalf("credit freed in cycle %d was not usable in cycle %d", c, c+1)
 	}
 }

@@ -2,12 +2,71 @@ package network
 
 import "testing"
 
+// inFlightScan recounts in-flight packets by walking every queue; a packet
+// on a wire already sits in its next router's input ring.
+func inFlightScan(f *Fabric) int {
+	n := 0
+	for _, r := range f.routers {
+		for i := range r.in {
+			n += r.in[i].len()
+		}
+		for i := range r.inj {
+			n += r.inj[i].len()
+		}
+	}
+	return n
+}
+
+// checkOccupancy cross-checks the fabric's O(1) occupancy state against a
+// full scan after the fabric has ticked cycle: the InFlight counter, the
+// per-router queue masks, the waiting heads with their nextAt, and the busy
+// bit, which must be set exactly when some head has arrived (an injection
+// head, or a link-input head whose ArriveCycle is not ahead of cycle).
+func checkOccupancy(t testing.TB, f *Fabric, cycle uint64) {
+	t.Helper()
+	if scan := inFlightScan(f); scan != f.InFlight() || f.Drained() != (scan == 0) {
+		t.Fatalf("cycle %d: InFlight()=%d Drained()=%v, scan=%d", cycle, f.InFlight(), f.Drained(), scan)
+	}
+	for _, r := range f.routers {
+		var occ, wait uint64
+		next := ^uint64(0)
+		arrived := false
+		for i := range r.in {
+			if r.in[i].len() == 0 {
+				continue
+			}
+			occ |= 1 << uint(i)
+			if at := r.in[i].peek().ArriveCycle; at > cycle {
+				wait |= 1 << uint(i)
+				next = min(next, at)
+			} else {
+				arrived = true
+			}
+		}
+		for i := range r.inj {
+			if r.inj[i].len() > 0 {
+				occ |= 1 << uint(r.ports*f.Cfg.VCs+i)
+				arrived = true
+			}
+		}
+		if occ != r.occ {
+			t.Fatalf("cycle %d node %d: occ mask %b, scan %b", cycle, r.node, r.occ, occ)
+		}
+		if wait != r.waitMask || next != r.nextAt || (f.waitNodes>>uint(r.node)&1 == 1) != (wait != 0) {
+			t.Fatalf("cycle %d node %d: waitMask %b nextAt %d waitNodes %b, scan %b and %d",
+				cycle, r.node, r.waitMask, r.nextAt, f.waitNodes, wait, next)
+		}
+		if busy := f.busyNodes>>uint(r.node)&1 == 1; busy != arrived {
+			t.Fatalf("cycle %d node %d: busy bit %v, but an arrived head %v", cycle, r.node, busy, arrived)
+		}
+	}
+}
+
 // TestOccupancyCountersMatchScan floods the fabric with all-pairs traffic
-// and cross-checks the O(1) occupancy counters (Drained, InFlight, the
-// per-router queue masks the tick phases skip on) against a full scan at
-// every network cycle. The counters are what both System.done() and the
-// idle-aware scheduler trust, so drift here would silently corrupt
-// simulated timing.
+// and cross-checks the O(1) occupancy state (Drained, InFlight, the
+// per-router masks the tick phases skip on) against a full scan at every
+// cycle. The counters are what both System.done() and the idle-aware
+// scheduler trust, so drift here would silently corrupt simulated timing.
 func TestOccupancyCountersMatchScan(t *testing.T) {
 	f, cols := newTestFabric(t)
 	want := 0
@@ -30,40 +89,9 @@ func TestOccupancyCountersMatchScan(t *testing.T) {
 		}
 		return n
 	}
-	check := func(cyc uint64) {
-		if scan := f.InFlightScan(); scan != f.InFlight() {
-			t.Fatalf("cycle %d: InFlight()=%d, scan=%d", cyc, f.InFlight(), scan)
-		}
-		if f.Drained() != (f.InFlightScan() == 0) {
-			t.Fatalf("cycle %d: Drained()=%v disagrees with scan", cyc, f.Drained())
-		}
-		for _, r := range f.routers {
-			in, inj := 0, 0
-			var occ uint64
-			for i := range r.in {
-				in += r.in[i].len()
-				if r.in[i].len() > 0 {
-					occ |= 1 << uint(i)
-				}
-			}
-			for i := range r.inj {
-				inj += r.inj[i].len()
-				if r.inj[i].len() > 0 {
-					occ |= 1 << uint(r.ports*f.Cfg.VCs+i)
-				}
-			}
-			if in != r.inCount || inj != r.injCount {
-				t.Fatalf("cycle %d node %d: inCount=%d (scan %d), injCount=%d (scan %d)",
-					cyc, r.node, r.inCount, in, r.injCount, inj)
-			}
-			if occ != r.occ {
-				t.Fatalf("cycle %d node %d: occ mask %b, scan %b", cyc, r.node, r.occ, occ)
-			}
-		}
-	}
 	for cyc := uint64(0); total() < want && cyc < 100000; cyc++ {
 		f.Tick(cyc)
-		check(cyc)
+		checkOccupancy(t, f, cyc)
 	}
 	if total() != want {
 		t.Fatalf("delivered %d of %d packets", total(), want)
@@ -91,8 +119,8 @@ func TestFabricNextWork(t *testing.T) {
 		t.Fatalf("queued-packet NextWork(3) = %d, want 4", w)
 	}
 	f.Tick(0) // injection queue drains onto the link
-	if f.queued != 0 {
-		t.Fatalf("packet still queued after tick: %d", f.queued)
+	if f.busyNodes != 0 {
+		t.Fatalf("a router is still busy after the packet left: %b", f.busyNodes)
 	}
 	w := f.NextWork(2)
 	if w <= 2 || w == never {

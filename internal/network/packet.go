@@ -123,11 +123,6 @@ const (
 	ActiveAckBytes   = HeaderBytes
 )
 
-// maxPacketBytes bounds every wire size the fabric can carry (the largest
-// is a block-carrying message: header + 64-byte block). The arrival wheels
-// derive their worst-case serialization latency from it.
-const maxPacketBytes = HeaderBytes + mem.BlockSize
-
 // SizeOf returns the wire size in bytes for a packet kind.
 func SizeOf(k Kind) int {
 	switch k {
@@ -172,7 +167,7 @@ type FlowKey struct {
 // kinds; unused fields stay zero. Size is derived from Kind at
 // construction. Node ids are bytes: NewFabric rejects topologies of more
 // than 64 nodes. Small fields sit together so the struct stays at 96
-// bytes, which router rings and arrival wheels copy at every hop.
+// bytes, which a hop copies once, from one router ring into the next.
 type Packet struct {
 	Kind Kind
 	// Host is an opaque header word for host-side messages tunneled over
@@ -197,7 +192,9 @@ type Packet struct {
 	Src2   mem.PAddr // second operand physical address (0 = single-operand)
 	Target mem.PAddr // physical address of the reduction target
 
-	// Latency bookkeeping for Fig 5.2.
+	// Latency bookkeeping for Fig 5.2. On a hop ArriveCycle is the cycle
+	// the packet leaves the wire into the next router's input ring; at
+	// delivery the fabric overwrites it with the delivery cycle.
 	InjectCycle uint64
 	ArriveCycle uint64
 

@@ -60,58 +60,3 @@ func (r *packetRing) pop() {
 	}
 	r.head++
 }
-
-// arrivalWheel is a calendar queue of in-flight arrivals bucketed by
-// network-cycle. Wire latency is bounded (serialization of the largest
-// packet + link latency + router delay), so a power-of-two wheel at least
-// that long never wraps onto live entries: pushing is an append into the
-// target cycle's bucket and landing drains exactly one bucket wholesale —
-// no per-cycle compaction or scan of not-yet-ready arrivals. Bucket slices
-// retain their capacity, so the steady state allocates nothing.
-//
-// Same-queue arrivals are time-ordered by link serialization, and landing
-// order across distinct input queues is commutative, so draining buckets in
-// time order is bit-identical to the historical single-list scan.
-type arrivalWheel struct {
-	buckets [][]arrival
-	mask    uint64 // len(buckets)-1
-	count   int
-}
-
-func newArrivalWheel(slots int) arrivalWheel {
-	n := ceilPow2(slots)
-	return arrivalWheel{buckets: make([][]arrival, n), mask: uint64(n - 1)}
-}
-
-func (w *arrivalWheel) len() int { return w.count }
-
-// push files a at its arrival network-cycle. netCycle must be within one
-// wheel revolution of the current cycle (the fabric sizes the wheel from
-// the worst-case wire latency and panics otherwise via the landing check).
-//
-//ar:hotpath
-func (w *arrivalWheel) push(netCycle uint64, a arrival) {
-	w.buckets[netCycle&w.mask] = append(w.buckets[netCycle&w.mask], a) //ar:exempt(hotpath) wheel bucket retains its capacity across laps; growth is amortized to the high-water mark
-	w.count++
-}
-
-// take removes and returns the bucket for netCycle; the caller must recycle
-// it via putBack after draining.
-//
-//ar:hotpath
-func (w *arrivalWheel) take(netCycle uint64) []arrival {
-	b := w.buckets[netCycle&w.mask]
-	w.buckets[netCycle&w.mask] = nil
-	w.count -= len(b)
-	return b
-}
-
-// putBack returns a drained bucket's storage to its slot for reuse, unless
-// a push during draining already started a new bucket there.
-//
-//ar:hotpath
-func (w *arrivalWheel) putBack(netCycle uint64, b []arrival) {
-	if w.buckets[netCycle&w.mask] == nil {
-		w.buckets[netCycle&w.mask] = b[:0]
-	}
-}

@@ -47,48 +47,3 @@ func FuzzPacketRing(f *testing.F) {
 		}
 	})
 }
-
-// FuzzArrivalWheel drives the calendar queue through arbitrary push/drain
-// sequences, checking that every arrival lands in exactly the bucket of its
-// network cycle and that counts balance.
-func FuzzArrivalWheel(f *testing.F) {
-	f.Add([]byte{3, 1, 9, 250, 17})
-	f.Add([]byte{0, 0, 0, 1, 2, 3})
-	f.Fuzz(func(t *testing.T, deltas []byte) {
-		const slots = 32
-		w := newArrivalWheel(slots)
-		now := uint64(0)
-		pending := map[uint64]int{}
-		total := 0
-		for _, d := range deltas {
-			if d < 200 { // push within the wheel horizon
-				at := now + 1 + uint64(d%slots)
-				if int(at-now) >= len(w.buckets) {
-					continue
-				}
-				w.push(at, arrival{p: Packet{ArriveCycle: at}})
-				pending[at]++
-				total++
-			} else { // advance and drain a few cycles
-				for step := 0; step < int(d%7)+1; step++ {
-					now++
-					b := w.take(now)
-					for i := range b {
-						if b[i].p.ArriveCycle != now {
-							t.Fatalf("bucket %d held arrival for %d", now, b[i].p.ArriveCycle)
-						}
-					}
-					if len(b) != pending[now] {
-						t.Fatalf("cycle %d drained %d, want %d", now, len(b), pending[now])
-					}
-					total -= len(b)
-					delete(pending, now)
-					w.putBack(now, b)
-				}
-			}
-			if w.len() != total {
-				t.Fatalf("wheel count %d, want %d", w.len(), total)
-			}
-		}
-	})
-}

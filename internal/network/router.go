@@ -91,12 +91,6 @@ func vcBase(k Kind) int {
 	}
 }
 
-type arrival struct {
-	p    Packet
-	port int
-	vc   int
-}
-
 type upstream struct {
 	node int
 	port int
@@ -115,6 +109,11 @@ type link struct {
 	ok       bool
 }
 
+// router holds one node's queues. A packet sent toward a router goes
+// straight into its input ring, stamped with the cycle it leaves the wire
+// (ArriveCycle): the sender's credit reserved the slot, and each (port, VC)
+// input has one upstream link, which sends one packet at a time, so a ring
+// holds its packets in arrival order.
 type router struct {
 	node     int
 	ports    int
@@ -123,39 +122,38 @@ type router struct {
 	up       []upstream   // [port] upstream node/port, node == -1 if unused
 	credits  []int        // [port*VCs + vc] credits toward downstream input
 	linkBusy []uint64     // [port] output link busy-until (simulator cycles)
-	pending  arrivalWheel // in-flight packets heading to this router
 	rrPort   int          // round-robin arbitration state
-
-	// pendingMin is the earliest arrival cycle in pending (sim.Never when
-	// empty), so the landing phase and the idle hint are O(1) while every
-	// in-flight packet is still on the wire.
-	pendingMin uint64
 
 	// Precomputed topology views (the topology is immutable).
 	links    []link // [port]
 	routeTo  []int8 // [dst] output port, -1 for self
 	hopClass []int8 // [dst]
 
-	// Occupancy tracking so the tick phases touch only non-empty state.
-	inCount  int    // packets across all input queues
-	injCount int    // packets across all injection queues
-	occ      uint64 // bit q set iff queue q non-empty; in queues at
+	// occ has bit q set iff queue q is non-empty; in queues at
 	// [0, ports*VCs), injection queues at [ports*VCs, ports*VCs+VCs).
+	occ uint64
 
-	// Head metadata cache, maintained on every head change (push to an
-	// empty queue, pop, landing): the arbitration loops compare small
-	// integers instead of dereferencing the head packet per attempt.
-	// headOut[q] is the output port the head routes to (-1 when the queue
-	// is empty or the head ejects here); headVC[q] is its precomputed
-	// downstream VC; ejectHead has bit q set iff the head's destination is
-	// this node. wantCount[out] counts occupied queues whose head routes to
-	// out, and wantMask mirrors it as a bitmask so forward() visits only
-	// output ports some head actually wants.
+	// Head metadata cache of the heads that have arrived, maintained on
+	// every head change (push to an empty queue, pop, land): the
+	// arbitration loops compare small integers instead of dereferencing
+	// the head packet per attempt. headOut[q] is the output port the head
+	// routes to (-1 when the queue is empty, its head ejects here or is
+	// still on the wire); headVC[q] is its precomputed downstream VC;
+	// ejectHead has bit q set iff the head's destination is this node.
+	// wantCount[out] counts queues whose head routes to out, and wantMask
+	// mirrors it as a bitmask so forward() visits only output ports some
+	// head actually wants.
 	headOut   []int8 // [nin]
 	headVC    []int8 // [nin]
 	ejectHead uint64
 	wantCount []uint16 // [ports]
 	wantMask  uint64
+
+	// waitMask has bit q set iff link input q's head is still on the wire;
+	// nextAt is the earliest ArriveCycle among those heads (sim.Never when
+	// none), when land files it into the head cache.
+	waitMask uint64
+	nextAt   uint64
 }
 
 // queueAt returns input queue idx (link inputs first, then injection).
@@ -166,32 +164,48 @@ func (r *router) queueAt(idx, vcs int) *packetRing {
 	return &r.in[idx]
 }
 
-// updateHead refreshes the head metadata for queue idx.
-func (f *Fabric) updateHead(r *router, idx int) {
+// updateHead refreshes the head metadata for queue idx at cycle, then the
+// router's busy bit. A link input whose head is still on the wire stays out
+// of the head cache and waits for land; an injection queue's head is always
+// eligible, whatever ArriveCycle its sender left in it.
+func (f *Fabric) updateHead(r *router, idx int, cycle uint64) {
 	if old := r.headOut[idx]; old >= 0 {
 		r.wantCount[old]--
 		if r.wantCount[old] == 0 {
 			r.wantMask &^= 1 << uint(old)
 		}
 	}
-	q := r.queueAt(idx, f.Cfg.VCs)
-	if q.len() == 0 {
-		r.headOut[idx] = -1
-		r.ejectHead &^= 1 << uint(idx)
-		return
-	}
-	h := q.peek()
-	if int(h.Dst) == r.node {
-		r.headOut[idx] = -1
-		r.ejectHead |= 1 << uint(idx)
-		return
-	}
+	r.headOut[idx] = -1
 	r.ejectHead &^= 1 << uint(idx)
-	out := r.routeTo[h.Dst]
-	r.headOut[idx] = out
-	r.headVC[idx] = int8(vcBase(h.Kind) + int(r.hopClass[h.Dst]))
-	r.wantCount[out]++
-	r.wantMask |= 1 << uint(out)
+	if q := r.queueAt(idx, f.Cfg.VCs); q.len() > 0 {
+		h := q.peek()
+		switch {
+		case idx < r.ports*f.Cfg.VCs && h.ArriveCycle > cycle:
+			f.wait(r, idx, h.ArriveCycle)
+		case int(h.Dst) == r.node:
+			r.ejectHead |= 1 << uint(idx)
+		default:
+			out := r.routeTo[h.Dst]
+			r.headOut[idx] = out
+			r.headVC[idx] = int8(vcBase(h.Kind) + int(r.hopClass[h.Dst]))
+			r.wantCount[out]++
+			r.wantMask |= 1 << uint(out)
+		}
+	}
+	if r.ejectHead|r.wantMask != 0 {
+		f.busyNodes |= 1 << uint(r.node)
+	} else {
+		f.busyNodes &^= 1 << uint(r.node)
+	}
+}
+
+// wait parks link input idx, whose head leaves the wire at cycle at.
+func (f *Fabric) wait(r *router, idx int, at uint64) {
+	r.waitMask |= 1 << uint(idx)
+	if at < r.nextAt {
+		r.nextAt = at
+	}
+	f.waitNodes |= 1 << uint(r.node)
 }
 
 func (r *router) markIn(idx int)   { r.occ |= 1 << uint(idx) }
@@ -207,15 +221,14 @@ type Fabric struct {
 	routers   []*router
 	endpoints []Endpoint
 
-	// Occupancy: inflight counts packets inside the fabric (queued at a
-	// router or on a wire); queued is the subset in input/injection queues.
+	// inflight counts packets inside the fabric, queued or on a wire.
 	inflight int
-	queued   int
 
-	// Router-level occupancy masks, bit = node id: busyNodes marks routers
-	// holding queued packets, pendingNodes routers with in-flight arrivals.
-	busyNodes    uint64
-	pendingNodes uint64
+	// Router-level masks, bit = node id: busyNodes marks routers with an
+	// arrived head in the head cache (ejectHead|wantMask != 0), waitNodes
+	// routers with a head still on the wire (waitMask != 0).
+	busyNodes uint64
+	waitNodes uint64
 
 	// waker invalidates the engine's cached idle hint; Inject is the
 	// fabric's only external entry point.
@@ -226,12 +239,8 @@ type Fabric struct {
 	// steady state allocates nothing.
 	pendingCredits []credRef
 
-	wheelHorizon uint64 // arrival-wheel capacity in network cycles
-
-	// ClockDiv is a power of two, so cycle%ClockDiv == cycle&clockMask
-	// and cycle/ClockDiv == cycle>>clockShift.
-	clockMask  uint64
-	clockShift uint
+	// ClockDiv is a power of two, so cycle%ClockDiv == cycle&clockMask.
+	clockMask uint64
 
 	// classMask[c] selects input-queue occupancy bits whose VC belongs to
 	// ejection class c (vc/2 == c); shared by all routers since the bit
@@ -254,18 +263,11 @@ func NewFabric(topo Topology, cfg Config) *Fabric {
 		cfg.ClockDiv == 0 || cfg.ClockDiv&(cfg.ClockDiv-1) != 0 {
 		panic("network: invalid fabric config")
 	}
-	f := &Fabric{Topo: topo, Cfg: cfg,
-		clockMask: cfg.ClockDiv - 1, clockShift: uint(bits.TrailingZeros64(cfg.ClockDiv))}
+	f := &Fabric{Topo: topo, Cfg: cfg, clockMask: cfg.ClockDiv - 1}
 	n := topo.Nodes()
 	if n > 64 {
 		panic(fmt.Sprintf("network: %d nodes exceed the 64-bit occupancy masks", n))
 	}
-	// Size the arrival wheels to the worst-case wire latency in network
-	// cycles: serialization of the largest packet plus link and router
-	// pipeline latency (+1 slot of slack).
-	maxSer := (maxPacketBytes + cfg.LinkBandwidth - 1) / cfg.LinkBandwidth
-	wheelSlots := maxSer + int(cfg.LinkLatency) + int(cfg.RouterDelay) + 1
-	f.wheelHorizon = uint64(wheelSlots)
 	f.routers = make([]*router, n)
 	f.endpoints = make([]Endpoint, n)
 	for i := 0; i < n; i++ {
@@ -274,18 +276,17 @@ func NewFabric(topo Topology, cfg Config) *Fabric {
 			panic(fmt.Sprintf("network: node %d has %d input queues, over the 64-bit occupancy mask", i, ports*cfg.VCs+cfg.VCs))
 		}
 		r := &router{
-			node:       i,
-			ports:      ports,
-			in:         make([]packetRing, ports*cfg.VCs),
-			inj:        make([]packetRing, cfg.VCs),
-			up:         make([]upstream, ports),
-			credits:    make([]int, ports*cfg.VCs),
-			linkBusy:   make([]uint64, ports),
-			pending:    newArrivalWheel(wheelSlots),
-			pendingMin: sim.Never,
-			links:      make([]link, ports),
-			routeTo:    make([]int8, n),
-			hopClass:   make([]int8, n),
+			node:     i,
+			ports:    ports,
+			in:       make([]packetRing, ports*cfg.VCs),
+			inj:      make([]packetRing, cfg.VCs),
+			up:       make([]upstream, ports),
+			credits:  make([]int, ports*cfg.VCs),
+			linkBusy: make([]uint64, ports),
+			nextAt:   sim.Never,
+			links:    make([]link, ports),
+			routeTo:  make([]int8, n),
+			hopClass: make([]int8, n),
 		}
 		for q := range r.in {
 			r.in[q] = newPacketRing(cfg.QueueDepth)
@@ -369,13 +370,10 @@ func (f *Fabric) Inject(n int, p Packet, cycle uint64) bool {
 	idx := r.ports*f.Cfg.VCs + vc
 	r.markIn(idx)
 	if r.inj[vc].len() == 1 {
-		f.updateHead(r, idx)
+		f.updateHead(r, idx, cycle)
 	}
-	r.injCount++
-	f.busyNodes |= 1 << uint(n)
 	f.waker.Wake()
 	f.inflight++
-	f.queued++
 	f.account(&p)
 	return true
 }
@@ -394,51 +392,30 @@ func (f *Fabric) account(p *Packet) {
 	}
 }
 
-// Drained reports whether no packets remain anywhere in the fabric. It is a
-// counter read; the full-scan equivalent is InFlightScan.
+// Drained reports whether no packets remain anywhere in the fabric (a
+// counter read).
 func (f *Fabric) Drained() bool { return f.inflight == 0 }
 
 // InFlight counts packets currently inside the fabric (a counter read).
 func (f *Fabric) InFlight() int { return f.inflight }
 
-// InFlightScan recounts in-flight packets by walking every queue and wheel.
-// It exists to cross-check the occupancy counters in tests.
-func (f *Fabric) InFlightScan() int {
-	n := 0
-	for _, r := range f.routers {
-		n += r.pending.len()
-		for i := range r.in {
-			n += r.in[i].len()
-		}
-		for i := range r.inj {
-			n += r.inj[i].len()
-		}
-	}
-	return n
-}
-
-// NextWork implements sim.Component: the next clock edge while packets are
-// queued at a router, or the earliest in-flight arrival when everything is
-// on the wire.
+// NextWork implements sim.Component: the next clock edge while some router
+// has an arrived head, otherwise the earliest cycle a head leaves the wire
+// (sim.Never when the fabric is empty).
 func (f *Fabric) NextWork(now uint64) uint64 {
-	if f.inflight == 0 {
-		return sim.Never
-	}
-	if f.queued > 0 {
+	if f.busyNodes != 0 {
 		return f.alignUp(now)
 	}
 	next := sim.Never
-	for m := f.pendingNodes; m != 0; {
+	for m := f.waitNodes; m != 0; {
 		node := bits.TrailingZeros64(m)
 		m &= m - 1
-		if pm := f.routers[node].pendingMin; pm < next {
-			next = pm
-		}
+		next = min(next, f.routers[node].nextAt)
 	}
-	if next <= now {
-		return f.alignUp(now)
+	if next == sim.Never {
+		return sim.Never
 	}
-	return f.alignUp(next)
+	return f.alignUp(max(now, next))
 }
 
 // alignUp rounds c up to the next network clock edge.
@@ -451,13 +428,10 @@ func (f *Fabric) onEdge(c uint64) bool {
 	return c&f.clockMask == 0
 }
 
-// netCycle converts a (clock-edge) simulator cycle to network cycles.
-func (f *Fabric) netCycle(c uint64) uint64 {
-	return c >> f.clockShift
-}
-
 // Tick advances the fabric by one simulator cycle: apply deferred credits,
-// then land, eject and forward at every router with work.
+// then land, eject and forward at every router with work. Packets move
+// only through the rings: a hop copies the packet once, from the sender's
+// ring into the receiver's.
 //
 //ar:hotpath
 func (f *Fabric) Tick(cycle uint64) {
@@ -473,70 +447,56 @@ func (f *Fabric) Tick(cycle uint64) {
 	if f.inflight == 0 {
 		return
 	}
-	// Phase 1: land arrivals into input queues (credits guaranteed space).
-	// The scan compacts the ring in place; routers whose earliest arrival
-	// is still on the wire are skipped entirely via pendingMin, and only
-	// routers with any pending arrival are visited at all.
-	for m := f.pendingNodes; m != 0; {
+	// Phase 1: land — file heads that left the wire by now into the head
+	// cache. Only routers with a waiting head are visited, and those whose
+	// earliest one is still on the wire return at once.
+	for m := f.waitNodes; m != 0; {
 		node := bits.TrailingZeros64(m)
 		m &= m - 1
 		f.land(f.routers[node], cycle)
 	}
 	// Phase 2: ejection — deliver packets that reached their destination.
 	// Ejection handlers may synchronously inject new packets (marking more
-	// routers busy), but injection never adds input-queue packets, so the
+	// routers busy), but injection never adds an ejectable head, so the
 	// snapshot covers every router with ejectable state.
 	for m := f.busyNodes; m != 0; {
 		node := bits.TrailingZeros64(m)
 		m &= m - 1
-		if r := f.routers[node]; r.inCount > 0 {
+		if r := f.routers[node]; r.ejectHead != 0 {
 			f.eject(r, cycle)
 		}
 	}
-	// Phase 3: switch allocation and forwarding (forwarding only moves
-	// packets onto pending wheels, so the snapshot is complete).
+	// Phase 3: switch allocation and forwarding (a forwarded packet is
+	// still on the wire, so it adds no head to the snapshot).
 	for m := f.busyNodes; m != 0; {
 		node := bits.TrailingZeros64(m)
 		m &= m - 1
-		if r := f.routers[node]; r.inCount+r.injCount > 0 {
+		if r := f.routers[node]; r.wantMask != 0 {
 			f.forward(r, cycle)
 		}
 	}
 }
 
-// land moves arrivals whose wire traversal has completed into their input
-// queues by draining the due wheel buckets in time order.
+// land files the waiting heads of r that have left the wire by cycle into
+// the head cache and recomputes nextAt from the heads still waiting.
 func (f *Fabric) land(r *router, cycle uint64) {
-	if r.pendingMin > cycle {
+	if r.nextAt > cycle {
 		return
 	}
-	nowNet := f.netCycle(cycle)
-	for t := f.netCycle(r.pendingMin); t <= nowNet; t++ {
-		b := r.pending.take(t)
-		for i := range b {
-			a := &b[i]
-			idx := a.port*f.Cfg.VCs + a.vc
-			r.in[idx].push(&a.p)
-			if r.in[idx].len() == 1 {
-				f.updateHead(r, idx)
-			}
-			r.inCount++
-			r.markIn(idx)
-			f.queued++
+	next := sim.Never
+	for m := r.waitMask; m != 0; {
+		idx := bits.TrailingZeros64(m)
+		m &= m - 1
+		if at := r.in[idx].peek().ArriveCycle; at > cycle {
+			next = min(next, at)
+			continue
 		}
-		r.pending.putBack(t, b)
+		r.waitMask &^= 1 << uint(idx)
+		f.updateHead(r, idx, cycle)
 	}
-	f.busyNodes |= 1 << uint(r.node)
-	if r.pending.len() == 0 {
-		r.pendingMin = sim.Never
-		f.pendingNodes &^= 1 << uint(r.node)
-		return
-	}
-	for t := nowNet + 1; ; t++ {
-		if len(r.pending.buckets[t&r.pending.mask]) > 0 {
-			r.pendingMin = t * f.Cfg.ClockDiv
-			return
-		}
+	r.nextAt = next
+	if r.waitMask == 0 {
+		f.waitNodes &^= 1 << uint(r.node)
 	}
 }
 
@@ -554,7 +514,7 @@ func (f *Fabric) eject(r *router, cycle uint64) {
 	ep := f.endpoints[r.node]
 	for pass := 0; pass < 3; pass++ {
 		class := 2 - pass // 2=response, 1=operand, 0=request
-		m := r.occ & f.classMask[class] & r.ejectHead
+		m := f.classMask[class] & r.ejectHead
 		for m != 0 {
 			idx := bits.TrailingZeros64(m)
 			m &= m - 1
@@ -585,16 +545,11 @@ func (f *Fabric) ejectQueue(r *router, ep Endpoint, idx int, cycle uint64) bool 
 		return false
 	}
 	q.pop()
-	r.inCount--
-	f.queued--
 	f.inflight--
 	if q.len() == 0 {
 		r.unmarkIn(idx)
-		if r.inCount+r.injCount == 0 {
-			f.busyNodes &^= 1 << uint(r.node)
-		}
 	}
-	f.updateHead(r, idx)
+	f.updateHead(r, idx, cycle)
 	f.returnCredit(r, idx/f.Cfg.VCs, idx%f.Cfg.VCs)
 	f.Delivered++
 	return true
@@ -658,7 +613,6 @@ func (f *Fabric) forward(r *router, cycle uint64) {
 // against the head packet itself.
 func (f *Fabric) tryForward(r *router, out, idx int, l link, cycle uint64, nin int) bool {
 	q := r.queueAt(idx, f.Cfg.VCs)
-	injected := idx >= r.ports*f.Cfg.VCs
 	if q.len() == 0 {
 		return false
 	}
@@ -673,35 +627,28 @@ func (f *Fabric) tryForward(r *router, out, idx int, l link, cycle uint64, nin i
 	if r.credits[out*f.Cfg.VCs+vc] <= 0 {
 		return false
 	}
-	// Transmit: copy the head onto the peer's wheel, then pop it.
+	// Transmit: stamp the cycle the packet leaves the wire, copy it into
+	// the peer's input ring (the credit reserved the slot), then pop it.
 	ser := uint64((int(p.Size) + f.Cfg.LinkBandwidth - 1) / f.Cfg.LinkBandwidth)
-	if ser+f.Cfg.LinkLatency+f.Cfg.RouterDelay >= f.wheelHorizon {
-		panic("network: arrival beyond wheel horizon")
-	}
-	arrive := cycle + (ser+f.Cfg.LinkLatency+f.Cfg.RouterDelay)*f.Cfg.ClockDiv
+	p.ArriveCycle = cycle + (ser+f.Cfg.LinkLatency+f.Cfg.RouterDelay)*f.Cfg.ClockDiv
 	peer := f.routers[l.peer]
-	peer.pending.push(f.netCycle(arrive), arrival{p: *p, port: l.peerPort, vc: vc})
-	if arrive < peer.pendingMin {
-		peer.pendingMin = arrive
+	pidx := l.peerPort*f.Cfg.VCs + vc
+	in := &peer.in[pidx]
+	in.push(p)
+	if in.len() == 1 {
+		peer.markIn(pidx)
+		f.wait(peer, pidx, p.ArriveCycle)
 	}
-	f.pendingNodes |= 1 << uint(l.peer)
 	f.HopBytes += uint64(p.Size)
 	r.linkBusy[out] = cycle + ser*f.Cfg.ClockDiv
 	q.pop()
 	if q.len() == 0 {
 		r.unmarkIn(idx)
 	}
-	f.updateHead(r, idx)
-	if injected {
-		r.injCount--
-	} else {
-		r.inCount--
+	f.updateHead(r, idx, cycle)
+	if idx < r.ports*f.Cfg.VCs {
 		f.returnCredit(r, idx/f.Cfg.VCs, idx%f.Cfg.VCs)
 	}
-	if r.inCount+r.injCount == 0 {
-		f.busyNodes &^= 1 << uint(r.node)
-	}
-	f.queued--
 	r.credits[out*f.Cfg.VCs+vc]--
 	r.rrPort = (idx + 1) % nin
 	return true

@@ -5,9 +5,10 @@ import (
 )
 
 // Checkpoint support. A fabric snapshots only when fully drained
-// (Drained), so queues and arrival wheels are all empty and the
-// surviving state is per-router arbitration/link-timing state plus the
-// accounting counters.
+// (Drained), so every ring is empty (a packet on a wire already sits in
+// its next router's input ring), the head cache and the wait masks are
+// clear, and the surviving state is per-router arbitration/link-timing
+// state plus the accounting counters.
 //
 // Credits are encoded at their effective value: a drained fabric has
 // returned every downstream slot, but returns sit in pendingCredits until
