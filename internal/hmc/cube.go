@@ -143,13 +143,17 @@ func (c *Cube) Busy() bool {
 // NextWork implements sim.Component. The cube must tick while a response
 // waits in its outbox; otherwise its next work is the earliest of its busy
 // vaults' hints, its staged crossbar head's ready cycle and its ARE's hint.
+// The first vault that reports now ends the scan: every hint is pure, so
+// the vaults after it would not change the answer.
 func (c *Cube) NextWork(now uint64) uint64 {
 	if c.outbox.Len() > 0 {
 		return now
 	}
 	next := sim.Never
 	for m := c.vaultBusy; m != 0; m &= m - 1 {
-		next = min(next, c.vaults[bits.TrailingZeros64(m)].NextWork(now))
+		if next = min(next, c.vaults[bits.TrailingZeros64(m)].NextWork(now)); next <= now {
+			return now
+		}
 	}
 	if c.staged.Len() > 0 {
 		next = min(next, c.staged.PtrAt(0).readyAt)
