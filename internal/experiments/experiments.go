@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/sweep"
@@ -530,19 +529,4 @@ func printTable41(w io.Writer, cfg system.Config) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %-14s %s\n", r[0], r[1])
 	}
-}
-
-// SortedKeys lists the suite's runs deterministically (tooling).
-func (s *Suite) SortedKeys() []Key {
-	keys := make([]Key, 0, len(s.Results))
-	for k := range s.Results {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Workload != keys[j].Workload {
-			return keys[i].Workload < keys[j].Workload
-		}
-		return keys[i].Scheme < keys[j].Scheme
-	})
-	return keys
 }

@@ -187,10 +187,6 @@ func TestTable41Renders(t *testing.T) {
 
 func TestSuiteAccessors(t *testing.T) {
 	s := microSuite(t)
-	keys := s.SortedKeys()
-	if len(keys) != len(s.Results) {
-		t.Fatal("sorted keys incomplete")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Get of missing run must panic")

@@ -55,9 +55,6 @@ func (s *Store) page(pa PAddr) *[PageSize]byte {
 	return p
 }
 
-// Pages reports the number of touched physical pages.
-func (s *Store) Pages() int { return len(s.pages) }
-
 // ReadU64 reads the 64-bit word at pa. The address must be 8-byte aligned.
 func (s *Store) ReadU64(pa PAddr) uint64 {
 	off := uint64(pa) & (PageSize - 1)
@@ -212,21 +209,4 @@ func (as *AddrSpace) Translate(va VAddr) PAddr {
 		panic(fmt.Sprintf("mem: page fault at va %#x", uint64(va)))
 	}
 	return PAddr(as.frames[vp]<<PageShift | uint64(va)&(PageSize-1))
-}
-
-// Mapped reports whether va's page is mapped.
-func (as *AddrSpace) Mapped(va VAddr) bool {
-	vp := uint64(va) >> PageShift
-	return vp < uint64(len(as.frames)) && as.frames[vp] != ^uint64(0)
-}
-
-// MappedPages reports the number of mapped virtual pages.
-func (as *AddrSpace) MappedPages() int {
-	n := 0
-	for _, f := range as.frames {
-		if f != ^uint64(0) {
-			n++
-		}
-	}
-	return n
 }

@@ -99,7 +99,7 @@ func TestDragonflyMinimalPaths(t *testing.T) {
 func TestDragonflyControllerReach(t *testing.T) {
 	d := NewDragonfly([]int{0, 4, 8, 12})
 	for i := 0; i < 4; i++ {
-		ctrl := d.EndpointNode(i)
+		ctrl := d.Cubes() + i // edge endpoints follow the cubes
 		for cube := 0; cube < 16; cube++ {
 			if h := PathLen(d, ctrl, cube); h > 4 {
 				t.Fatalf("controller %d to cube %d: %d hops", i, cube, h)

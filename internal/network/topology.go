@@ -77,9 +77,6 @@ func (m *Mesh) K() int { return m.k }
 // Tiles returns the number of fabric tiles (k*k).
 func (m *Mesh) Tiles() int { return m.k * m.k }
 
-// EndpointNode returns the node id of edge endpoint i.
-func (m *Mesh) EndpointNode(i int) int { return m.k*m.k + i }
-
 // Nodes implements Topology.
 func (m *Mesh) Nodes() int { return m.k*m.k + len(m.attach) }
 
@@ -198,9 +195,6 @@ func NewDragonfly(attach []int) *Dragonfly {
 
 // Cubes returns the number of cube routers (16).
 func (d *Dragonfly) Cubes() int { return d.nRouter }
-
-// EndpointNode returns the node id of edge endpoint i.
-func (d *Dragonfly) EndpointNode(i int) int { return d.nRouter + i }
 
 // Nodes implements Topology.
 func (d *Dragonfly) Nodes() int { return d.nRouter + len(d.attach) }

@@ -367,13 +367,6 @@ func (e *Engine) RunUntilCtx(ctx context.Context, done func() bool, maxCycles ui
 	return e.cycle - start, nil
 }
 
-// RunFor steps the machine exactly n cycles.
-func (e *Engine) RunFor(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		e.Step()
-	}
-}
-
 // Rand is a deterministic xorshift64* pseudo-random generator. It is used
 // instead of math/rand so that simulation results are bit-identical across
 // Go releases; determinism is asserted by tests.

@@ -88,14 +88,6 @@ func TestEngineRunUntilCtxCancel(t *testing.T) {
 	}
 }
 
-func TestEngineRunFor(t *testing.T) {
-	e := NewEngine()
-	e.RunFor(7)
-	if e.Cycle() != 7 {
-		t.Fatalf("cycle = %d, want 7", e.Cycle())
-	}
-}
-
 func TestEngineRegisterNilPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -251,7 +243,9 @@ func TestEngineSameCycleWakeOrder(t *testing.T) {
 			l.raise()
 		}
 	}})
-	e.RunFor(30)
+	for i := 0; i < 30; i++ {
+		e.Step()
+	}
 	if len(l.at) != 2 || l.at[0] != 10 || l.at[1] != 21 {
 		t.Fatalf("latch ticked at %v, want [10 21]", l.at)
 	}
