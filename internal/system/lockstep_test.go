@@ -16,8 +16,8 @@ import (
 // must be reflect.DeepEqual. A NextWork that skips a Tick with work to do,
 // a missed wake, or a skipped cycle whose stall counter is not credited
 // (MemStalls, OffloadStalls, ROBFullCycles, EnqueueRejects) fails here
-// with the first differing field, where the goldens pin only cycles and
-// instructions.
+// with the first differing field, where the golden digests only say that
+// some field moved.
 func TestLockstepOracle(t *testing.T) {
 	wls := append(append([]string{}, workload.Benchmarks()...), workload.Microbenchmarks()...)
 	for _, wl := range wls {
