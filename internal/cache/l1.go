@@ -44,12 +44,6 @@ type l1MSHR struct {
 	waiters []uint64 // tokens of the accesses coalesced into the miss
 }
 
-// timedCall completes access token at cycle at.
-type timedCall struct {
-	at    uint64
-	token uint64
-}
-
 type outMsg struct {
 	dst int
 	m   Msg
@@ -79,10 +73,9 @@ type L1 struct {
 	// can turn a refused Access into an accepted one.
 	ready func()
 
-	inQ        sim.FIFO[Msg]
-	outbox     sim.FIFO[outMsg]
-	calls      []timedCall
-	callsSpare []timedCall
+	inQ    sim.FIFO[Msg]
+	outbox sim.FIFO[outMsg]
+	calls  sim.Timers[uint64] // access tokens completing at a cycle
 
 	// waker invalidates the engine's cached idle hint on external input
 	// (Access from the core, Deliver from the NoC).
@@ -90,9 +83,6 @@ type L1 struct {
 
 	Stats Stats
 }
-
-// never aliases the sim.Never "quiescent until external input" sentinel.
-const never = sim.Never
 
 // NewL1 builds an L1 for core id. send injects messages into the NoC;
 // homeBank maps a block to its S-NUCA L2 bank tile; done is the completion
@@ -148,7 +138,7 @@ func (l *L1) findMSHR(block mem.PAddr) *l1MSHR {
 
 // Busy reports whether any miss, queued message or pending send remains.
 func (l *L1) Busy() bool {
-	return len(l.mshrs) > 0 || l.inQ.Len() > 0 || l.outbox.Len() > 0 || len(l.calls) > 0
+	return len(l.mshrs) > 0 || l.inQ.Len() > 0 || l.outbox.Len() > 0 || l.calls.Len() > 0
 }
 
 // Access performs a load (write=false) or store (write=true) at addr; the
@@ -178,7 +168,7 @@ func (l *L1) Access(addr mem.PAddr, write bool, cycle uint64, token uint64) bool
 				line.state = stMod
 			}
 			l.touch(line)
-			l.after(cycle+l.cfg.HitLat, token)
+			l.calls.Add(cycle+l.cfg.HitLat, token)
 			return true
 		}
 		// Store to a Shared line: upgrade via GetX. The line stays S until
@@ -232,9 +222,8 @@ func (l *L1) touch(line *l1Line) {
 	line.lru = l.lruTick
 }
 
-func (l *L1) after(at, token uint64) {
-	l.calls = append(l.calls, timedCall{at: at, token: token}) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
-}
+// complete hands a timed completion's token to the done hook.
+func (l *L1) complete(token, _ uint64) { l.done(token) }
 
 func (l *L1) post(dst int, m Msg) {
 	if !l.send(dst, m) {
@@ -261,14 +250,7 @@ func (l *L1) NextWork(now uint64) uint64 {
 	if len(l.unsent) > 0 || l.outbox.Len() > 0 || l.inQ.Len() > 0 {
 		return now
 	}
-	next := never
-	for _, c := range l.calls {
-		if c.at <= now {
-			return now
-		}
-		next = min(next, c.at)
-	}
-	return next
+	return l.calls.Next(now)
 }
 
 // Tick advances the cache: retries sends, fires timed completions and
@@ -296,18 +278,7 @@ func (l *L1) Tick(cycle uint64) {
 		l.outbox.Pop()
 	}
 	// Fire completions.
-	if len(l.calls) > 0 {
-		due := l.calls
-		l.calls = l.callsSpare[:0]
-		for _, c := range due {
-			if c.at <= cycle {
-				l.done(c.token)
-			} else {
-				l.calls = append(l.calls, c) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
-			}
-		}
-		l.callsSpare = due[:0]
-	}
+	l.calls.Fire(cycle, l.complete)
 	// Process messages.
 	for n := 0; n < 4 && l.inQ.Len() > 0; n++ {
 		l.handle(l.inQ.Pop(), cycle)
@@ -375,7 +346,7 @@ func (l *L1) fill(m Msg, cycle uint64) {
 	}
 	l.touch(line)
 	for _, w := range ms.waiters {
-		l.after(cycle+l.cfg.HitLat, w)
+		l.calls.Add(cycle+l.cfg.HitLat, w)
 	}
 	l.releaseMSHR(ms)
 	l.ready()

@@ -71,7 +71,6 @@ const (
 
 // l2Event is one pending timed action on a transaction.
 type l2Event struct {
-	at   uint64
 	kind l2EventKind
 	t    *txn
 }
@@ -105,12 +104,11 @@ type L2Bank struct {
 	send    Sender
 	mem     MemPort
 
-	inQ        sim.FIFO[Msg]
-	outbox     sim.FIFO[outMsg]
-	calls      []l2Event
-	callsSpare []l2Event
-	memQ       []memOp         // refused memory ops awaiting port space, in issue order
-	memWait    map[uint64]*txn // outstanding memory accesses by tag (nil: a write)
+	inQ     sim.FIFO[Msg]
+	outbox  sim.FIFO[outMsg]
+	calls   sim.Timers[l2Event]
+	memQ    []memOp         // refused memory ops awaiting port space, in issue order
+	memWait map[uint64]*txn // outstanding memory accesses by tag (nil: a write)
 
 	// waker invalidates the engine's cached idle hint on external input
 	// (Deliver) and whenever work is queued outside Tick (after, post and
@@ -173,7 +171,7 @@ func (b *L2Bank) find(block mem.PAddr) *l2Line {
 // Busy reports in-flight work, outstanding memory accesses included.
 func (b *L2Bank) Busy() bool {
 	return len(b.busy) > 0 || b.inQ.Len() > 0 || b.outbox.Len() > 0 ||
-		len(b.calls) > 0 || len(b.memQ) > 0 || len(b.memWait) > 0
+		b.calls.Len() > 0 || len(b.memQ) > 0 || len(b.memWait) > 0
 }
 
 // Deliver accepts a NoC message; false refuses it.
@@ -194,14 +192,7 @@ func (b *L2Bank) NextWork(now uint64) uint64 {
 	if b.outbox.Len() > 0 || len(b.memQ) > 0 || b.inQ.Len() > 0 {
 		return now
 	}
-	next := never
-	for _, c := range b.calls {
-		if c.at <= now {
-			return now
-		}
-		next = min(next, c.at)
-	}
-	return next
+	return b.calls.Next(now)
 }
 
 // Tick processes queued messages, retries sends and fires completions.
@@ -224,18 +215,7 @@ func (b *L2Bank) Tick(cycle uint64) {
 		}
 		b.memQ = kept
 	}
-	if len(b.calls) > 0 {
-		due := b.calls
-		b.calls = b.callsSpare[:0]
-		for _, c := range due {
-			if c.at <= cycle {
-				b.fire(c, cycle)
-			} else {
-				b.calls = append(b.calls, c) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
-			}
-		}
-		b.callsSpare = due[:0]
-	}
+	b.calls.Fire(cycle, b.fire)
 	for n := 0; n < 4 && b.inQ.Len() > 0; n++ {
 		b.handle(b.inQ.Pop(), cycle)
 	}
@@ -252,7 +232,7 @@ func (b *L2Bank) post(dst int, m Msg) {
 }
 
 func (b *L2Bank) after(at uint64, kind l2EventKind, t *txn) {
-	b.calls = append(b.calls, l2Event{at: at, kind: kind, t: t}) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
+	b.calls.Add(at, l2Event{kind: kind, t: t})
 	b.waker.Wake()
 }
 

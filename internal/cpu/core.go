@@ -125,8 +125,7 @@ type Core struct {
 	fenceKind   FenceKind
 	fenceTarget mem.PAddr
 
-	calls      []timedCall
-	callsSpare []timedCall // recycled backing array for the calls queue
+	calls sim.Timers[uint32] // ROB slots whose compute completes at a cycle
 
 	// waker invalidates the engine's cached idle hint; MemDone,
 	// ReleaseFence and PortReady (the core's only external inputs) wake
@@ -145,13 +144,6 @@ type Core struct {
 
 	Stats Stats
 	IPC   *stats.IPCSeries
-}
-
-// timedCall is a pending fixed-latency completion (a compute retiring): at
-// cycle `at`, ROB slot `slot` is marked done.
-type timedCall struct {
-	at   uint64
-	slot uint32
 }
 
 func (c *Core) robLen() int { return int(c.robTail - c.robHead) }
@@ -227,12 +219,9 @@ func (c *Core) Finished() bool {
 // sim.Component).
 func (c *Core) NextWork(now uint64) uint64 {
 	c.catchUp(now)
-	next := sim.Never
-	for _, t := range c.calls {
-		if t.at <= now {
-			return now
-		}
-		next = min(next, t.at)
+	next := c.calls.Next(now)
+	if next == now {
+		return now
 	}
 	if c.Finished() {
 		c.skipReason = skipNone
@@ -277,24 +266,16 @@ func (c *Core) Tick(cycle uint64) {
 	if c.Finished() {
 		return
 	}
-	if len(c.calls) > 0 {
-		due := c.calls
-		c.calls = c.callsSpare[:0]
-		for _, t := range due {
-			if t.at <= cycle {
-				c.rob[t.slot].done = true
-			} else {
-				c.calls = append(c.calls, t) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
-			}
-		}
-		c.callsSpare = due[:0]
-	}
+	c.calls.Fire(cycle, c.complete)
 	c.retire(cycle)
 	c.dispatch(cycle)
 	if c.Finished() && c.Stats.DoneCycle == 0 {
 		c.Stats.DoneCycle = cycle
 	}
 }
+
+// complete marks a compute's ROB slot done when its latency elapses.
+func (c *Core) complete(slot uint32, _ uint64) { c.rob[slot].done = true }
 
 // retire commits completed instructions in order.
 func (c *Core) retire(cycle uint64) {
@@ -436,7 +417,7 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 		default:
 			lat = c.cfg.FPMulLat
 		}
-		c.calls = append(c.calls, timedCall{at: cycle + lat, slot: slot}) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
+		c.calls.Add(cycle+lat, slot)
 		c.Stats.Computes++
 	case isa.KindLoad, isa.KindStore, isa.KindAtomicAdd:
 		pa := c.as.Translate(in.Addr)

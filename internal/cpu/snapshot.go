@@ -35,7 +35,7 @@ func (c *Core) Snapshotable() bool {
 	if c.fenced {
 		pend--
 	}
-	return pend == len(c.calls)
+	return pend == c.calls.Len()
 }
 
 func encInst(e *sim.Enc, in *isa.Inst) {
@@ -107,10 +107,11 @@ func (c *Core) Snapshot(e *sim.Enc) {
 	for i := c.robHead; i != c.robTail; i++ {
 		e.Bool(c.rob[i&c.robMask].done)
 	}
-	e.Int(len(c.calls))
-	for _, t := range c.calls {
-		e.U64(t.at)
-		e.Int(int(t.slot))
+	e.Int(c.calls.Len())
+	for i := 0; i < c.calls.Len(); i++ {
+		at, slot := c.calls.At(i)
+		e.U64(at)
+		e.Int(int(slot))
 	}
 	fk := c.fenceKind
 	var ft mem.PAddr
@@ -163,7 +164,7 @@ func (c *Core) Restore(d *sim.Dec) {
 		c.rob[i&c.robMask].done = d.Bool()
 	}
 	ncalls := d.Len(len(c.rob), "core timed calls")
-	c.calls = c.calls[:0]
+	c.calls = sim.Timers[uint32]{}
 	for i := 0; i < ncalls && d.Err() == nil; i++ {
 		at := d.U64()
 		idx := d.Int()
@@ -174,7 +175,7 @@ func (c *Core) Restore(d *sim.Dec) {
 			d.Fail("core %d timed call slot %d out of range", c.ID, idx)
 			return
 		}
-		c.calls = append(c.calls, timedCall{at: at, slot: uint32(idx)})
+		c.calls.Add(at, uint32(idx))
 	}
 	c.fenced = d.Bool()
 	c.fenceKind = FenceKind(d.U32())

@@ -19,52 +19,73 @@ func inFlightScan(f *Fabric) int {
 
 // checkOccupancy cross-checks the fabric's O(1) occupancy state against a
 // full scan after the fabric has ticked cycle: the InFlight counter, the
-// per-router queue masks, the waiting heads with their nextAt, and the busy
-// bit, which must be set exactly when some head has arrived (an injection
-// head, or a link-input head whose ArriveCycle is not ahead of cycle).
+// waiting heads with their nextAt, the head cache and the busy bit. The
+// head cache must hold exactly the arrived heads (an injection head, or a
+// link-input head whose ArriveCycle is not ahead of cycle): an ejectHead
+// bit for each link-input head addressed to this node, and for every other
+// head its route, its downstream VC and its bit in wantQ[route] and routed,
+// in no other wantQ. Empty and waiting queues hold no bit anywhere. eject
+// and forward act on the cache without re-reading the head, so this is the
+// invariant that makes them correct. The busy bit must be set exactly when
+// some head has arrived.
 func checkOccupancy(t testing.TB, f *Fabric, cycle uint64) {
 	t.Helper()
 	if scan := inFlightScan(f); scan != f.InFlight() || f.Drained() != (scan == 0) {
 		t.Fatalf("cycle %d: InFlight()=%d Drained()=%v, scan=%d", cycle, f.InFlight(), f.Drained(), scan)
 	}
 	for _, r := range f.routers {
-		var occ, wait uint64
+		var wait, eject, routed uint64
+		wantQ := make([]uint64, r.ports)
 		next := ^uint64(0)
-		arrived := false
-		for i := range r.in {
-			if r.in[i].len() == 0 {
-				continue
+		nlink := r.ports * f.Cfg.VCs
+		for idx := 0; idx < nlink+f.Cfg.VCs; idx++ {
+			q := r.queueAt(idx, f.Cfg.VCs)
+			bit := uint64(1) << uint(idx)
+			// headVC means something only for a routed head.
+			out, vc := int8(-1), r.headVC[idx]
+			switch {
+			case q.len() == 0:
+			case idx < nlink && q.peek().ArriveCycle > cycle:
+				wait |= bit
+				next = min(next, q.peek().ArriveCycle)
+			case int(q.peek().Dst) == r.node:
+				if idx >= nlink {
+					t.Fatalf("cycle %d node %d: injection queue %d holds a self-addressed head", cycle, r.node, idx)
+				}
+				eject |= bit
+			default:
+				h := q.peek()
+				out, vc = r.routeTo[h.Dst], int8(vcBase(h.Kind)+int(r.hopClass[h.Dst]))
+				wantQ[out] |= bit
+				routed |= bit
 			}
-			occ |= 1 << uint(i)
-			if at := r.in[i].peek().ArriveCycle; at > cycle {
-				wait |= 1 << uint(i)
-				next = min(next, at)
-			} else {
-				arrived = true
+			if r.headOut[idx] != out || r.headVC[idx] != vc {
+				t.Fatalf("cycle %d node %d queue %d: cached route %d VC %d, head wants %d VC %d",
+					cycle, r.node, idx, r.headOut[idx], r.headVC[idx], out, vc)
 			}
 		}
-		for i := range r.inj {
-			if r.inj[i].len() > 0 {
-				occ |= 1 << uint(r.ports*f.Cfg.VCs+i)
-				arrived = true
-			}
+		if eject != r.ejectHead || routed != r.routed {
+			t.Fatalf("cycle %d node %d: ejectHead %b routed %b, scan %b and %b",
+				cycle, r.node, r.ejectHead, r.routed, eject, routed)
 		}
-		if occ != r.occ {
-			t.Fatalf("cycle %d node %d: occ mask %b, scan %b", cycle, r.node, r.occ, occ)
+		for out := range wantQ {
+			if wantQ[out] != r.wantQ[out] {
+				t.Fatalf("cycle %d node %d: wantQ[%d] %b, scan %b", cycle, r.node, out, r.wantQ[out], wantQ[out])
+			}
 		}
 		if wait != r.waitMask || next != r.nextAt || (f.waitNodes>>uint(r.node)&1 == 1) != (wait != 0) {
 			t.Fatalf("cycle %d node %d: waitMask %b nextAt %d waitNodes %b, scan %b and %d",
 				cycle, r.node, r.waitMask, r.nextAt, f.waitNodes, wait, next)
 		}
-		if busy := f.busyNodes>>uint(r.node)&1 == 1; busy != arrived {
-			t.Fatalf("cycle %d node %d: busy bit %v, but an arrived head %v", cycle, r.node, busy, arrived)
+		if busy := f.busyNodes>>uint(r.node)&1 == 1; busy != (eject|routed != 0) {
+			t.Fatalf("cycle %d node %d: busy bit %v, but an arrived head %v", cycle, r.node, busy, eject|routed != 0)
 		}
 	}
 }
 
 // TestOccupancyCountersMatchScan floods the fabric with all-pairs traffic
-// and cross-checks the O(1) occupancy state (Drained, InFlight, the
-// per-router masks the tick phases skip on) against a full scan at every
+// and cross-checks the O(1) occupancy state (Drained, InFlight, the head
+// cache and masks the tick phases act on) against a full scan at every
 // cycle. The counters are what both System.done() and the idle-aware
 // scheduler trust, so drift here would silently corrupt simulated timing.
 func TestOccupancyCountersMatchScan(t *testing.T) {

@@ -129,25 +129,22 @@ type router struct {
 	routeTo  []int8 // [dst] output port, -1 for self
 	hopClass []int8 // [dst]
 
-	// occ has bit q set iff queue q is non-empty; in queues at
-	// [0, ports*VCs), injection queues at [ports*VCs, ports*VCs+VCs).
-	occ uint64
-
-	// Head metadata cache of the heads that have arrived, maintained on
-	// every head change (push to an empty queue, pop, land): the
-	// arbitration loops compare small integers instead of dereferencing
-	// the head packet per attempt. headOut[q] is the output port the head
-	// routes to (-1 when the queue is empty, its head ejects here or is
-	// still on the wire); headVC[q] is its precomputed downstream VC;
-	// ejectHead has bit q set iff the head's destination is this node.
-	// wantCount[out] counts queues whose head routes to out, and wantMask
-	// mirrors it as a bitmask so forward() visits only output ports some
-	// head actually wants.
+	// Head cache of the heads that have arrived, the router's only index
+	// of its queues (link inputs at bits [0, ports*VCs), injection queues
+	// at [ports*VCs, ports*VCs+VCs)). updateHead alone maintains it, on
+	// every head change (push to an empty queue, pop, land), so eject and
+	// forward act on it without looking at the head packet again.
+	// headOut[q] is the output port the head routes to (-1 when the queue
+	// is empty, its head ejects here or is still on the wire); headVC[q]
+	// is its downstream VC; ejectHead has bit q set iff the head's
+	// destination is this node (never an injection queue: Inject refuses
+	// self-addressed packets). wantQ[out] has bit q set iff headOut[q] ==
+	// out, and routed is the union of the wantQ masks.
 	headOut   []int8 // [nin]
 	headVC    []int8 // [nin]
 	ejectHead uint64
-	wantCount []uint16 // [ports]
-	wantMask  uint64
+	wantQ     []uint64 // [ports]
+	routed    uint64
 
 	// waitMask has bit q set iff link input q's head is still on the wire;
 	// nextAt is the earliest ArriveCycle among those heads (sim.Never when
@@ -169,30 +166,29 @@ func (r *router) queueAt(idx, vcs int) *packetRing {
 // of the head cache and waits for land; an injection queue's head is always
 // eligible, whatever ArriveCycle its sender left in it.
 func (f *Fabric) updateHead(r *router, idx int, cycle uint64) {
+	bit := uint64(1) << uint(idx)
 	if old := r.headOut[idx]; old >= 0 {
-		r.wantCount[old]--
-		if r.wantCount[old] == 0 {
-			r.wantMask &^= 1 << uint(old)
-		}
+		r.wantQ[old] &^= bit
+		r.routed &^= bit
 	}
 	r.headOut[idx] = -1
-	r.ejectHead &^= 1 << uint(idx)
+	r.ejectHead &^= bit
 	if q := r.queueAt(idx, f.Cfg.VCs); q.len() > 0 {
 		h := q.peek()
 		switch {
 		case idx < r.ports*f.Cfg.VCs && h.ArriveCycle > cycle:
 			f.wait(r, idx, h.ArriveCycle)
 		case int(h.Dst) == r.node:
-			r.ejectHead |= 1 << uint(idx)
+			r.ejectHead |= bit
 		default:
 			out := r.routeTo[h.Dst]
 			r.headOut[idx] = out
 			r.headVC[idx] = int8(vcBase(h.Kind) + int(r.hopClass[h.Dst]))
-			r.wantCount[out]++
-			r.wantMask |= 1 << uint(out)
+			r.wantQ[out] |= bit
+			r.routed |= bit
 		}
 	}
-	if r.ejectHead|r.wantMask != 0 {
+	if r.ejectHead|r.routed != 0 {
 		f.busyNodes |= 1 << uint(r.node)
 	} else {
 		f.busyNodes &^= 1 << uint(r.node)
@@ -208,9 +204,6 @@ func (f *Fabric) wait(r *router, idx int, at uint64) {
 	f.waitNodes |= 1 << uint(r.node)
 }
 
-func (r *router) markIn(idx int)   { r.occ |= 1 << uint(idx) }
-func (r *router) unmarkIn(idx int) { r.occ &^= 1 << uint(idx) }
-
 // Fabric is one interconnection network instance: topology + routers +
 // endpoints, plus the occupancy, credit and accounting state every router
 // tick touches.
@@ -225,7 +218,7 @@ type Fabric struct {
 	inflight int
 
 	// Router-level masks, bit = node id: busyNodes marks routers with an
-	// arrived head in the head cache (ejectHead|wantMask != 0), waitNodes
+	// arrived head in the head cache (ejectHead|routed != 0), waitNodes
 	// routers with a head still on the wire (waitMask != 0).
 	busyNodes uint64
 	waitNodes uint64
@@ -242,7 +235,7 @@ type Fabric struct {
 	// ClockDiv is a power of two, so cycle%ClockDiv == cycle&clockMask.
 	clockMask uint64
 
-	// classMask[c] selects input-queue occupancy bits whose VC belongs to
+	// classMask[c] selects the head-cache queue bits whose VC belongs to
 	// ejection class c (vc/2 == c); shared by all routers since the bit
 	// layout has stride Cfg.VCs.
 	classMask [3]uint64
@@ -297,7 +290,7 @@ func NewFabric(topo Topology, cfg Config) *Fabric {
 		nin := ports*cfg.VCs + cfg.VCs
 		r.headOut = make([]int8, nin)
 		r.headVC = make([]int8, nin)
-		r.wantCount = make([]uint16, ports)
+		r.wantQ = make([]uint64, ports)
 		for q := 0; q < nin; q++ {
 			r.headOut[q] = -1
 		}
@@ -367,10 +360,8 @@ func (f *Fabric) Inject(n int, p Packet, cycle uint64) bool {
 		p.InjectCycle = cycle
 	}
 	r.inj[vc].push(&p)
-	idx := r.ports*f.Cfg.VCs + vc
-	r.markIn(idx)
 	if r.inj[vc].len() == 1 {
-		f.updateHead(r, idx, cycle)
+		f.updateHead(r, r.ports*f.Cfg.VCs+vc, cycle)
 	}
 	f.waker.Wake()
 	f.inflight++
@@ -471,7 +462,7 @@ func (f *Fabric) Tick(cycle uint64) {
 	for m := f.busyNodes; m != 0; {
 		node := bits.TrailingZeros64(m)
 		m &= m - 1
-		if r := f.routers[node]; r.wantMask != 0 {
+		if r := f.routers[node]; r.routed != 0 {
 			f.forward(r, cycle)
 		}
 	}
@@ -505,153 +496,102 @@ func (f *Fabric) land(r *router, cycle uint64) {
 // drain order matches the deadlock-freedom argument. Each queue gets one
 // delivery attempt per cycle; endpoint refusals backpressure the network.
 // Ejection bandwidth is otherwise unbounded — a modeling simplification the
-// simulated results depend on (see DESIGN.md). Only occupied link-input
-// queues whose cached head ejects here are visited, class descending, then
-// port then VC ascending.
+// simulated results depend on (see DESIGN.md). Only the link inputs whose
+// cached head ejects here are visited, class descending, then port then VC
+// ascending.
 //
 //ar:hotpath
 func (f *Fabric) eject(r *router, cycle uint64) {
 	ep := f.endpoints[r.node]
 	for pass := 0; pass < 3; pass++ {
 		class := 2 - pass // 2=response, 1=operand, 0=request
-		m := f.classMask[class] & r.ejectHead
-		for m != 0 {
-			idx := bits.TrailingZeros64(m)
-			m &= m - 1
-			if idx >= r.ports*f.Cfg.VCs {
-				break // injection-queue bits: not ejectable
-			}
-			f.ejectQueue(r, ep, idx, cycle)
+		for m := f.classMask[class] & r.ejectHead; m != 0; m &= m - 1 {
+			f.ejectQueue(r, ep, bits.TrailingZeros64(m), cycle)
 		}
 	}
 }
 
-// ejectQueue delivers at most one packet from input queue idx (each queue
-// gets one ejection attempt per class pass); it reports whether a packet
-// was popped. Deliver borrows the head slot; a successful Deliver pops it.
+// ejectQueue offers the head of link input idx, which the head cache marks
+// as ejecting here, to the endpoint (one attempt per queue per class pass).
+// Deliver borrows the head slot; a successful Deliver pops it.
 //
 //ar:hotpath
-func (f *Fabric) ejectQueue(r *router, ep Endpoint, idx int, cycle uint64) bool {
+func (f *Fabric) ejectQueue(r *router, ep Endpoint, idx int, cycle uint64) {
 	q := &r.in[idx]
-	if q.len() == 0 || int(q.peek().Dst) != r.node {
-		return false
-	}
 	p := q.peek()
 	if ep == nil {
 		panic(fmt.Sprintf("network: packet %s for node %d with no endpoint", p.Kind, r.node))
 	}
 	p.ArriveCycle = cycle
 	if !ep.Deliver(p, cycle) {
-		return false
+		return
 	}
 	q.pop()
 	f.inflight--
-	if q.len() == 0 {
-		r.unmarkIn(idx)
-	}
 	f.updateHead(r, idx, cycle)
 	f.returnCredit(r, idx/f.Cfg.VCs, idx%f.Cfg.VCs)
 	f.Delivered++
-	return true
 }
 
-// forward performs output-port arbitration: for every output port pick one
-// eligible head packet, round-robin over the occupied inputs (link inputs,
-// then injection queues) starting at rrPort.
+// forward performs output-port arbitration: for every output port send one
+// head that routes to it and whose cached VC has a credit, round-robin over
+// the inputs (link inputs, then injection queues) starting at rrPort.
 //
 //ar:hotpath
 func (f *Fabric) forward(r *router, cycle uint64) {
 	nin := r.ports*f.Cfg.VCs + f.Cfg.VCs // link inputs + injection queues
 	for out := 0; out < r.ports; out++ {
-		// Skip output ports no head currently wants. The mask is re-read
-		// every iteration because a pop can promote a new head wanting a
-		// later port this same cycle.
-		if r.wantMask>>uint(out)&1 == 0 {
+		// wantQ is read per port because a send can promote a new head
+		// wanting a later port this same cycle.
+		want := r.wantQ[out]
+		if want == 0 || r.linkBusy[out] > cycle || !r.links[out].ok {
 			continue
 		}
-		if r.linkBusy[out] > cycle {
-			continue
-		}
-		l := r.links[out]
-		if !l.ok {
-			continue
-		}
-		// Visit occupied queues in (rrPort + k) % nin order: the bits at
-		// and above rrPort first, then the wrapped-around low bits. The
-		// cached headOut filters ineligible queues with one int8 compare
-		// before any packet dereference.
-		high := r.occ & (^uint64(0) << uint(r.rrPort))
-		low := r.occ &^ (^uint64(0) << uint(r.rrPort))
-		done := false
-		for _, m := range [2]uint64{high, low} {
-			for m != 0 {
+		// Visit the wanting queues in (rrPort + k) % nin order: the bits at
+		// and above rrPort first, then the wrapped-around low bits.
+		high := want & (^uint64(0) << uint(r.rrPort))
+	scan:
+		for _, m := range [2]uint64{high, want &^ high} {
+			for ; m != 0; m &= m - 1 {
 				idx := bits.TrailingZeros64(m)
-				m &= m - 1
-				if int(r.headOut[idx]) != out {
-					continue
+				if r.credits[out*f.Cfg.VCs+int(r.headVC[idx])] > 0 {
+					f.send(r, out, idx, cycle, nin)
+					break scan
 				}
-				// Cached head VC: refuse on missing credits without
-				// touching the packet at all.
-				if r.credits[out*f.Cfg.VCs+int(r.headVC[idx])] <= 0 {
-					continue
-				}
-				if f.tryForward(r, out, idx, l, cycle, nin) {
-					done = true
-					break
-				}
-			}
-			if done {
-				break
 			}
 		}
 	}
 }
 
-// tryForward attempts to transmit the head of input queue idx through
-// output port out; it reports whether a packet was sent. forward has
-// already matched the cached head metadata; the checks below confirm it
-// against the head packet itself.
-func (f *Fabric) tryForward(r *router, out, idx int, l link, cycle uint64, nin int) bool {
+// send transmits the head of input queue idx through output port out on its
+// cached downstream VC, which forward found a credit for: stamp the cycle
+// the packet leaves the wire, copy it into the peer's input ring (the credit
+// reserved the slot), then pop it.
+//
+//ar:hotpath
+func (f *Fabric) send(r *router, out, idx int, cycle uint64, nin int) {
 	q := r.queueAt(idx, f.Cfg.VCs)
-	if q.len() == 0 {
-		return false
-	}
 	p := q.peek()
-	if int(p.Dst) == r.node {
-		return false // ejection handles it
-	}
-	if int(r.routeTo[p.Dst]) != out {
-		return false
-	}
-	vc := vcBase(p.Kind) + int(r.hopClass[p.Dst])
-	if r.credits[out*f.Cfg.VCs+vc] <= 0 {
-		return false
-	}
-	// Transmit: stamp the cycle the packet leaves the wire, copy it into
-	// the peer's input ring (the credit reserved the slot), then pop it.
+	vc := int(r.headVC[idx])
 	ser := uint64((int(p.Size) + f.Cfg.LinkBandwidth - 1) / f.Cfg.LinkBandwidth)
 	p.ArriveCycle = cycle + (ser+f.Cfg.LinkLatency+f.Cfg.RouterDelay)*f.Cfg.ClockDiv
+	l := r.links[out]
 	peer := f.routers[l.peer]
 	pidx := l.peerPort*f.Cfg.VCs + vc
 	in := &peer.in[pidx]
 	in.push(p)
 	if in.len() == 1 {
-		peer.markIn(pidx)
 		f.wait(peer, pidx, p.ArriveCycle)
 	}
 	f.HopBytes += uint64(p.Size)
 	r.linkBusy[out] = cycle + ser*f.Cfg.ClockDiv
 	q.pop()
-	if q.len() == 0 {
-		r.unmarkIn(idx)
-	}
 	f.updateHead(r, idx, cycle)
 	if idx < r.ports*f.Cfg.VCs {
 		f.returnCredit(r, idx/f.Cfg.VCs, idx%f.Cfg.VCs)
 	}
 	r.credits[out*f.Cfg.VCs+vc]--
 	r.rrPort = (idx + 1) % nin
-	return true
 }
 
 // returnCredit gives a buffer slot back to the upstream router feeding

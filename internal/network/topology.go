@@ -71,9 +71,6 @@ func NewMesh(k int, attach []int) *Mesh {
 	return &Mesh{k: k, attach: append([]int(nil), attach...)}
 }
 
-// K returns the mesh dimension.
-func (m *Mesh) K() int { return m.k }
-
 // Tiles returns the number of fabric tiles (k*k).
 func (m *Mesh) Tiles() int { return m.k * m.k }
 

@@ -310,9 +310,6 @@ func (e *Engine) stepLockstep() uint64 {
 	return e.cycle
 }
 
-// Step advances the whole machine by exactly one cycle.
-func (e *Engine) Step() { e.step() }
-
 // RunUntil steps the machine until done() reports true or maxCycles elapse.
 // It returns the number of cycles executed and an error on timeout. When
 // every component is quiescent the clock jumps to the next pending event in

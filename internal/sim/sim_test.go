@@ -13,7 +13,7 @@ func TestEngineStepOrder(t *testing.T) {
 	var order []string
 	e.Register("a", -1, busy{func(uint64) { order = append(order, "a") }})
 	e.Register("b", -1, busy{func(uint64) { order = append(order, "b") }})
-	e.Step()
+	e.step()
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Fatalf("tick order = %v, want [a b]", order)
 	}
@@ -244,7 +244,7 @@ func TestEngineSameCycleWakeOrder(t *testing.T) {
 		}
 	}})
 	for i := 0; i < 30; i++ {
-		e.Step()
+		e.step()
 	}
 	if len(l.at) != 2 || l.at[0] != 10 || l.at[1] != 21 {
 		t.Fatalf("latch ticked at %v, want [10 21]", l.at)

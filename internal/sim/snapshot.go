@@ -42,9 +42,6 @@ func (e *Enc) U32(v uint32) {
 	e.B = binary.LittleEndian.AppendUint32(e.B, v)
 }
 
-// I64 appends v.
-func (e *Enc) I64(v int64) { e.U64(uint64(v)) }
-
 // Int appends v as a 64-bit integer.
 func (e *Enc) Int(v int) { e.U64(uint64(int64(v))) }
 
@@ -133,9 +130,6 @@ func (d *Dec) U32() uint32 {
 	}
 	return binary.LittleEndian.Uint32(b)
 }
-
-// I64 reads one int64.
-func (d *Dec) I64() int64 { return int64(d.U64()) }
 
 // Int reads one int encoded by Enc.Int.
 func (d *Dec) Int() int { return int(int64(d.U64())) }
