@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -57,7 +58,10 @@ func (w *earlyGather) Verify() error {
 // TestCheckpointRearmsGatherFence checkpoints while a core is fenced on a
 // Gather whose flow is still collecting arrivals, so Restore must re-attach
 // that core to the coordinator flow. The restored run must match the
-// straight run and re-encode to the same blob.
+// straight run and re-encode to the same blob. The blob is the only pinned
+// checkpoint holding live ARE flow entries and a coordinator flow, so its
+// exact length and FNV-64a digest pin those sections' wire format the way
+// TestSnapshotWireFormatPinned pins the rest.
 func TestCheckpointRearmsGatherFence(t *testing.T) {
 	build := func() *System {
 		t.Helper()
@@ -88,6 +92,18 @@ func TestCheckpointRearmsGatherFence(t *testing.T) {
 	}
 	if src.cores[0].Finished() {
 		t.Fatal("thread 0 finished before the checkpoint; its gather fence is not held")
+	}
+	live := 0
+	for _, c := range src.cubes {
+		live += c.ARE().Flows.Size()
+	}
+	if live != 2 {
+		t.Fatalf("checkpoint holds %d ARE flow entries, want 2", live)
+	}
+	h := fnv.New64a()
+	h.Write(snap)
+	if got := fmt.Sprintf("%016x", h.Sum64()); len(snap) != 209900 || got != "7abaf836ce535ed2" {
+		t.Fatalf("blob = %d bytes, FNV-64a %s; want 209900 bytes, 7abaf836ce535ed2", len(snap), got)
 	}
 
 	dst := build()
