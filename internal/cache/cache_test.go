@@ -41,7 +41,7 @@ func newHarness(t *testing.T) *harness {
 	cfg2.Ways = 4
 	h.l1 = NewL1(0, cfg1, l1Send, func(mem.PAddr) int { return 100 },
 		func(tok uint64) { h.done = append(h.done, tok) }, func() {})
-	h.l2 = NewL2Bank(100, cfg2, l2Send, memPort)
+	h.l2 = NewL2Bank(100, 64, cfg2, l2Send, memPort)
 	return h
 }
 
@@ -263,7 +263,7 @@ func newTwoL1(t *testing.T) *twoL1Harness {
 	done := func(tok uint64) { h.done = append(h.done, tok) }
 	h.l1s[0] = NewL1(0, cfg1, send, func(mem.PAddr) int { return 100 }, done, func() {})
 	h.l1s[1] = NewL1(1, cfg1, send, func(mem.PAddr) int { return 100 }, done, func() {})
-	h.l2 = NewL2Bank(100, cfg2, send, memPort)
+	h.l2 = NewL2Bank(100, 64, cfg2, send, memPort)
 	return h
 }
 
@@ -355,7 +355,7 @@ func TestL2MemRetryKeepsOrder(t *testing.T) {
 	cfg := DefaultL2Config()
 	cfg.BankSizeBytes = 4 << 10
 	cfg.Ways = 4
-	b := NewL2Bank(0, cfg, func(int, Msg) bool { return true }, port)
+	b := NewL2Bank(0, 64, cfg, func(int, Msg) bool { return true }, port)
 	// Dirty write-backs of uncached blocks go straight to memory.
 	for _, blk := range []mem.PAddr{0x1000, 0x2000, 0x3000} {
 		b.Deliver(Msg{Type: MsgPutM, Block: blk, From: 1}, 0)
@@ -421,7 +421,7 @@ func TestL2MissCycleAllocatesNothing(t *testing.T) {
 	cfg := DefaultL2Config()
 	cfg.BankSizeBytes = 4 << 10
 	cfg.Ways = 4
-	b := NewL2Bank(0, cfg, send, port)
+	b := NewL2Bank(0, 64, cfg, send, port)
 	stride := mem.PAddr(b.sets * mem.BlockSize) // every block maps to set 0
 	block := mem.PAddr(0)
 	var cyc uint64

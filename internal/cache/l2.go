@@ -89,9 +89,10 @@ type memOp struct {
 // L2Bank is one bank of the shared S-NUCA L2 with an inclusive MESI
 // directory.
 type L2Bank struct {
-	ID   int // bank id == tile id
-	cfg  L2Config
-	sets int
+	ID    int // bank id == tile id
+	cores int // cores the directory tracks; sharer bits and owners lie below
+	cfg   L2Config
+	sets  int
 
 	lines [][]l2Line
 	lruTk uint64
@@ -118,15 +119,20 @@ type L2Bank struct {
 	Stats Stats
 }
 
-// NewL2Bank builds bank id. send posts NoC messages; memPort accesses main
-// memory.
-func NewL2Bank(id int, cfg L2Config, send Sender, memPort MemPort) *L2Bank {
+// NewL2Bank builds bank id with a directory over cores cores (at most 64,
+// the width of a sharer mask). send posts NoC messages; memPort accesses
+// main memory.
+func NewL2Bank(id, cores int, cfg L2Config, send Sender, memPort MemPort) *L2Bank {
+	if cores <= 0 || cores > 64 {
+		panic(fmt.Sprintf("cache: L2 directory over %d cores, want 1..64", cores))
+	}
 	sets := cfg.BankSizeBytes / mem.BlockSize / cfg.Ways
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: L2 set count %d must be a positive power of two", sets))
 	}
 	b := &L2Bank{
 		ID:      id,
+		cores:   cores,
 		cfg:     cfg,
 		sets:    sets,
 		lines:   make([][]l2Line, sets),

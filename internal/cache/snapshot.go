@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -13,106 +12,59 @@ import (
 // recycled entry serves a miss never affects simulated behavior; see
 // DESIGN.md "Checkpointing").
 
-func encCacheStats(e *sim.Enc, s *Stats) {
-	for _, p := range s.counters() {
-		e.U64(*p)
+// shapeState streams a cache's LRU clock and shape; the restoring cache
+// must share the shape. It reports whether the stream is still good.
+func shapeState(s *sim.Stream, level string, lru *uint64, sets, ways int) bool {
+	s.U64(lru)
+	gs, gw := sets, ways
+	s.Int(&gs)
+	if s.Int(&gw); gs != sets || gw != ways {
+		s.Fail("%s geometry mismatch: snapshot %dx%d, machine %dx%d", level, gs, gw, sets, ways)
 	}
+	return s.Err() == nil
 }
 
-func decCacheStats(d *sim.Dec, s *Stats) {
-	for _, p := range s.counters() {
-		*p = d.U64()
-	}
-}
-
-// Snapshot implements sim.Snapshotter for a quiescent L1.
-func (l *L1) Snapshot(e *sim.Enc) {
-	e.Tag("l1")
-	e.Int(l.ID)
-	e.U64(l.lruTick)
-	e.Int(l.sets)
-	e.Int(l.cfg.Ways)
-	for _, set := range l.lines {
-		for i := range set {
-			e.U64(uint64(set[i].tag))
-			e.U32(uint32(set[i].state))
-			e.U64(set[i].lru)
-		}
-	}
-	encCacheStats(e, &l.Stats)
-}
-
-// Restore implements sim.Snapshotter for a freshly constructed L1.
-func (l *L1) Restore(d *sim.Dec) {
-	d.Tag("l1")
-	if id := d.Int(); d.Err() == nil && id != l.ID {
-		d.Fail("l1 id mismatch: snapshot %d, machine %d", id, l.ID)
-	}
-	l.lruTick = d.U64()
-	sets, ways := d.Int(), d.Int()
-	if d.Err() != nil {
-		return
-	}
-	if sets != l.sets || ways != l.cfg.Ways {
-		d.Fail("l1 geometry mismatch: snapshot %dx%d, machine %dx%d", sets, ways, l.sets, l.cfg.Ways)
+// State streams a quiescent L1's section (DESIGN.md "Checkpointing").
+func (l *L1) State(s *sim.Stream) {
+	s.Tag("l1")
+	if s.Match(l.ID, "l1 id"); !shapeState(s, "l1", &l.lruTick, l.sets, l.cfg.Ways) {
 		return
 	}
 	for _, set := range l.lines {
-		for i := range set {
-			set[i].tag = mem.PAddr(d.U64())
-			set[i].state = lineState(d.U32())
-			set[i].lru = d.U64()
-		}
-	}
-	decCacheStats(d, &l.Stats)
-}
-
-// Snapshot implements sim.Snapshotter for a quiescent L2 bank.
-func (b *L2Bank) Snapshot(e *sim.Enc) {
-	e.Tag("l2")
-	e.Int(b.ID)
-	e.U64(b.lruTk)
-	e.Int(b.sets)
-	e.Int(b.cfg.Ways)
-	for _, set := range b.lines {
 		for i := range set {
 			ln := &set[i]
-			e.U64(uint64(ln.tag))
-			e.Bool(ln.valid)
-			e.Bool(ln.dirty)
-			e.U64(ln.sharers)
-			e.Int(ln.owner)
-			e.U64(ln.lru)
+			sim.U64As(s, &ln.tag)
+			sim.U32As(s, &ln.state)
+			s.U64(&ln.lru)
+			if ln.state > stMod {
+				s.Fail("l1 %d line state %d out of range", l.ID, ln.state)
+			}
 		}
 	}
-	encCacheStats(e, &b.Stats)
+	s.U64s(l.Stats.counters())
 }
 
-// Restore implements sim.Snapshotter for a freshly constructed L2 bank.
-func (b *L2Bank) Restore(d *sim.Dec) {
-	d.Tag("l2")
-	if id := d.Int(); d.Err() == nil && id != b.ID {
-		d.Fail("l2 id mismatch: snapshot %d, machine %d", id, b.ID)
-	}
-	b.lruTk = d.U64()
-	sets, ways := d.Int(), d.Int()
-	if d.Err() != nil {
-		return
-	}
-	if sets != b.sets || ways != b.cfg.Ways {
-		d.Fail("l2 geometry mismatch: snapshot %dx%d, machine %dx%d", sets, ways, b.sets, b.cfg.Ways)
+// State streams a quiescent L2 bank's section.
+func (b *L2Bank) State(s *sim.Stream) {
+	s.Tag("l2")
+	if s.Match(b.ID, "l2 id"); !shapeState(s, "l2", &b.lruTk, b.sets, b.cfg.Ways) {
 		return
 	}
 	for _, set := range b.lines {
 		for i := range set {
 			ln := &set[i]
-			ln.tag = mem.PAddr(d.U64())
-			ln.valid = d.Bool()
-			ln.dirty = d.Bool()
-			ln.sharers = d.U64()
-			ln.owner = d.Int()
-			ln.lru = d.U64()
+			sim.U64As(s, &ln.tag)
+			s.Bool(&ln.valid)
+			s.Bool(&ln.dirty)
+			s.U64(&ln.sharers)
+			s.Int(&ln.owner)
+			s.U64(&ln.lru)
+			if ln.owner < -1 || ln.owner >= b.cores {
+				s.Fail("l2 %d line owner %d out of range [-1,%d)", b.ID, ln.owner, b.cores)
+			} else if ln.sharers>>uint(b.cores) != 0 {
+				s.Fail("l2 %d line sharers %#x name a core at or above %d", b.ID, ln.sharers, b.cores)
+			}
 		}
 	}
-	decCacheStats(d, &b.Stats)
+	s.U64s(b.Stats.counters())
 }

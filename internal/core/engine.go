@@ -28,6 +28,9 @@ type Cube interface {
 	// NextHopToCube returns the next node id on the minimal route from
 	// this cube to the given cube.
 	NextHopToCube(cube int) int
+	// Nodes returns the memory network's node count; every node id a flow
+	// entry names lies below it.
+	Nodes() int
 }
 
 // EngineConfig sizes one Active-Routing Engine.

@@ -57,6 +57,7 @@ func (m *mockCube) Inject(p network.Packet) bool {
 func (m *mockCube) CubeOf(pa mem.PAddr) int { return m.geom.CubeOf(pa) }
 func (m *mockCube) NodeOfCube(cube int) int { return cube }
 func (m *mockCube) NextHopToCube(c int) int { return c } // direct hop in tests
+func (m *mockCube) Nodes() int              { return 64 }
 
 // flush completes all pending vault reads into e, in issue order.
 func (m *mockCube) flush(e *Engine) {

@@ -1,11 +1,12 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"maps"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/network"
 	"repro/internal/sim"
 )
 
@@ -42,103 +43,74 @@ func (e *Engine) SnapshotReady() bool {
 	return true
 }
 
-// Snapshot implements sim.Snapshotter for a quiescent ARE.
-func (e *Engine) Snapshot(enc *sim.Enc) {
-	enc.Tag("are")
-	enc.Int(e.CubeID)
-	enc.U64(e.nextTag)
-	for _, p := range e.Stats.counters() {
-		enc.U64(*p)
-	}
-	enc.Int(e.Stats.PeakOperandInUse)
-	enc.U64(e.Breakdown.Count)
-	enc.U64(e.Breakdown.Req)
-	enc.U64(e.Breakdown.Stall)
-	enc.U64(e.Breakdown.Resp)
+// State streams a quiescent ARE's section. The restoring machine's
+// flow-table capacity may differ from the source's (the MaxFlows ablation
+// forks); decoding fails if the live entries do not fit — the sweep layer
+// additionally requires the source's Peak to fit so the fork cannot
+// diverge from a cold run.
+func (e *Engine) State(s *sim.Stream) {
+	s.Tag("are")
+	s.Match(e.CubeID, "are cube id")
+	s.U64(&e.nextTag)
+	s.U64s(e.Stats.counters())
+	s.Int(&e.Stats.PeakOperandInUse)
+	s.U64(&e.Breakdown.Count)
+	s.U64(&e.Breakdown.Req)
+	s.U64(&e.Breakdown.Stall)
+	s.U64(&e.Breakdown.Resp)
 
 	t := e.Flows
-	enc.Int(t.Peak)
-	enc.U64(t.Registered)
-	keys := make([]network.FlowKey, 0, len(t.entries))
-	for k := range t.entries { //ar:exempt(determinism) key collection only; the slice is sorted before use
-		keys = append(keys, k)
+	s.Int(&t.Peak)
+	s.U64(&t.Registered)
+	var live []*FlowEntry
+	if !s.Decoding() && len(t.entries) > 0 {
+		live = slices.SortedFunc(maps.Values(t.entries), func(a, b *FlowEntry) int {
+			return cmp.Or(cmp.Compare(a.Key.Flow, b.Key.Flow), cmp.Compare(a.Key.Tree, b.Key.Tree))
+		})
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Flow != keys[j].Flow {
-			return keys[i].Flow < keys[j].Flow
-		}
-		return keys[i].Tree < keys[j].Tree
-	})
-	enc.Int(len(keys))
-	for _, k := range keys {
-		fe := t.entries[k]
-		enc.U64(k.Flow)
-		enc.U32(uint32(k.Tree))
-		enc.U32(uint32(fe.Opcode))
-		enc.F64(fe.Result)
-		enc.U64(fe.ReqCount)
-		enc.U64(fe.RespCnt)
-		enc.Int(fe.Parent)
-		enc.Int(len(fe.Children))
-		for _, c := range fe.Children {
-			enc.Int(c)
-		}
-	}
-}
-
-// Restore implements sim.Snapshotter for a freshly constructed ARE. The
-// restoring machine's flow-table capacity may differ from the source's
-// (the MaxFlows ablation forks); restore fails if the live entries do not
-// fit — the sweep layer additionally requires the source's Peak to fit so
-// the fork cannot diverge from a cold run.
-func (e *Engine) Restore(d *sim.Dec) {
-	d.Tag("are")
-	if id := d.Int(); d.Err() == nil && id != e.CubeID {
-		d.Fail("are cube id mismatch: snapshot %d, machine %d", id, e.CubeID)
-	}
-	e.nextTag = d.U64()
-	for _, p := range e.Stats.counters() {
-		*p = d.U64()
-	}
-	e.Stats.PeakOperandInUse = d.Int()
-	e.Breakdown.Count = d.U64()
-	e.Breakdown.Req = d.U64()
-	e.Breakdown.Stall = d.U64()
-	e.Breakdown.Resp = d.U64()
-
-	t := e.Flows
-	t.Peak = d.Int()
-	t.Registered = d.U64()
-	n := d.Len(1<<20, "are flow entries")
-	if d.Err() != nil {
+	n := len(live)
+	if s.Len(&n, 1<<20, "are flow entries"); n > t.cap {
+		s.Fail("are cube %d: %d live flows exceed table capacity %d", e.CubeID, n, t.cap)
 		return
+	} else if s.Decoding() {
+		live = make([]*FlowEntry, n)
 	}
-	if n > t.cap {
-		d.Fail("are cube %d: %d live flows exceed table capacity %d", e.CubeID, n, t.cap)
-		return
-	}
-	for i := 0; i < n; i++ {
-		key := network.FlowKey{Flow: d.U64(), Tree: uint8(d.U32())}
-		fe := &FlowEntry{
-			Key:      key,
-			Opcode:   isa.ALUOp(d.U32()),
-			Result:   d.F64(),
-			ReqCount: d.U64(),
-			RespCnt:  d.U64(),
-			Parent:   d.Int(),
+	nodes := e.cube.Nodes()
+	for i := 0; i < n && s.Err() == nil; i++ {
+		if s.Decoding() {
+			live[i] = &FlowEntry{}
 		}
-		nc := d.Len(1<<10, "are flow children")
-		for j := 0; j < nc && d.Err() == nil; j++ {
-			fe.Children = append(fe.Children, d.Int())
+		fe := live[i]
+		s.U64(&fe.Key.Flow)
+		sim.U32As(s, &fe.Key.Tree)
+		sim.U32As(s, &fe.Opcode)
+		s.F64(&fe.Result)
+		s.U64(&fe.ReqCount)
+		s.U64(&fe.RespCnt)
+		s.Int(&fe.Parent)
+		nc := len(fe.Children)
+		s.Len(&nc, 1<<10, "are flow children")
+		for j := 0; j < nc && s.Err() == nil; j++ {
+			if s.Decoding() {
+				fe.Children = append(fe.Children, 0)
+			}
+			if s.Int(&fe.Children[j]); fe.Children[j] < 0 || fe.Children[j] >= nodes {
+				s.Fail("are cube %d: flow child node %d out of range [0,%d)", e.CubeID, fe.Children[j], nodes)
+			}
 		}
-		if d.Err() != nil {
+		switch {
+		case s.Err() != nil:
 			return
+		case fe.Opcode > isa.OpConstAssign:
+			s.Fail("are cube %d: flow opcode %d out of range", e.CubeID, fe.Opcode)
+		case fe.Parent < 0 || fe.Parent >= nodes:
+			s.Fail("are cube %d: flow parent node %d out of range [0,%d)", e.CubeID, fe.Parent, nodes)
+		case !s.Decoding(): // encoding: the entry stays where it is
+		case t.entries[fe.Key] != nil:
+			s.Fail("are cube %d: duplicate flow key %+v", e.CubeID, fe.Key)
+		default:
+			t.entries[fe.Key] = fe
 		}
-		if _, dup := t.entries[key]; dup {
-			d.Fail("are cube %d: duplicate flow key %+v", e.CubeID, key)
-			return
-		}
-		t.entries[key] = fe
 	}
 }
 
@@ -163,75 +135,54 @@ func (c *Coordinator) SnapshotReady() bool {
 	return true
 }
 
-// Snapshot implements sim.Snapshotter for a quiescent coordinator.
-func (c *Coordinator) Snapshot(e *sim.Enc) {
-	e.Tag("coord")
-	e.U64(c.nextTag)
-	for _, p := range c.Stats.counters() {
-		e.U64(*p)
-	}
-	e.Int(len(c.ports))
-	targets := make([]mem.PAddr, 0, len(c.flows))
-	for t := range c.flows { //ar:exempt(determinism) key collection only; the slice is sorted before use
-		targets = append(targets, t)
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-	e.Int(len(targets))
-	for _, t := range targets {
-		f := c.flows[t]
-		e.U64(uint64(t))
-		e.U32(uint32(f.op))
-		for _, live := range f.trees {
-			e.Bool(live)
-		}
-		e.Int(f.gathersSeen)
-		e.Int(f.threads)
-		e.F64(f.partial)
-	}
-}
-
-// Restore implements sim.Snapshotter for a freshly constructed
-// coordinator. Waiting thread ids are not decoded: the system re-attaches
-// them by calling RearmFence on each gather-fenced core, which lands in
-// AttachGather. Re-attachment in core-ID order is bit-identity-safe
-// because each release only touches its own core.
-func (c *Coordinator) Restore(d *sim.Dec) {
-	d.Tag("coord")
-	c.nextTag = d.U64()
-	for _, p := range c.Stats.counters() {
-		*p = d.U64()
-	}
-	if np := d.Int(); d.Err() == nil && np != len(c.ports) {
-		d.Fail("coordinator port count mismatch: snapshot %d, machine %d", np, len(c.ports))
+// State streams a quiescent coordinator's section. Waiting thread ids are
+// not streamed: after decoding, the system re-attaches them by calling
+// RearmFence on each gather-fenced core, which lands in AttachGather.
+// Re-attachment in core-ID order is bit-identity-safe because each release
+// only touches its own core.
+func (c *Coordinator) State(s *sim.Stream) {
+	s.Tag("coord")
+	s.U64(&c.nextTag)
+	s.U64s(c.Stats.counters())
+	if !s.Match(len(c.ports), "coordinator port count") {
 		return
 	}
-	n := d.Len(1<<20, "coordinator flows")
-	for i := 0; i < n && d.Err() == nil; i++ {
-		f := &coordFlow{
-			target: mem.PAddr(d.U64()),
-			op:     isa.ALUOp(d.U32()),
-			trees:  make([]bool, len(c.ports)),
+	var live []*coordFlow
+	if !s.Decoding() && len(c.flows) > 0 {
+		live = slices.SortedFunc(maps.Values(c.flows), func(a, b *coordFlow) int { return cmp.Compare(a.target, b.target) })
+	}
+	n := len(live)
+	if s.Len(&n, 1<<20, "coordinator flows"); s.Decoding() {
+		live = make([]*coordFlow, n)
+	}
+	for i := 0; i < n && s.Err() == nil; i++ {
+		if s.Decoding() {
+			live[i] = &coordFlow{trees: make([]bool, len(c.ports))}
 		}
+		f := live[i]
+		sim.U64As(s, &f.target)
+		sim.U32As(s, &f.op)
 		for j := range f.trees {
-			f.trees[j] = d.Bool()
+			s.Bool(&f.trees[j])
 		}
-		f.gathersSeen = d.Int()
-		f.threads = d.Int()
-		f.partial = d.F64()
-		if d.Err() != nil {
+		s.Int(&f.gathersSeen)
+		s.Int(&f.threads)
+		s.F64(&f.partial)
+		switch {
+		case s.Err() != nil:
 			return
-		}
-		if f.gathersSeen < 0 || (f.threads > 0 && f.gathersSeen >= f.threads) ||
-			(f.threads <= 0 && f.gathersSeen != 0) {
-			d.Fail("coordinator flow %#x: inconsistent gather barrier %d/%d",
+		case f.op > isa.OpConstAssign:
+			s.Fail("coordinator flow %#x: op %d out of range", uint64(f.target), f.op)
+		case f.gathersSeen < 0 || (f.threads > 0 && f.gathersSeen >= f.threads) ||
+			(f.threads <= 0 && f.gathersSeen != 0):
+			s.Fail("coordinator flow %#x: inconsistent gather barrier %d/%d",
 				uint64(f.target), f.gathersSeen, f.threads)
-			return
+		case !s.Decoding(): // encoding: the flow stays where it is
+		case c.flows[f.target] != nil:
+			s.Fail("coordinator flow %#x decoded twice", uint64(f.target))
+		default:
+			c.flows[f.target] = f
 		}
-		if _, dup := c.flows[f.target]; dup {
-			d.Fail("coordinator flow %#x decoded twice", uint64(f.target))
-			return
-		}
-		c.flows[f.target] = f
 	}
 }
 

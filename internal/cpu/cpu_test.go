@@ -294,7 +294,7 @@ func TestIPCSeriesAdvances(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsBadPendingInst feeds Restore a core section whose
+// TestRestoreRejectsBadPendingInst feeds a decoding State a core section whose
 // pending instruction holds a field value no trace produces: the decode
 // must fail with a diagnosable error instead of panicking at dispatch.
 func TestRestoreRejectsBadPendingInst(t *testing.T) {
@@ -316,11 +316,11 @@ func TestRestoreRejectsBadPendingInst(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			src := NewCore(0, DefaultConfig(), replay(insts), &instantMem{}, nil, st, as, nil)
 			src.pending, src.hasPending = tc.in, true
-			var e sim.Enc
-			src.Snapshot(&e)
+			e := sim.NewEncoder(nil)
+			src.State(e)
 			dst := NewCore(0, DefaultConfig(), replay(insts), &instantMem{}, nil, st, as, nil)
-			d := sim.NewDec(e.B)
-			dst.Restore(d)
+			d := sim.NewDecoder(e.Bytes())
+			dst.State(d)
 			if d.Err() == nil || !strings.Contains(d.Err().Error(), tc.want) {
 				t.Fatalf("Restore error = %v, want one naming %q", d.Err(), tc.want)
 			}
@@ -329,11 +329,11 @@ func TestRestoreRejectsBadPendingInst(t *testing.T) {
 	// The same section with a valid pending instruction restores cleanly.
 	src := NewCore(0, DefaultConfig(), replay(insts), &instantMem{}, nil, st, as, nil)
 	src.pending, src.hasPending = insts[0], true
-	var e sim.Enc
-	src.Snapshot(&e)
+	e := sim.NewEncoder(nil)
+	src.State(e)
 	dst := NewCore(0, DefaultConfig(), replay(insts), &instantMem{}, nil, st, as, nil)
-	d := sim.NewDec(e.B)
-	if dst.Restore(d); d.Err() != nil || dst.pending != insts[0] {
+	d := sim.NewDecoder(e.Bytes())
+	if dst.State(d); d.Err() != nil || dst.pending != insts[0] {
 		t.Fatalf("valid section: err %v, pending %+v", d.Err(), dst.pending)
 	}
 }

@@ -379,6 +379,9 @@ func (c *Cube) CubeOf(pa mem.PAddr) int { return c.cfg.Geom.CubeOf(pa) }
 // NodeOfCube implements core.Cube (cube ids are their node ids).
 func (c *Cube) NodeOfCube(cube int) int { return cube }
 
+// Nodes implements core.Cube.
+func (c *Cube) Nodes() int { return c.fabric.Topo.Nodes() }
+
 // NextHopToCube implements core.Cube.
 func (c *Cube) NextHopToCube(cube int) int {
 	return network.NextHop(c.fabric.Topo, c.ID, cube)

@@ -20,65 +20,33 @@ func (c *Cube) SnapshotReady() bool {
 	return c.are == nil || c.are.SnapshotReady()
 }
 
-// Snapshot implements sim.Snapshotter for a quiescent cube.
-func (c *Cube) Snapshot(e *sim.Enc) {
-	e.Tag("cube")
-	e.Int(c.ID)
-	for _, p := range c.Stats.counters() {
-		e.U64(*p)
-	}
-	e.Int(len(c.vaults))
-	for v := range c.vaults {
-		c.vaults[v].Snapshot(e)
-	}
-	e.Bool(c.are != nil)
-	if c.are != nil {
-		c.are.Snapshot(e)
-	}
-}
-
-// Restore implements sim.Snapshotter for a freshly constructed cube (with
-// its ARE already attached when the scheme calls for one).
-func (c *Cube) Restore(d *sim.Dec) {
-	d.Tag("cube")
-	if id := d.Int(); d.Err() == nil && id != c.ID {
-		d.Fail("cube id mismatch: snapshot %d, machine %d", id, c.ID)
-	}
-	for _, p := range c.Stats.counters() {
-		*p = d.U64()
-	}
-	if n := d.Int(); d.Err() == nil && n != len(c.vaults) {
-		d.Fail("cube %d vault count mismatch: snapshot %d, machine %d", c.ID, n, len(c.vaults))
+// State streams a quiescent cube's section. The restoring cube has its
+// ARE already attached when the scheme calls for one.
+func (c *Cube) State(s *sim.Stream) {
+	s.Tag("cube")
+	s.Match(c.ID, "cube id")
+	s.U64s(c.Stats.counters())
+	n := len(c.vaults)
+	if s.Int(&n); s.Err() == nil && n != len(c.vaults) {
+		s.Fail("cube %d vault count mismatch: snapshot %d, machine %d", c.ID, n, len(c.vaults))
 		return
 	}
 	for v := range c.vaults {
-		c.vaults[v].Restore(d)
+		c.vaults[v].State(s)
 	}
-	hasARE := d.Bool()
-	if d.Err() != nil {
-		return
-	}
-	if hasARE != (c.are != nil) {
-		d.Fail("cube %d ARE presence mismatch: snapshot %v, machine %v", c.ID, hasARE, c.are != nil)
+	hasARE := c.are != nil
+	if s.Bool(&hasARE); s.Err() == nil && hasARE != (c.are != nil) {
+		s.Fail("cube %d ARE presence mismatch: snapshot %v, machine %v", c.ID, hasARE, c.are != nil)
 		return
 	}
 	if c.are != nil {
-		c.are.Restore(d)
+		c.are.State(s)
 	}
 }
 
-// Snapshot implements sim.Snapshotter for a quiescent controller.
-func (c *Controller) Snapshot(e *sim.Enc) {
-	e.Tag("hmcctl")
-	e.Int(c.Index)
-	e.U64(c.nextTag)
-}
-
-// Restore implements sim.Snapshotter for a freshly constructed controller.
-func (c *Controller) Restore(d *sim.Dec) {
-	d.Tag("hmcctl")
-	if idx := d.Int(); d.Err() == nil && idx != c.Index {
-		d.Fail("hmc controller index mismatch: snapshot %d, machine %d", idx, c.Index)
-	}
-	c.nextTag = d.U64()
+// State streams a quiescent controller's section.
+func (c *Controller) State(s *sim.Stream) {
+	s.Tag("hmcctl")
+	s.Match(c.Index, "hmc controller index")
+	s.U64(&c.nextTag)
 }

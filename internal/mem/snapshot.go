@@ -1,50 +1,40 @@
 package mem
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/sim"
 )
 
-// Snapshot appends every touched page (sorted by page number, so the byte
-// stream is independent of map iteration order) for checkpointing.
-func (s *Store) Snapshot(e *sim.Enc) {
-	e.Tag("mem.store")
-	pns := make([]uint64, 0, len(s.pages))
-	//ar:exempt(determinism) key collection only; the slice is sorted before use
-	for pn := range s.pages {
-		pns = append(pns, pn)
+// State streams every touched page for checkpointing, sorted by page
+// number so the bytes do not depend on map iteration order. Decoding
+// replaces the store's contents.
+func (s *Store) State(st *sim.Stream) {
+	st.Tag("mem.store")
+	var pns []uint64
+	pages := s.pages
+	if !st.Decoding() {
+		pns = slices.Sorted(maps.Keys(pages))
 	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	e.Int(len(pns))
-	for _, pn := range pns {
-		e.U64(pn)
-		e.B = append(e.B, s.pages[pn][:]...)
+	n := len(pns)
+	if st.Len(&n, st.Remaining()/PageSize+1, "store pages"); st.Decoding() {
+		pns, pages = make([]uint64, n), make(map[uint64]*[PageSize]byte, n)
 	}
-}
-
-// Restore replaces the store's contents with the snapshotted pages.
-func (s *Store) Restore(d *sim.Dec) {
-	d.Tag("mem.store")
-	n := d.Len(d.Remaining()/PageSize+1, "store pages")
-	if d.Err() != nil {
-		return
-	}
-	pages := make(map[uint64]*[PageSize]byte, n)
-	for i := 0; i < n; i++ {
-		pn := d.U64()
-		var pg [PageSize]byte
-		if d.Err() != nil {
-			return
+	for i := 0; i < n && st.Err() == nil; i++ {
+		st.U64(&pns[i])
+		pg := pages[pns[i]]
+		if st.Decoding() {
+			if pg != nil {
+				st.Fail("store page %#x decoded twice", pns[i])
+				return
+			}
+			pg = new([PageSize]byte)
+			pages[pns[i]] = pg
 		}
-		if d.Remaining() < PageSize {
-			d.Fail("truncated page %#x", pn)
-			return
-		}
-		copy(pg[:], d.BytesAt(PageSize))
-		pages[pn] = &pg
+		st.Raw(pg[:])
 	}
-	if d.Err() == nil {
+	if st.Decoding() && st.Err() == nil {
 		s.pages = pages
 	}
 }

@@ -8,60 +8,22 @@ import (
 
 // Snapshot codec: a flat little-endian byte stream with an append-style
 // encoder writing into a caller-owned buffer and a sticky-error decoder.
-// Components implement Snapshotter to serialize exactly the state that
-// survives a quiescent point (DESIGN.md "Checkpointing"); everything
+// Components serialize exactly the state that survives a quiescent point
+// (DESIGN.md "Checkpointing") in one State(*Stream) method; everything
 // rebuilt by construction (free lists, wiring, completion hooks) is omitted
 // and restored structurally fresh.
 
-// Snapshotter is the component snapshot protocol. Snapshot appends the
-// component's quiescent-point state to e; Restore reads the same fields
-// back in the same order into a freshly constructed component. Restore
-// must validate every decoded count and index against the live structure
-// (via Dec.Fail) so corrupt bytes surface as a decode error, never as a
-// panic or an out-of-range write.
-type Snapshotter interface {
-	Snapshot(e *Enc)
-	Restore(d *Dec)
-}
-
 // Enc appends snapshot fields to a caller-owned buffer. The zero value is
-// ready to use; reusing a buffer across snapshots (Enc{B: buf[:0]}) makes
-// steady-state encoding allocation-free once the buffer has grown to the
-// snapshot's working size.
+// ready to use.
 type Enc struct {
 	B []byte
 }
 
 // U64 appends v.
-func (e *Enc) U64(v uint64) {
-	e.B = binary.LittleEndian.AppendUint64(e.B, v)
-}
+func (e *Enc) U64(v uint64) { e.B = binary.LittleEndian.AppendUint64(e.B, v) }
 
 // U32 appends v.
-func (e *Enc) U32(v uint32) {
-	e.B = binary.LittleEndian.AppendUint32(e.B, v)
-}
-
-// Int appends v as a 64-bit integer.
-func (e *Enc) Int(v int) { e.U64(uint64(int64(v))) }
-
-// Bool appends v as one byte.
-func (e *Enc) Bool(v bool) {
-	if v {
-		e.B = append(e.B, 1)
-	} else {
-		e.B = append(e.B, 0)
-	}
-}
-
-// F64 appends v by bit pattern.
-func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
-
-// Bytes appends a length-prefixed byte slice.
-func (e *Enc) Bytes(b []byte) {
-	e.U64(uint64(len(b)))
-	e.B = append(e.B, b...)
-}
+func (e *Enc) U32(v uint32) { e.B = binary.LittleEndian.AppendUint32(e.B, v) }
 
 // Str appends a length-prefixed string.
 func (e *Enc) Str(s string) {
@@ -69,120 +31,185 @@ func (e *Enc) Str(s string) {
 	e.B = append(e.B, s...)
 }
 
-// Tag appends a fixed section marker. Decoders check it with Dec.Tag,
+// Tag appends a fixed section marker. A decoding Stream checks it,
 // turning any field-order drift or torn write into a decode error at the
 // section boundary instead of silently misinterpreted state downstream.
 func (e *Enc) Tag(t string) { e.Str(t) }
 
-// Dec reads snapshot fields back in encode order. Errors are sticky: the
-// first underflow or validation failure latches and every later read
-// returns zero values, so Restore implementations can decode straight
-// through and check Err once.
-type Dec struct {
-	b   []byte
-	off int
-	err error
+// Stream is one checkpoint pass over component state. An encoding stream
+// (NewEncoder) appends every field it is handed through an Enc; a decoding
+// stream (NewDecoder) overwrites every field from the blob, in the same
+// order. A component lists its section's fields once, in a State(*Stream)
+// method, so its encoder and decoder cannot drift apart. Validation
+// against the live structure (ids, counts, indices) reads the streamed
+// value and latches with Fail, so corrupt bytes surface as a decode error,
+// never as a panic or an out-of-range write; work only decoding needs
+// (inserting into a map, moving a cursor) sits behind Decoding.
+//
+// Decode errors are sticky: after the first underflow or validation
+// failure every later read leaves its field as it was, so a State method
+// can stream straight through and check Err where a value is used.
+type Stream struct {
+	enc      Enc
+	decoding bool
+	blob     []byte // decoding: the bytes read
+	off      int    // decoding: bytes consumed
+	err      error
 }
 
-// NewDec returns a decoder over b.
-func NewDec(b []byte) *Dec { return &Dec{b: b} }
+// NewEncoder returns a stream appending to buf.
+func NewEncoder(buf []byte) *Stream { return &Stream{enc: Enc{B: buf}} }
 
-// Err reports the first decode failure, or nil.
-func (d *Dec) Err() error { return d.err }
+// NewDecoder returns a stream reading b.
+func NewDecoder(b []byte) *Stream { return &Stream{decoding: true, blob: b} }
+
+// Decoding reports whether the stream fills fields rather than writing them.
+func (s *Stream) Decoding() bool { return s.decoding }
+
+// Bytes returns the encoded buffer.
+func (s *Stream) Bytes() []byte { return s.enc.B }
+
+// Err reports the first validation failure, or nil.
+func (s *Stream) Err() error { return s.err }
 
 // Fail latches a validation failure (no-op if one is already latched).
-func (d *Dec) Fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("sim: snapshot decode: "+format, args...)
+func (s *Stream) Fail(format string, args ...any) {
+	if s.err == nil {
+		s.err = fmt.Errorf("sim: snapshot decode: "+format, args...)
 	}
 }
 
 // Remaining reports undecoded bytes.
-func (d *Dec) Remaining() int { return len(d.b) - d.off }
+func (s *Stream) Remaining() int { return len(s.blob) - s.off }
 
-func (d *Dec) take(n int) []byte {
-	if d.err != nil {
+// take consumes the next n decode bytes, or returns nil and fails.
+func (s *Stream) take(n int) []byte {
+	if s.err != nil {
 		return nil
 	}
-	if n < 0 || len(d.b)-d.off < n {
-		d.Fail("truncated: need %d bytes at offset %d of %d", n, d.off, len(d.b))
+	if n < 0 || s.Remaining() < n {
+		s.Fail("truncated: need %d bytes at offset %d of %d", n, s.off, len(s.blob))
 		return nil
 	}
-	b := d.b[d.off : d.off+n]
-	d.off += n
-	return b
+	s.off += n
+	return s.blob[s.off-n : s.off]
 }
 
-// U64 reads one uint64.
-func (d *Dec) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
+// U64 streams *p.
+func (s *Stream) U64(p *uint64) {
+	if !s.decoding {
+		s.enc.U64(*p)
+	} else if b := s.take(8); b != nil {
+		*p = binary.LittleEndian.Uint64(b)
 	}
-	return binary.LittleEndian.Uint64(b)
 }
 
-// U32 reads one uint32.
-func (d *Dec) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
+// U64s streams each *p in order (a component's counter list).
+func (s *Stream) U64s(ps []*uint64) {
+	for _, p := range ps {
+		s.U64(p)
 	}
-	return binary.LittleEndian.Uint32(b)
 }
 
-// Int reads one int encoded by Enc.Int.
-func (d *Dec) Int() int { return int(int64(d.U64())) }
-
-// Bool reads one bool.
-func (d *Dec) Bool() bool {
-	b := d.take(1)
-	return b != nil && b[0] != 0
+// Int streams *p as a 64-bit integer.
+func (s *Stream) Int(p *int) {
+	v := uint64(*p)
+	if s.U64(&v); s.decoding {
+		*p = int(v)
+	}
 }
 
-// F64 reads one float64.
-func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// Len reads a length prefix and validates it against max (an upper bound
-// implied by the live structure the caller restores into).
-func (d *Dec) Len(max int, what string) int {
-	n := d.U64()
-	if d.err != nil {
-		return 0
+// F64 streams *p by bit pattern.
+func (s *Stream) F64(p *float64) {
+	v := math.Float64bits(*p)
+	if s.U64(&v); s.decoding {
+		*p = math.Float64frombits(v)
 	}
-	if n > uint64(max) {
-		d.Fail("%s count %d exceeds limit %d", what, n, max)
-		return 0
-	}
-	return int(n)
 }
 
-// BytesView reads a length-prefixed byte slice as a view into the decode
-// buffer (valid until the buffer is reused).
-func (d *Dec) BytesView() []byte {
-	n := d.U64()
-	if d.err != nil {
-		return nil
+// Bool streams *p as one byte.
+func (s *Stream) Bool(p *bool) {
+	var b [1]byte
+	if *p {
+		b[0] = 1
 	}
-	if n > uint64(d.Remaining()) {
-		d.Fail("byte slice length %d exceeds remaining %d", n, d.Remaining())
-		return nil
+	if s.Raw(b[:]); s.decoding {
+		*p = b[0] != 0
 	}
-	return d.take(int(n))
 }
 
-// BytesAt reads exactly n raw bytes (no length prefix) as a view into the
-// decode buffer.
-func (d *Dec) BytesAt(n int) []byte { return d.take(n) }
+// Raw streams len(b) bytes with no length prefix.
+func (s *Stream) Raw(b []byte) {
+	if !s.decoding {
+		s.enc.B = append(s.enc.B, b...)
+	} else if v := s.take(len(b)); v != nil {
+		copy(b, v)
+	}
+}
 
-// Str reads a length-prefixed string.
-func (d *Dec) Str() string { return string(d.BytesView()) }
+// Str streams *p with a length prefix.
+func (s *Stream) Str(p *string) {
+	if !s.decoding {
+		s.enc.Str(*p)
+		return
+	}
+	n := len(*p)
+	if s.Len(&n, s.Remaining(), "string byte"); s.err == nil {
+		*p = string(s.take(n))
+	}
+}
 
-// Tag reads a section marker and fails unless it matches want.
-func (d *Dec) Tag(want string) {
-	got := d.Str()
-	if d.err == nil && got != want {
-		d.Fail("section tag mismatch: have %q, want %q", got, want)
+// Tag streams a fixed section marker (Enc.Tag); decoding fails unless the
+// blob holds it.
+func (s *Stream) Tag(t string) {
+	got := t
+	if s.Str(&got); s.err == nil && got != t {
+		s.Fail("section tag mismatch: have %q, want %q", got, t)
+	}
+}
+
+// Len streams a count; decoding fails on one above max.
+func (s *Stream) Len(n *int, max int, what string) {
+	if s.Int(n); s.decoding && (*n < 0 || *n > max) {
+		s.Fail("%s count %d exceeds limit %d", what, uint64(*n), max)
+		*n = 0
+	}
+}
+
+// Match streams v, a value the restoring machine must share with the
+// snapshot (an id or a geometry): decoding fails with "what mismatch"
+// unless the blob holds v. It reports whether the stream is still good.
+func (s *Stream) Match(v int, what string) bool {
+	got := v
+	if s.Int(&got); s.err == nil && got != v {
+		s.Fail("%s mismatch: snapshot %d, machine %d", what, got, v)
+	}
+	return s.err == nil
+}
+
+// U32As streams an integer type as a U32 field. Decoding fails on a value
+// the type cannot hold.
+func U32As[T ~uint8 | ~uint32](s *Stream, p *T) {
+	if !s.decoding {
+		s.enc.U32(uint32(*p))
+	} else if b := s.take(4); b != nil {
+		v := binary.LittleEndian.Uint32(b)
+		if uint32(T(v)) != v {
+			s.Fail("value %d overflows its field", v)
+		}
+		*p = T(v)
+	}
+}
+
+// U64As streams an integer type as a U64 field (two's complement for
+// signed types). Decoding fails on a value the type cannot hold.
+func U64As[T ~int | ~uint32 | ~uint64](s *Stream, p *T) {
+	v := uint64(*p)
+	if s.U64(&v); s.decoding {
+		if uint64(T(v)) != v {
+			s.Fail("value %d overflows its field", v)
+		}
+		*p = T(v)
 	}
 }
 

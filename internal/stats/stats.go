@@ -194,39 +194,28 @@ func (d *DataMovement) Merge(other DataMovement) {
 	d.ActiveResp += other.ActiveResp
 }
 
-// Snapshot appends the series state for checkpointing.
-func (s *IPCSeries) Snapshot(e *sim.Enc) {
-	e.Tag("stats.ipc")
-	e.U64(s.Window)
-	e.U64(s.retired)
-	e.U64(s.lastCycle)
-	e.U64(s.TotalInsts)
-	e.Int(len(s.Points))
-	for _, p := range s.Points {
-		e.U64(p.Insts)
-		e.F64(p.IPC)
-	}
+// State streams the series state for checkpointing; the restoring machine
+// must have been built with the same window size.
+func (s *IPCSeries) State(st *sim.Stream) {
+	st.Tag("stats.ipc")
+	st.Match(int(s.Window), "IPC window")
+	st.U64(&s.retired)
+	st.U64(&s.lastCycle)
+	st.U64(&s.TotalInsts)
+	PointsState(st, &s.Points, "IPC points")
 }
 
-// Restore reads the series state back; the restored machine must have been
-// built with the same window size.
-func (s *IPCSeries) Restore(d *sim.Dec) {
-	d.Tag("stats.ipc")
-	if w := d.U64(); d.Err() == nil && w != s.Window {
-		d.Fail("IPC window mismatch: snapshot %d, machine %d", w, s.Window)
+// PointsState streams an IPC point list; what names it in decode errors.
+func PointsState(st *sim.Stream, pts *[]IPCPoint, what string) {
+	n := len(*pts)
+	if st.Len(&n, 1<<30, what); st.Decoding() {
+		*pts = (*pts)[:0]
 	}
-	s.retired = d.U64()
-	s.lastCycle = d.U64()
-	s.TotalInsts = d.U64()
-	n := d.Len(1<<30, "IPC points")
-	if d.Err() != nil {
-		return
-	}
-	s.Points = s.Points[:0]
-	for i := 0; i < n && d.Err() == nil; i++ {
-		p := IPCPoint{Insts: d.U64(), IPC: d.F64()}
-		if d.Err() == nil {
-			s.Points = append(s.Points, p)
+	for i := 0; i < n && st.Err() == nil; i++ {
+		if st.Decoding() {
+			*pts = append(*pts, IPCPoint{})
 		}
+		st.U64(&(*pts)[i].Insts)
+		st.F64(&(*pts)[i].IPC)
 	}
 }

@@ -217,18 +217,11 @@ func (mi *MessageInterface) Tick(cycle uint64) {
 	}
 }
 
-// Snapshot implements sim.Snapshotter. At a quiescent point the queue is
-// empty and no query is outstanding, so the tag counter is the MI's whole
-// state.
-func (mi *MessageInterface) Snapshot(e *sim.Enc) {
-	e.Tag("mi")
-	e.U64(mi.nextTag)
-}
-
-// Restore implements sim.Snapshotter.
-func (mi *MessageInterface) Restore(d *sim.Dec) {
-	d.Tag("mi")
-	mi.nextTag = d.U64()
+// State streams the MI's section. At a quiescent point the queue is empty
+// and no query is outstanding, so the tag counter is the MI's whole state.
+func (mi *MessageInterface) State(s *sim.Stream) {
+	s.Tag("mi")
+	s.U64(&mi.nextTag)
 }
 
 // OnBackInvalDone clears the queried entry so it can be forwarded. The

@@ -2,6 +2,7 @@ package system
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 
@@ -43,43 +44,25 @@ func (s *System) Snapshotable() bool {
 	return true
 }
 
-// Snapshot appends the machine's complete quiescent-point state to buf
-// (allocation-free when buf has capacity) and returns the extended slice.
-// The caller must have checked Snapshotable.
+// Snapshot appends the machine's complete quiescent-point state to buf and
+// returns the extended slice. The caller must have checked Snapshotable.
+// Into a buffer with room for the blob, the only allocations are the
+// encoding stream and the sorted lists of the map-keyed sections (ARE flow
+// tables, coordinator flows, memory pages); TestSnapshotAllocations bounds
+// them.
 func (s *System) Snapshot(buf []byte) []byte {
+	st := sim.NewEncoder(buf)
 	cycle := s.engine.Cycle()
-	e := &sim.Enc{B: buf}
-	e.Tag("arsys")
-	e.Int(snapshotVersion)
-	e.U64(cycle)
-	e.U64(s.cfg.PrefixHash(cycle))
-	e.Int(int(s.cfg.Scheme))
-	e.Str(s.wl.Name())
-	e.Int(s.cfg.Threads)
-	e.Int(len(s.hubs))
-	e.U64(s.env.Rand.State())
-	s.env.Store.Snapshot(e)
-	for _, t := range s.memTags {
-		e.U64(t)
-	}
-	e.U64(s.lastRetired)
-	e.Int(len(s.ipcTrace))
-	for _, p := range s.ipcTrace {
-		e.U64(p.Insts)
-		e.F64(p.IPC)
-	}
-	e.U64(s.barrier.Crossings)
-	for _, p := range s.parts {
-		if p.state != nil {
-			p.state.Snapshot(e)
-		}
+	if err := s.state(st, &cycle); err != nil {
+		panic(fmt.Sprintf("system: machine state fails its own decode checks: %v", err))
 	}
 	// Integrity trailer over the encoded region: the structural validation
 	// in the decoders catches torn or truncated blobs, but a bit flip in a
 	// raw payload (a stored float, a page byte) would otherwise decode as a
 	// different-but-valid snapshot.
-	e.U64(snapshotSum(e.B[len(buf):]))
-	return e.B
+	sum := snapshotSum(st.Bytes()[len(buf):])
+	st.U64(&sum)
+	return st.Bytes()
 }
 
 // snapshotSum digests an encoded snapshot region for the integrity
@@ -88,6 +71,49 @@ func snapshotSum(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)
 	return h.Sum64()
+}
+
+// state streams the whole machine: a header naming the configuration and
+// workload the blob belongs to, the state the header carries (random
+// generator, memory image, tags, IPC trace, barrier crossings), then each
+// component's section in table order. Decoding fills *cycle from the blob
+// and fails on a header this machine cannot restore.
+func (s *System) state(st *sim.Stream, cycle *uint64) error {
+	st.Tag("arsys")
+	v := snapshotVersion
+	if st.Int(&v); st.Err() == nil && v != snapshotVersion {
+		return fmt.Errorf("system: snapshot version %d, this build reads %d", v, snapshotVersion)
+	}
+	st.U64(cycle)
+	want := s.cfg.PrefixHash(*cycle)
+	prefix, name := want, s.wl.Name()
+	if st.U64(&prefix); st.Err() == nil && prefix != want {
+		return fmt.Errorf("system: snapshot prefix hash %016x does not match this configuration at cycle %d", prefix, *cycle)
+	}
+	st.Match(int(s.cfg.Scheme), "scheme")
+	if st.Str(&name); st.Err() == nil && name != s.wl.Name() {
+		st.Fail("workload mismatch: snapshot %q, machine %q", name, s.wl.Name())
+	}
+	if !st.Match(s.cfg.Threads, "threads") || !st.Match(len(s.hubs), "tiles") {
+		return st.Err()
+	}
+	r := s.env.Rand.State()
+	if st.U64(&r); st.Decoding() {
+		s.env.Rand.SetState(r)
+	}
+	s.env.Store.State(st)
+	for i := range s.memTags {
+		st.U64(&s.memTags[i])
+	}
+	st.U64(&s.lastRetired)
+	stats.PointsState(st, &s.ipcTrace, "ipc trace points")
+	st.U64(&s.barrier.Crossings)
+	for _, p := range s.parts {
+		if p.state != nil {
+			p.state.State(st)
+		}
+	}
+	return st.Err()
 }
 
 // Restore rebuilds a freshly constructed, never-run machine from a
@@ -103,55 +129,15 @@ func (s *System) Restore(data []byte) error {
 		return fmt.Errorf("system: snapshot too short (%d bytes)", len(data))
 	}
 	body := data[:len(data)-8]
-	if want := sim.NewDec(data[len(data)-8:]).U64(); snapshotSum(body) != want {
+	if snapshotSum(body) != binary.LittleEndian.Uint64(data[len(body):]) {
 		return fmt.Errorf("system: snapshot integrity checksum mismatch")
 	}
-	d := sim.NewDec(body)
-	d.Tag("arsys")
-	if v := d.Int(); d.Err() == nil && v != snapshotVersion {
-		return fmt.Errorf("system: snapshot version %d, this build reads %d", v, snapshotVersion)
-	}
-	cycle := d.U64()
-	prefix := d.U64()
-	if d.Err() == nil && prefix != s.cfg.PrefixHash(cycle) {
-		return fmt.Errorf("system: snapshot prefix hash %016x does not match this configuration at cycle %d", prefix, cycle)
-	}
-	if sc := d.Int(); d.Err() == nil && sc != int(s.cfg.Scheme) {
-		return fmt.Errorf("system: snapshot scheme %d, machine %d", sc, int(s.cfg.Scheme))
-	}
-	if name := d.Str(); d.Err() == nil && name != s.wl.Name() {
-		return fmt.Errorf("system: snapshot workload %q, machine %q", name, s.wl.Name())
-	}
-	if th := d.Int(); d.Err() == nil && th != s.cfg.Threads {
-		return fmt.Errorf("system: snapshot threads %d, machine %d", th, s.cfg.Threads)
-	}
-	if tiles := d.Int(); d.Err() == nil && tiles != len(s.hubs) {
-		return fmt.Errorf("system: snapshot tiles %d, machine %d", tiles, len(s.hubs))
-	}
-	if err := d.Err(); err != nil {
+	st := sim.NewDecoder(body)
+	var cycle uint64
+	if err := s.state(st, &cycle); err != nil {
 		return err
 	}
-	s.env.Rand.SetState(d.U64())
-	s.env.Store.Restore(d)
-	for i := range s.memTags {
-		s.memTags[i] = d.U64()
-	}
-	s.lastRetired = d.U64()
-	npts := d.Len(1<<30, "ipc trace points")
-	s.ipcTrace = s.ipcTrace[:0]
-	for i := 0; i < npts && d.Err() == nil; i++ {
-		s.ipcTrace = append(s.ipcTrace, stats.IPCPoint{Insts: d.U64(), IPC: d.F64()})
-	}
-	s.barrier.Crossings = d.U64()
-	for _, p := range s.parts {
-		if p.state != nil {
-			p.state.Restore(d)
-		}
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n := d.Remaining(); n != 0 {
+	if n := st.Remaining(); n != 0 {
 		return fmt.Errorf("system: %d trailing bytes after snapshot", n)
 	}
 

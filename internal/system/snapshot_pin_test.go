@@ -51,3 +51,36 @@ func TestSnapshotWireFormatPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestSnapshotAllocations bounds the allocations System.Snapshot makes when
+// its buffer already has room for the blob: the encoding stream and the
+// sorted key lists of the map-keyed sections. The ceilings are the counts
+// measured when the component sections came to share one sim.Stream code
+// path (before it: 71 and 33, mostly the fabric's credit scratch and
+// sort.Slice closures). A Stream passed through an interface, or a streamed
+// local that escapes, adds allocations per field and fails this test.
+func TestSnapshotAllocations(t *testing.T) {
+	cases := []struct {
+		workload string
+		scheme   system.Scheme
+		at       uint64
+		max      float64
+	}{
+		{"lud", system.SchemeARFtid, 4000, 18},
+		{"lud", system.SchemeDRAM, 1457, 18},
+	}
+	for _, c := range cases {
+		t.Run(c.workload+"/"+c.scheme.String(), func(t *testing.T) {
+			sys := buildSys(t, c.scheme, c.workload)
+			blob, err := sys.RunToCheckpoint(context.Background(), c.at, nil)
+			if err != nil || blob == nil {
+				t.Fatalf("no checkpoint at or after cycle %d (err=%v)", c.at, err)
+			}
+			buf := make([]byte, 0, 2*len(blob))
+			got := testing.AllocsPerRun(20, func() { sys.Snapshot(buf[:0]) })
+			if got > c.max {
+				t.Fatalf("Snapshot made %v allocations per call, want at most %v", got, c.max)
+			}
+		})
+	}
+}

@@ -106,9 +106,13 @@ type part struct {
 	// snapBusy reports that Snapshot cannot capture the component now.
 	// nil: never busy.
 	snapBusy func() bool
-	// state is the component's checkpoint section. nil: stateless.
-	state sim.Snapshotter
+	// state streams the component's checkpoint section. nil: stateless.
+	state stateful
 }
+
+// stateful is a checkpointed component: State streams its section
+// (DESIGN.md "Checkpointing").
+type stateful interface{ State(s *sim.Stream) }
 
 // never aliases the sim.Never "quiescent until external input" sentinel.
 const never = sim.Never
@@ -322,7 +326,7 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 			m := cache.Msg{Type: kind, Block: block, From: tile, Tag: tag}
 			return tag, s.sendFrom(tile, mcTiles[idx], m)
 		}
-		s.l2s[tile] = cache.NewL2Bank(tile, cfg.L2, s.senderFor(tile), memPort)
+		s.l2s[tile] = cache.NewL2Bank(tile, tiles, cfg.L2, s.senderFor(tile), memPort)
 	}
 	s.l1s = make([]*cache.L1, tiles)
 	for t := 0; t < tiles; t++ {
@@ -385,7 +389,7 @@ func (s *System) sendFrom(src, dst int, m cache.Msg) bool {
 func (s *System) table() []part {
 	not := func(ready func() bool) func() bool { return func() bool { return !ready() } }
 	var t []part
-	add := func(class string, index int, c sim.Component, busy, snapBusy func() bool, state sim.Snapshotter) {
+	add := func(class string, index int, c sim.Component, busy, snapBusy func() bool, state stateful) {
 		t = append(t, part{class, index, c, busy, snapBusy, state})
 	}
 	for i, c := range s.cores {
