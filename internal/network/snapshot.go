@@ -41,14 +41,13 @@ func (f *Fabric) State(s *sim.Stream) {
 			cr := r.credits[i]
 			for _, c := range f.pendingCredits {
 				if int(c.node) == node && int(c.idx) == i {
-					cr++ // a deferred return (empty when decoding)
+					cr++ // a deferred return; a fresh fabric has none
 				}
 			}
 			if s.Int(&cr); cr < 0 || cr > f.Cfg.QueueDepth {
 				s.Fail("fabric node %d credit %d out of range [0,%d]", r.node, cr, f.Cfg.QueueDepth)
 				return
-			}
-			if s.Decoding() {
+			} else if s.Decoding() {
 				r.credits[i] = cr
 			}
 		}

@@ -41,9 +41,10 @@ func (e *Enc) Tag(t string) { e.Str(t) }
 // stream (NewDecoder) overwrites every field from the blob, in the same
 // order. A component lists its section's fields once, in a State(*Stream)
 // method, so its encoder and decoder cannot drift apart. Validation
-// against the live structure (ids, counts, indices) reads the streamed
+// against the live structure (ids, counts, indices) tests the streamed
 // value and latches with Fail, so corrupt bytes surface as a decode error,
-// never as a panic or an out-of-range write; work only decoding needs
+// never as a panic or an out-of-range write. A check also runs while
+// encoding, where a live machine passes it; work only decoding needs
 // (inserting into a map, moving a cursor) sits behind Decoding.
 //
 // Decode errors are sticky: after the first underflow or validation

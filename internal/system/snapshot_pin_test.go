@@ -52,6 +52,9 @@ func TestSnapshotWireFormatPinned(t *testing.T) {
 	}
 }
 
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
 // TestSnapshotAllocations bounds the allocations System.Snapshot makes when
 // its buffer already has room for the blob: the encoding stream and the
 // sorted key lists of the map-keyed sections. The ceilings are the counts
@@ -60,6 +63,9 @@ func TestSnapshotWireFormatPinned(t *testing.T) {
 // sort.Slice closures). A Stream passed through an interface, or a streamed
 // local that escapes, adds allocations per field and fails this test.
 func TestSnapshotAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what escapes to the heap")
+	}
 	cases := []struct {
 		workload string
 		scheme   system.Scheme
