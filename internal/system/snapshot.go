@@ -46,10 +46,10 @@ func (s *System) Snapshotable() bool {
 
 // Snapshot appends the machine's complete quiescent-point state to buf and
 // returns the extended slice. The caller must have checked Snapshotable.
-// Into a buffer with room for the blob, the only allocations are the
-// encoding stream and the sorted lists of the map-keyed sections (ARE flow
-// tables, coordinator flows, memory pages); TestSnapshotAllocations bounds
-// them.
+// Into a buffer with room for the blob, it allocates only for the
+// configuration's PrefixHash, the encoding stream and the sorted lists of
+// the map-keyed sections (memory pages, and live ARE or coordinator flows);
+// TestSnapshotAllocations bounds them.
 func (s *System) Snapshot(buf []byte) []byte {
 	st := sim.NewEncoder(buf)
 	cycle := s.engine.Cycle()

@@ -56,8 +56,9 @@ func TestSnapshotWireFormatPinned(t *testing.T) {
 var raceEnabled bool
 
 // TestSnapshotAllocations bounds the allocations System.Snapshot makes when
-// its buffer already has room for the blob: the encoding stream and the
-// sorted key lists of the map-keyed sections. The ceilings are the counts
+// its buffer already has room for the blob: the configuration's PrefixHash
+// (11 of the 18), the encoding stream and the sorted key lists of the
+// map-keyed sections. The ceilings are the counts
 // measured when the component sections came to share one sim.Stream code
 // path (before it: 71 and 33, mostly the fabric's credit scratch and
 // sort.Slice closures). A Stream passed through an interface, or a streamed
