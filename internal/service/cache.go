@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -24,25 +25,47 @@ type cacheEntry struct {
 	done chan struct{}
 	res  *system.Results
 	err  error
+
+	// hit is the /run reply body for a cache hit on this key, rendered by
+	// hitBody on the first such hit.
+	hitOnce sync.Once
+	hit     []byte
+}
+
+// hitBody returns the /run body for a cache hit on e: the bytes
+// writeJSON(w, http.StatusOK, req.reply(true, e.res)) writes. Every field of
+// that reply is a function of the key (the workload, scheme, scale and
+// config hash it is formatted from, and the result), so the body is rendered
+// once, on the first hit, and written verbatim after. Entries that are never
+// hit over /run (store warm-load, figures, cold jobs) never render. e must
+// hold a result.
+func (e *cacheEntry) hitBody(req *runRequest) []byte {
+	e.hitOnce.Do(func() {
+		var b bytes.Buffer
+		encodeJSON(&b, req.reply(true, e.res))
+		e.hit = b.Bytes()
+	})
+	return e.hit
 }
 
 func newResultCache() *resultCache {
 	return &resultCache{m: make(map[string]*cacheEntry)}
 }
 
-// do returns key's result, computing it at most once across concurrent
-// callers. The bool reports a cache hit: true when the result came from an
-// existing entry (completed or coalesced onto an in-flight leader), false
-// for the leader that ran compute. A failed computation is not cached —
-// the entry is removed before waiters are released, so the next request
-// retries — but in-flight waiters do observe the leader's error.
-func (c *resultCache) do(ctx context.Context, key string, compute func() (*system.Results, error)) (*system.Results, bool, error) {
+// do returns key's entry once its result is final, computing it at most
+// once across concurrent callers. The bool reports a cache hit: true when
+// the result came from an existing entry (completed or coalesced onto an
+// in-flight leader), false for the leader that ran compute. A failed
+// computation is not cached — the entry is removed before waiters are
+// released, so the next request retries — but in-flight waiters do observe
+// the leader's error. The entry is nil only when ctx ended the wait.
+func (c *resultCache) do(ctx context.Context, key string, compute func() (*system.Results, error)) (*cacheEntry, bool, error) {
 	c.mu.Lock()
 	if e, ok := c.m[key]; ok {
 		c.mu.Unlock()
 		select {
 		case <-e.done:
-			return e.res, e.err == nil, e.err
+			return e, e.err == nil, e.err
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
@@ -69,7 +92,7 @@ func (c *resultCache) do(ctx context.Context, key string, compute func() (*syste
 	}()
 	e.res, e.err = compute()
 	finished = true
-	return e.res, false, e.err
+	return e, false, e.err
 }
 
 // has reports whether key has an entry (completed or in-flight). It is the

@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"sync"
 
 	"repro/internal/system"
 	"repro/internal/workload"
@@ -88,6 +91,11 @@ func (s *Server) Register(mux *http.ServeMux) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	encodeJSON(w, v)
+}
+
+// encodeJSON writes v in the service's indented reply form.
+func encodeJSON(w io.Writer, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
@@ -129,10 +137,10 @@ var errTooLarge = errors.New("request body too large")
 // clients from making the server buffer without limit.
 const maxRequestBytes = 1 << 20
 
-// decodeBody decodes r's JSON body into v, reading at most maxRequestBytes;
-// what names the request type in the error.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) error {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+// decodeBody decodes one JSON value from src, a request body read through
+// http.MaxBytesReader, into v; what names the request type in the error.
+func decodeBody(src io.Reader, v any, what string) error {
+	err := json.NewDecoder(src).Decode(v)
 	var tooLarge *http.MaxBytesError
 	switch {
 	case err == nil:
@@ -144,40 +152,134 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) erro
 	}
 }
 
+// handleRun serves POST /run. A cache hit is a lookup: the exact body bytes
+// of a request that hit before map to its decoded job, hash and key
+// (requestMemo), and the reply is the entry's rendered hit body
+// (cacheEntry.hitBody). Everything else decodes, normalizes and hashes the
+// request once, and a leader's reply is encoded from its fresh result.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if err := decodeBody(w, r, &req, "RunRequest"); err != nil {
+	body, readErr := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	var req *runRequest
+	if readErr == nil {
+		req = s.memo.get(body)
+	}
+	remember := req == nil && readErr == nil // if it resolves as a hit
+	if req == nil {
+		// Decode what was read, followed by the read's error: the stream a
+		// json.Decoder reading the body itself would see, so a bad or
+		// oversized body gets the same status and message.
+		src := io.Reader(bytes.NewReader(body))
+		if readErr != nil {
+			src = io.MultiReader(src, errReader{readErr})
+		}
+		var err error
+		if req, err = resolveRun(src); err != nil {
+			writeError(w, err)
+			return
+		}
+	}
+	e, hit, err := s.runNormalized(r.Context(), req.job, req.key)
+	if err != nil {
 		writeError(w, err)
 		return
+	}
+	if !hit {
+		writeJSON(w, http.StatusOK, req.reply(false, e.res))
+		return
+	}
+	if remember {
+		s.memo.put(body, req)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(e.hitBody(req))
+}
+
+// errReader replays a body read's error after the bytes read before it.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// runRequest is a decoded /run request: the normalized job, its
+// Config.Hash and its key.
+type runRequest struct {
+	job  Job
+	hash string
+	key  string
+}
+
+// reply is the /run reply to req.
+func (req *runRequest) reply(hit bool, res *system.Results) *RunResponse {
+	return &RunResponse{
+		Workload:   req.job.Workload,
+		Scheme:     req.job.Scheme.String(),
+		Scale:      req.job.Scale.String(),
+		ConfigHash: req.hash,
+		CacheHit:   hit,
+		Results:    res,
+	}
+}
+
+// resolveRun decodes one RunRequest from src, normalizes it and hashes its
+// configuration once.
+func resolveRun(src io.Reader) (*runRequest, error) {
+	var req RunRequest
+	if err := decodeBody(src, &req, "RunRequest"); err != nil {
+		return nil, err
 	}
 	job, err := req.job()
 	if err != nil {
-		writeError(w, badRequest(err))
-		return
+		return nil, badRequest(err)
 	}
 	norm, err := job.normalize()
 	if err != nil {
-		writeError(w, badRequest(err))
-		return
+		return nil, badRequest(err)
 	}
-	res, hit, err := s.runNormalized(r.Context(), norm)
-	if err != nil {
-		writeError(w, err)
-		return
+	hash := norm.Config.Hash()
+	return &runRequest{job: norm, hash: hash, key: jobKey(norm, hash)}, nil
+}
+
+// requestMemo maps the exact bytes of /run bodies that resolved as cache
+// hits to their decoded requests, so a repeat of the same bytes skips the
+// decode, normalize and Config.Hash. Decoding is a pure function of the
+// bytes, so a remembered body always resolves to the same key. Only hits
+// are remembered, so a cold one-off job or an invalid request never enters
+// it. It keeps one encoding per key: a new encoding of the same job
+// replaces the old one, so it never holds more entries than the result
+// cache holds results.
+type requestMemo struct {
+	mu     sync.Mutex
+	byBody map[string]*runRequest
+	byKey  map[string]string // key -> the body remembered for it
+}
+
+func newRequestMemo() *requestMemo {
+	return &requestMemo{byBody: make(map[string]*runRequest), byKey: make(map[string]string)}
+}
+
+// get returns body's remembered request, or nil.
+func (m *requestMemo) get(body []byte) *runRequest {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.byBody[string(body)]
+}
+
+// put remembers body as req's encoding, forgetting any other encoding of
+// req's key.
+func (m *requestMemo) put(body []byte, req *runRequest) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if old, ok := m.byKey[req.key]; ok {
+		delete(m.byBody, old)
 	}
-	writeJSON(w, http.StatusOK, &RunResponse{
-		Workload:   job.Workload,
-		Scheme:     job.Scheme.String(),
-		Scale:      job.Scale.String(),
-		ConfigHash: norm.Config.Hash(),
-		CacheHit:   hit,
-		Results:    res,
-	})
+	b := string(body)
+	m.byBody[b] = req
+	m.byKey[req.key] = b
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decodeBody(w, r, &req, "SweepRequest"); err != nil {
+	if err := decodeBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), &req, "SweepRequest"); err != nil {
 		writeError(w, err)
 		return
 	}

@@ -72,8 +72,12 @@ func (j Job) Normalized() (Job, error) { return j.normalize() }
 // Key is the content address of a normalized job: the full-configuration
 // hash joined with the workload, scheme and scale. Two jobs share a key iff
 // a deterministic simulator must produce bit-identical Results for them.
-func (j Job) Key() string {
-	return fmt.Sprintf("%s|%s|%s|%s", j.Config.Hash(), j.Workload, j.Scheme, j.Scale)
+func (j Job) Key() string { return jobKey(j, j.Config.Hash()) }
+
+// jobKey formats the key of normalized job j from its Config.Hash, for
+// callers that already hold the hash (the /run handler echoes it).
+func jobKey(j Job, hash string) string {
+	return hash + "|" + j.Workload + "|" + j.Scheme.String() + "|" + j.Scale.String()
 }
 
 // Options configures a Server.
@@ -122,6 +126,7 @@ var ErrOverloaded = errors.New("service: overloaded, retry later")
 type Server struct {
 	budget     *sweep.Budget
 	cache      *resultCache
+	memo       *requestMemo
 	store      *store.Store
 	snaps      *store.Store
 	exec       Executor
@@ -157,6 +162,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		budget:     sweep.NewBudget(opts.Workers),
 		cache:      newResultCache(),
+		memo:       newRequestMemo(),
 		store:      opts.Store,
 		snaps:      opts.Snapshots,
 		start:      time.Now(),
@@ -207,13 +213,19 @@ func (s *Server) Run(ctx context.Context, job Job) (*system.Results, bool, error
 	if err != nil {
 		return nil, false, fmt.Errorf("service: %w", err)
 	}
-	return s.runNormalized(ctx, norm)
+	e, hit, err := s.runNormalized(ctx, norm, norm.Key())
+	if e == nil {
+		return nil, hit, err
+	}
+	return e.res, hit, err
 }
 
-// runNormalized is Run past the request gate; job must already be
-// normalized (the HTTP handler normalizes once and calls this directly).
-func (s *Server) runNormalized(ctx context.Context, job Job) (*system.Results, bool, error) {
-	key := job.Key()
+// runNormalized is Run past the request gate: job must already be
+// normalized and key be its Key (the /run handler computes both once per
+// request body). It returns the cache entry, so a hit can be written from
+// its rendered body; the entry is nil when the request was shed or its
+// context ended the wait.
+func (s *Server) runNormalized(ctx context.Context, job Job, key string) (*cacheEntry, bool, error) {
 	// Load shedding happens before the cache entry is created, and only for
 	// requests that cannot be resolved by an existing (completed or
 	// in-flight) entry: a saturated or draining server keeps serving its
@@ -225,7 +237,7 @@ func (s *Server) runNormalized(ctx context.Context, job Job) (*system.Results, b
 		s.mu.Unlock()
 		return nil, false, ErrOverloaded
 	}
-	res, hit, err := s.cache.do(ctx, key, func() (*system.Results, error) {
+	e, hit, err := s.cache.do(ctx, key, func() (*system.Results, error) {
 		return s.simulate(ctx, job)
 	})
 	s.mu.Lock()
@@ -244,9 +256,9 @@ func (s *Server) runNormalized(ctx context.Context, job Job) (*system.Results, b
 	}
 	s.mu.Unlock()
 	if err == nil && !hit {
-		s.persist(key, res)
+		s.persist(key, e.res)
 	}
-	return res, hit, err
+	return e, hit, err
 }
 
 // overloaded reports whether a new simulation should be refused right now:
