@@ -132,48 +132,20 @@ type Core struct {
 	// the core.
 	waker *sim.Waker
 
-	// Idle-skip bookkeeping: the last cycle NextWork or Tick observed and
-	// the stall counter idle-skipped cycles must be credited to, so the
-	// stall statistics stay bit-identical to the lockstep kernel.
-	lastSeen   uint64
-	skipReason skipReason
-	// refused names the port that refused the pending instruction's last
-	// issue attempt (skipMemStall or skipOffloadStall), until that port
-	// calls PortReady; skipNone otherwise.
-	refused skipReason
+	// stall credits the cycles NextWork skips while the core waits, so
+	// the stall statistics stay bit-identical to the lockstep kernel.
+	stall sim.Stall
+	// refused is the stall counter of the port that refused the pending
+	// instruction's last issue attempt (&Stats.MemStalls or
+	// &Stats.OffloadStalls), until that port calls PortReady; nil
+	// otherwise.
+	refused *uint64
 
 	Stats Stats
 	IPC   *stats.IPCSeries
 }
 
 func (c *Core) robLen() int { return int(c.robTail - c.robHead) }
-
-// skipReason records which per-cycle stall counter an idle-skipped stretch
-// belongs to, so skipping Ticks leaves the counters bit-identical to the
-// lockstep kernel.
-type skipReason uint8
-
-const (
-	skipNone skipReason = iota
-	skipFence
-	skipROBFull
-	skipMemStall     // the L1 refused the pending access
-	skipOffloadStall // the MI refused the pending Update or Gather
-)
-
-// credit adds n idle-skipped cycles to the stall counter of reason r.
-func (c *Core) credit(r skipReason, n uint64) {
-	switch r {
-	case skipFence:
-		c.Stats.FenceCycles += n
-	case skipROBFull:
-		c.Stats.ROBFullCycles += n
-	case skipMemStall:
-		c.Stats.MemStalls += n
-	case skipOffloadStall:
-		c.Stats.OffloadStalls += n
-	}
-}
 
 // NewCore builds core id over the given stream and ports. barrier may be
 // nil when the workload never synchronizes.
@@ -213,18 +185,16 @@ func (c *Core) Finished() bool {
 // stream is drained, and while the port that refused its pending
 // instruction has not called PortReady. In all but the drained state the
 // lockstep kernel's Tick would bump a per-cycle stall counter and nothing
-// else, so skipping credits that counter here (and catchUp back-fills the
-// cycles the core was not polled), keeping the stall statistics
-// bit-identical. This credit is the one side effect a NextWork has (see
-// sim.Component).
+// else, so the core's sim.Stall credits that counter for the polled cycle
+// and for every cycle the core was not polled, keeping the stall
+// statistics bit-identical.
 func (c *Core) NextWork(now uint64) uint64 {
-	c.catchUp(now)
+	c.stall.Poll(now)
 	next := c.calls.Next(now)
 	if next == now {
 		return now
 	}
 	if c.Finished() {
-		c.skipReason = skipNone
 		return sim.Never
 	}
 	if c.robLen() > 0 && c.rob[c.robHead&c.robMask].done {
@@ -232,37 +202,23 @@ func (c *Core) NextWork(now uint64) uint64 {
 	}
 	switch {
 	case c.fenced:
-		c.skipReason = skipFence
+		c.stall.Wait(&c.Stats.FenceCycles)
 	case c.robLen() >= c.cfg.ROBSize:
-		c.skipReason = skipROBFull
+		c.stall.Wait(&c.Stats.ROBFullCycles)
 	case c.exhausted && !c.hasPending:
 		// Stream drained, ROB waiting on in-flight memory: nothing to do.
-		c.skipReason = skipNone
-	case c.refused != skipNone:
-		c.skipReason = c.refused
+	case c.refused != nil:
+		c.stall.Wait(c.refused)
 	default:
 		return now // dispatch can make (or at least attempt) progress
 	}
-	c.credit(c.skipReason, 1)
 	return next
-}
-
-// catchUp credits the cycles since the core was last polled or ticked to
-// the stall counter recorded when it last waited. The core is not polled
-// only while parked or jumped over, and its waiting state cannot change
-// without a wake, so every such cycle had that same state.
-func (c *Core) catchUp(now uint64) {
-	if gap := now - c.lastSeen; gap > 1 {
-		c.credit(c.skipReason, gap-1)
-	}
-	c.lastSeen = now
 }
 
 // Tick advances the core one cycle: retire, then dispatch.
 //
 //ar:hotpath
 func (c *Core) Tick(cycle uint64) {
-	c.catchUp(cycle)
 	if c.Finished() {
 		return
 	}
@@ -376,8 +332,8 @@ func (c *Core) MemDone(token uint64) {
 // MSHR, the MI when it drains an entry. The core retries on its next slot,
 // the cycle the lockstep kernel's retry would first succeed.
 func (c *Core) PortReady() {
-	if c.refused != skipNone {
-		c.refused = skipNone
+	if c.refused != nil {
+		c.refused = nil
 		c.waker.Wake()
 	}
 }
@@ -405,7 +361,7 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 	slot := c.robTail & c.robMask
 	e := &c.rob[slot]
 	e.done = false
-	c.refused = skipNone
+	c.refused = nil
 	switch in.Kind {
 	case isa.KindCompute:
 		var lat uint64
@@ -424,7 +380,7 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 		write := in.Kind != isa.KindLoad
 		if !c.mem.Access(pa, write, cycle, uint64(slot)) {
 			c.Stats.MemStalls++
-			c.refused = skipMemStall
+			c.refused = &c.Stats.MemStalls
 			return false
 		}
 		c.applyEffect(in)
@@ -449,7 +405,7 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 		}
 		if !c.offload.Update(cmd, cycle) {
 			c.Stats.OffloadStalls++
-			c.refused = skipOffloadStall
+			c.refused = &c.Stats.OffloadStalls
 			return false
 		}
 		e.done = true // fire-and-forget (§3.3: offload overlaps processing)
@@ -462,7 +418,7 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 		}
 		if !c.offload.Gather(cmd, cycle) {
 			c.Stats.OffloadStalls++
-			c.refused = skipOffloadStall
+			c.refused = &c.Stats.OffloadStalls
 			return false
 		}
 		// Gather is a thread fence: later updates of a dependent flow must

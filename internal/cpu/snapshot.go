@@ -67,17 +67,25 @@ func instState(s *sim.Stream, in *isa.Inst) {
 	}
 }
 
+// Settle credits the stall cycles the core has not been polled for, up to
+// cycle now, so its statistics read as a lockstep run's stopped at now.
+// The stall clock itself is scheduler state and is not serialized: a
+// restored core starts with a zero clock, which credits nothing before its
+// first poll.
+func (c *Core) Settle(now uint64) { c.stall.Settle(now) }
+
 // State streams the core's quiescent-point state: replay cursor, ROB ring
 // occupancy with completion flags, pending timed calls as (cycle, slot)
-// pairs, fence provenance, stall bookkeeping, stats and IPC series. The
-// fence's waiting registration at its barrier or coordinator flow is not
-// serialized: after decoding, the system calls RearmFence in core-ID order
-// once the barrier and coordinator are restored (memory completions are
-// impossible at quiescence). A core never waits on a refusing port here: a
-// refusal needs an L1 miss or an MI entry in flight, and a quiescent
-// machine has neither, so encoding a refused core is a caller bug.
+// pairs, fence provenance, stats (settled to the snapshot cycle, see
+// Settle) and IPC series. The fence's waiting registration at its barrier
+// or coordinator flow is not serialized: after decoding, the system calls
+// RearmFence in core-ID order once the barrier and coordinator are
+// restored (memory completions are impossible at quiescence). A core never
+// waits on a refusing port here: a refusal needs an L1 miss or an MI entry
+// in flight, and a quiescent machine has neither, so encoding a refused
+// core is a caller bug.
 func (c *Core) State(s *sim.Stream) {
-	if !s.Decoding() && c.refused != skipNone {
+	if !s.Decoding() && c.refused != nil {
 		panic(fmt.Sprintf("cpu: snapshot of core %d waiting on a refusing port", c.ID))
 	}
 	s.Tag("core")
@@ -127,10 +135,6 @@ func (c *Core) State(s *sim.Stream) {
 	sim.U64As(s, &ft)
 	if s.Decoding() {
 		c.fenceKind, c.fenceTarget = fk, ft
-	}
-	s.U64(&c.lastSeen)
-	if sim.U32As(s, &c.skipReason); c.skipReason > skipOffloadStall {
-		s.Fail("core %d stall reason %d out of range", c.ID, c.skipReason)
 	}
 	s.U64s(c.Stats.counters())
 	c.IPC.State(s)

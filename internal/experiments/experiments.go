@@ -502,9 +502,6 @@ func (f *Fig58Result) Print(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// Table41 renders the Table 4.1 system configuration actually simulated.
-func Table41(w io.Writer) { printTable41(w, system.DefaultConfig(system.SchemeARFtid)) }
-
 // printTable41 renders Table 4.1 for cfg.
 func printTable41(w io.Writer, cfg system.Config) {
 	rows := [][2]string{

@@ -176,8 +176,16 @@ func TestFig58CaseStudy(t *testing.T) {
 }
 
 func TestTable41Renders(t *testing.T) {
+	f, ok := FigureByID("table4.1")
+	if !ok {
+		t.Fatal("no table4.1 figure")
+	}
+	data, err := f.Derive(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	Table41(&buf)
+	f.Render(&buf, data)
 	for _, want := range []string{"O3cores", "dragonfly", "banks/vault", "flow table"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("Table 4.1 render missing %q", want)

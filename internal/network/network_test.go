@@ -211,6 +211,34 @@ func TestFabricDeliversPacket(t *testing.T) {
 	}
 }
 
+// miswired is a two-node topology whose node 1 routes to node 0 through
+// port 1, which has no link.
+type miswired struct{}
+
+func (miswired) Nodes() int            { return 2 }
+func (miswired) Ports(int) int         { return 2 }
+func (miswired) HopClass(int, int) int { return 0 }
+func (miswired) Neighbor(n, p int) (int, int, bool) {
+	if p == 0 {
+		return 1 - n, 0, true
+	}
+	return 0, 0, false
+}
+func (miswired) Route(cur, _ int) int { return cur }
+
+// TestNewFabricRejectsUnlinkedRoute pins that a route through an unlinked
+// port fails at construction, naming node, destination and port, rather
+// than stranding its packets until the cycle budget runs out.
+func TestNewFabricRejectsUnlinkedRoute(t *testing.T) {
+	defer func() {
+		want := "network: node 1 routes to node 0 through unlinked port 1"
+		if r := recover(); r != want {
+			t.Fatalf("NewFabric panicked with %v, want %q", r, want)
+		}
+	}()
+	NewFabric(miswired{}, DefaultMemNetConfig())
+}
+
 func TestFabricAllPairsDelivery(t *testing.T) {
 	f, cols := newTestFabric(t)
 	want := 0

@@ -250,7 +250,9 @@ type Fabric struct {
 // SetEndpoint. The occupancy masks are single words, so the topology may
 // have at most 64 nodes and a router at most 64 input queues (ports*VCs
 // link inputs plus VCs injection queues); every topology in this package
-// fits. ClockDiv must be a power of two.
+// fits. ClockDiv must be a power of two. Every route must leave through a
+// linked port: NewFabric panics on one that does not, so forward never
+// meets a head wanting an unlinked port (which has no credits either).
 func NewFabric(topo Topology, cfg Config) *Fabric {
 	if cfg.VCs != NumVCs || cfg.QueueDepth <= 0 || cfg.LinkBandwidth <= 0 ||
 		cfg.ClockDiv == 0 || cfg.ClockDiv&(cfg.ClockDiv-1) != 0 {
@@ -304,7 +306,11 @@ func NewFabric(topo Topology, cfg Config) *Fabric {
 				r.routeTo[dst] = -1
 				continue
 			}
-			r.routeTo[dst] = int8(topo.Route(i, dst))
+			out := topo.Route(i, dst)
+			if !r.links[out].ok {
+				panic(fmt.Sprintf("network: node %d routes to node %d through unlinked port %d", i, dst, out))
+			}
+			r.routeTo[dst] = int8(out)
 			r.hopClass[dst] = int8(topo.HopClass(i, dst))
 		}
 		f.routers[i] = r
@@ -544,7 +550,7 @@ func (f *Fabric) forward(r *router, cycle uint64) {
 		// wantQ is read per port because a send can promote a new head
 		// wanting a later port this same cycle.
 		want := r.wantQ[out]
-		if want == 0 || r.linkBusy[out] > cycle || !r.links[out].ok {
+		if want == 0 || r.linkBusy[out] > cycle {
 			continue
 		}
 		// Visit the wanting queues in (rrPort + k) % nin order: the bits at

@@ -61,10 +61,11 @@ const Never = ^uint64(0)
 // function of time may ignore the Waker.
 //
 // NextWork must not change simulated state, with one exception: per-cycle
-// stall counters. A component waiting on a refusal or a fence (cpu.Core,
-// the system's message interface) credits the counter its skipped Tick
-// would have bumped, for the polled cycle and for every cycle it was not
-// polled, keeping its statistics identical to a Lockstep run.
+// stall counters, kept through a Stall. A component waiting on a refusal or
+// a fence (cpu.Core, the system's message interface) credits the counter
+// its skipped Tick would have bumped, for the polled cycle and for every
+// cycle it was not polled, keeping its statistics identical to a Lockstep
+// run.
 type Component interface {
 	Tick(cycle uint64)
 	NextWork(now uint64) uint64
@@ -399,17 +400,4 @@ func (r *Rand) Intn(n int) int {
 // Float64 returns a pseudo-random float64 in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

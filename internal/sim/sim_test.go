@@ -338,18 +338,6 @@ func TestRandFloat64Range(t *testing.T) {
 	}
 }
 
-func TestRandPermIsPermutation(t *testing.T) {
-	r := NewRand(11)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRandDistributionRough(t *testing.T) {
 	r := NewRand(13)
 	buckets := make([]int, 8)

@@ -11,11 +11,15 @@ import (
 // and may send one to another relay, waking it. Its choices come from a
 // per-relay generator advanced only when an event is processed, so a run
 // makes the same choices under any scheduler that ticks it on the same
-// cycles.
+// cycles. It also counts the cycles it waits (events pending, none due),
+// the way a stalled component counts its stall cycles: Tick bumps waited,
+// and NextWork credits the cycles it skips through a Stall.
 type relay struct {
 	id      int
 	due     []uint64
 	fired   []uint64 // cycles at which events were processed
+	waited  uint64
+	stall   Stall
 	rnd     Rand
 	peers   []*relay
 	horizon uint64 // no new events are scheduled at or after this cycle
@@ -31,12 +35,16 @@ func (r *relay) deliver(at uint64) {
 }
 
 func (r *relay) NextWork(now uint64) uint64 {
+	r.stall.Poll(now)
 	next := Never
 	for _, at := range r.due {
 		if at <= now {
 			return now
 		}
 		next = min(next, at)
+	}
+	if next != Never {
+		r.stall.Wait(&r.waited)
 	}
 	return next
 }
@@ -52,6 +60,9 @@ func (r *relay) Tick(cycle uint64) {
 		}
 	}
 	r.due = kept
+	if fired == 0 && len(kept) > 0 {
+		r.waited++
+	}
 	for ; fired > 0; fired-- {
 		r.fired = append(r.fired, cycle)
 		if cycle >= r.horizon {
@@ -72,8 +83,8 @@ func (r *relay) Tick(cycle uint64) {
 
 // runRelays builds n relays from seed, registers them on a fresh engine
 // and runs until every relay is drained. It returns each relay's fired
-// cycles and the final clock.
-func runRelays(seed uint64, n int, maxWait, horizon uint64, lockstep bool) ([][]uint64, uint64, *Engine) {
+// cycles and waited count, and the final clock.
+func runRelays(seed uint64, n int, maxWait, horizon uint64, lockstep bool) ([][]uint64, []uint64, uint64, *Engine) {
 	e := NewEngine()
 	e.Lockstep = lockstep
 	rs := make([]*relay, n)
@@ -98,16 +109,17 @@ func runRelays(seed uint64, n int, maxWait, horizon uint64, lockstep bool) ([][]
 		panic(err)
 	}
 	fired := make([][]uint64, n)
+	waited := make([]uint64, n)
 	for i, r := range rs {
-		fired[i] = r.fired
+		fired[i], waited[i] = r.fired, r.waited
 	}
-	return fired, e.Cycle(), e
+	return fired, waited, e.Cycle(), e
 }
 
 // FuzzEngineWakeups compares the idle-aware engine (wake heap, parking,
 // idle jumps) with Lockstep on randomly timed relays that wake each other:
-// every relay must process its events on the same cycles and the run must
-// end on the same cycle. Relay counts up to 130 span three active-mask
+// every relay must process its events on the same cycles and count the
+// same waiting cycles, and the run must end on the same cycle. Relay counts up to 130 span three active-mask
 // words.
 func FuzzEngineWakeups(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(5))
@@ -118,8 +130,8 @@ func FuzzEngineWakeups(f *testing.F) {
 		comps := 1 + int(n)%130
 		maxWait := 1 + uint64(wait)
 		const horizon = 3000
-		got, gotEnd, e := runRelays(seed, comps, maxWait, horizon, false)
-		want, wantEnd, _ := runRelays(seed, comps, maxWait, horizon, true)
+		got, gotWaited, gotEnd, e := runRelays(seed, comps, maxWait, horizon, false)
+		want, wantWaited, wantEnd, _ := runRelays(seed, comps, maxWait, horizon, true)
 		if gotEnd != wantEnd {
 			t.Fatalf("run ended at cycle %d, lockstep at %d", gotEnd, wantEnd)
 		}
@@ -128,6 +140,11 @@ func FuzzEngineWakeups(f *testing.F) {
 				if !reflect.DeepEqual(got[i], want[i]) {
 					t.Fatalf("relay %d fired at %v, lockstep at %v", i, got[i], want[i])
 				}
+			}
+		}
+		for i := range gotWaited {
+			if gotWaited[i] != wantWaited[i] {
+				t.Fatalf("relay %d waited %d cycles, lockstep %d", i, gotWaited[i], wantWaited[i])
 			}
 		}
 		if len(e.heap) > comps*int(maxWait+1) {

@@ -41,13 +41,11 @@ type MessageInterface struct {
 
 	// refused is set while the coordinator has refused the head update
 	// and its port has not popped since. Every cycle of that wait would
-	// have been one more refused retry in the lockstep kernel, so Tick,
-	// NextWork and catchUp credit EnqueueRejects for it without asking
-	// the coordinator again; stalled marks a wait NextWork parked on, as
-	// the core's skipReason does.
-	refused  bool
-	stalled  bool
-	lastSeen uint64
+	// have been one more refused retry in the lockstep kernel, so Tick
+	// and NextWork (through stall) credit EnqueueRejects for it without
+	// asking the coordinator again.
+	refused bool
+	stall   sim.Stall
 }
 
 type miEntry struct {
@@ -120,8 +118,7 @@ func (mi *MessageInterface) Busy() bool { return mi.queue.Len() > 0 }
 // wait is credited to the coordinator's EnqueueRejects, the count the
 // lockstep kernel's retry would have added.
 func (mi *MessageInterface) NextWork(now uint64) uint64 {
-	mi.catchUp(now)
-	mi.stalled = false
+	mi.stall.Poll(now)
 	if mi.queue.Len() == 0 {
 		return never
 	}
@@ -133,19 +130,9 @@ func (mi *MessageInterface) NextWork(now uint64) uint64 {
 		return now
 	}
 	if head.cleared {
-		mi.stalled = true
-		mi.coord.Stats.EnqueueRejects++
+		mi.stall.Wait(&mi.coord.Stats.EnqueueRejects)
 	}
 	return never
-}
-
-// catchUp credits the cycles since the MI was last polled while it waited
-// on a refusal (see refused).
-func (mi *MessageInterface) catchUp(now uint64) {
-	if gap := now - mi.lastSeen; gap > 1 && mi.stalled {
-		mi.coord.Stats.EnqueueRejects += gap - 1
-	}
-	mi.lastSeen = now
 }
 
 // queryAddr picks the address whose directory bank is probed before the
@@ -218,7 +205,9 @@ func (mi *MessageInterface) Tick(cycle uint64) {
 }
 
 // State streams the MI's section. At a quiescent point the queue is empty
-// and no query is outstanding, so the tag counter is the MI's whole state.
+// and no query is outstanding, so the tag counter is the MI's whole state;
+// with nothing queued the MI waits on no refusal, so its stall clock needs
+// no settling.
 func (mi *MessageInterface) State(s *sim.Stream) {
 	s.Tag("mi")
 	s.U64(&mi.nextTag)

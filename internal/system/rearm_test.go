@@ -61,7 +61,8 @@ func (w *earlyGather) Verify() error {
 // straight run and re-encode to the same blob. The blob is the only pinned
 // checkpoint holding live ARE flow entries and a coordinator flow, so its
 // exact length and FNV-64a digest pin those sections' wire format the way
-// TestSnapshotWireFormatPinned pins the rest.
+// TestSnapshotWireFormatPinned pins the rest (re-recorded with those pins
+// for wire version 3, 192 bytes shorter).
 func TestCheckpointRearmsGatherFence(t *testing.T) {
 	build := func() *System {
 		t.Helper()
@@ -102,8 +103,8 @@ func TestCheckpointRearmsGatherFence(t *testing.T) {
 	}
 	h := fnv.New64a()
 	h.Write(snap)
-	if got := fmt.Sprintf("%016x", h.Sum64()); len(snap) != 209900 || got != "7abaf836ce535ed2" {
-		t.Fatalf("blob = %d bytes, FNV-64a %s; want 209900 bytes, 7abaf836ce535ed2", len(snap), got)
+	if got := fmt.Sprintf("%016x", h.Sum64()); len(snap) != 209708 || got != "8c9bf1d7fb92aba1" {
+		t.Fatalf("blob = %d bytes, FNV-64a %s; want 209708 bytes, 8c9bf1d7fb92aba1", len(snap), got)
 	}
 
 	dst := build()

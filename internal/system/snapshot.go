@@ -23,12 +23,11 @@ import (
 //
 // Restore never rebases the clock: the engine restarts at the snapshot
 // cycle (StartAt), so absolute-cycle state — DRAM freeAt/activatedAt,
-// link busy horizons, core lastSeen, timed-call deadlines — serializes
-// verbatim.
+// link busy horizons, timed-call deadlines — serializes verbatim.
 
 // snapshotVersion is the wire-format version of a system snapshot blob.
 // Bump on any layout change; restore rejects other versions.
-const snapshotVersion = 2
+const snapshotVersion = 3
 
 // Snapshotable reports whether the machine is at a quiescent point where
 // Snapshot can capture it exactly.
@@ -46,6 +45,8 @@ func (s *System) Snapshotable() bool {
 
 // Snapshot appends the machine's complete quiescent-point state to buf and
 // returns the extended slice. The caller must have checked Snapshotable.
+// Each core's stall counters are first settled to the snapshot cycle, so
+// the blob is the same whichever kernel ran the machine.
 // Into a buffer with room for the blob, it allocates only for the
 // configuration's PrefixHash, the encoding stream and the sorted lists of
 // the map-keyed sections (memory pages, and live ARE or coordinator flows);
@@ -53,6 +54,9 @@ func (s *System) Snapshotable() bool {
 func (s *System) Snapshot(buf []byte) []byte {
 	st := sim.NewEncoder(buf)
 	cycle := s.engine.Cycle()
+	for _, c := range s.cores {
+		c.Settle(cycle)
+	}
 	if err := s.state(st, &cycle); err != nil {
 		panic(fmt.Sprintf("system: machine state fails its own decode checks: %v", err))
 	}

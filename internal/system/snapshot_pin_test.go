@@ -15,7 +15,11 @@ import (
 // recorded values. TestCheckpointRoundTrip only checks that one build
 // agrees with itself; this test fails when a change reorders, adds or
 // drops a snapshot section or field. A deliberate format change bumps
-// snapshotVersion and re-records these values.
+// snapshotVersion and re-records these values. Version 3 re-recorded all
+// three at the same landing cycles, each 192 bytes shorter: the core
+// section dropped its scheduler state (16 cores × a 12-byte last-polled
+// cycle and stall reason), and the stall counters are settled to the
+// snapshot cycle.
 func TestSnapshotWireFormatPinned(t *testing.T) {
 	cases := []struct {
 		workload string
@@ -25,9 +29,9 @@ func TestSnapshotWireFormatPinned(t *testing.T) {
 		bytes    int
 		fnv      string
 	}{
-		{"lud", system.SchemeARFtid, 4000, 6441, 207754, "f0b629bcdf09b392"},
-		{"lud", system.SchemeDRAM, 1457, 1914, 82790, "8e0ac7a66d273ecd"},
-		{"mac", system.SchemeHMC, 775, 1550, 212534, "32ab4c42348e7f69"},
+		{"lud", system.SchemeARFtid, 4000, 6441, 207562, "1b18ff897ddb1097"},
+		{"lud", system.SchemeDRAM, 1457, 1914, 82598, "dec39855fd9e1694"},
+		{"mac", system.SchemeHMC, 775, 1550, 212342, "c062055406a76364"},
 	}
 	for _, c := range cases {
 		t.Run(c.workload+"/"+c.scheme.String(), func(t *testing.T) {
