@@ -85,7 +85,6 @@ type coordFlow struct {
 	op          isa.ALUOp
 	target      mem.PAddr
 	trees       []bool // per-port: has this port rooted a tree?
-	gathersSeen int
 	threads     int
 	gatherSent  bool
 	pendingTree int
@@ -313,15 +312,14 @@ func (c *Coordinator) activeStorePacket(cmd UpdateCmd, f *coordFlow) network.Pac
 // cmd.Threads gathers arrive and the forest reduction finishes.
 func (c *Coordinator) EnqueueGather(cmd GatherCmd, cycle uint64) bool {
 	f := c.flowFor(cmd.Target, isa.OpNop)
-	f.gathersSeen++
 	f.threads = cmd.Threads
 	f.waiting = append(f.waiting, cmd.ThreadID)
 	c.Stats.Gathers++
-	if f.gathersSeen > f.threads {
+	if len(f.waiting) > f.threads {
 		panic(fmt.Sprintf("core: %d gathers for target %#x with num_threads=%d",
-			f.gathersSeen, uint64(cmd.Target), f.threads))
+			len(f.waiting), uint64(cmd.Target), f.threads))
 	}
-	if f.gathersSeen == f.threads {
+	if len(f.waiting) == f.threads {
 		c.releaseGather(f, cycle)
 	}
 	return true

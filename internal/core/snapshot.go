@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -19,9 +18,12 @@ import (
 // a complete entry is released at emit time — so with the network drained
 // and the input queue empty the private fields are all zero/false and only
 // the architectural Table 3.1 fields need encoding. The coordinator's
-// flows map is likewise mid-construction only: gatherSent false,
-// pendingTree zero, and its waiting thread ids are re-attached from the
-// gather-fenced cores (RearmFence) rather than serialized.
+// flows map is likewise mid-construction only: gatherSent false and
+// pendingTree zero; each flow lists the thread ids fenced on it. Tag
+// counters are not serialized: every table that holds a live tag (byTag,
+// pendingAcks) is empty at quiescence, and a tag is only an identity, so a
+// restored engine or coordinator that restarts its counter at zero behaves
+// identically.
 
 // SnapshotReady reports whether the engine holds only checkpointable
 // state: every transient queue empty and every live flow pre-gather.
@@ -51,7 +53,6 @@ func (e *Engine) SnapshotReady() bool {
 func (e *Engine) State(s *sim.Stream) {
 	s.Tag("are")
 	s.Match(e.CubeID, "are cube id")
-	s.U64(&e.nextTag)
 	s.U64s(e.Stats.counters())
 	s.Int(&e.Stats.PeakOperandInUse)
 	s.U64(&e.Breakdown.Count)
@@ -135,14 +136,13 @@ func (c *Coordinator) SnapshotReady() bool {
 	return true
 }
 
-// State streams a quiescent coordinator's section. Waiting thread ids are
-// not streamed: after decoding, the system re-attaches them by calling
-// RearmFence on each gather-fenced core, which lands in AttachGather.
-// Re-attachment in core-ID order is bit-identity-safe because each release
-// only touches its own core.
+// State streams a quiescent coordinator's section: its counters, then each
+// live flow in target order with the thread ids waiting on it in arrival
+// order. A flow's waiters are fewer than its thread count, or it would have
+// fired its gather wave; which ids may wait is the system's cross-check
+// against the fenced cores.
 func (c *Coordinator) State(s *sim.Stream) {
 	s.Tag("coord")
-	s.U64(&c.nextTag)
 	s.U64s(c.Stats.counters())
 	if !s.Match(len(c.ports), "coordinator port count") {
 		return
@@ -165,7 +165,13 @@ func (c *Coordinator) State(s *sim.Stream) {
 		for j := range f.trees {
 			s.Bool(&f.trees[j])
 		}
-		s.Int(&f.gathersSeen)
+		nw := len(f.waiting)
+		if s.Len(&nw, isa.MaxThreads, "coordinator flow waiters"); s.Decoding() {
+			f.waiting = make([]int, nw)
+		}
+		for j := 0; j < nw && s.Err() == nil; j++ {
+			s.Int(&f.waiting[j])
+		}
 		s.Int(&f.threads)
 		s.F64(&f.partial)
 		switch {
@@ -173,10 +179,9 @@ func (c *Coordinator) State(s *sim.Stream) {
 			return
 		case f.op > isa.OpConstAssign:
 			s.Fail("coordinator flow %#x: op %d out of range", uint64(f.target), f.op)
-		case f.gathersSeen < 0 || (f.threads > 0 && f.gathersSeen >= f.threads) ||
-			(f.threads <= 0 && f.gathersSeen != 0):
+		case (f.threads > 0 && nw >= f.threads) || (f.threads <= 0 && nw != 0):
 			s.Fail("coordinator flow %#x: inconsistent gather barrier %d/%d",
-				uint64(f.target), f.gathersSeen, f.threads)
+				uint64(f.target), nw, f.threads)
 		case !s.Decoding(): // encoding: the flow stays where it is
 		case c.flows[f.target] != nil:
 			s.Fail("coordinator flow %#x decoded twice", uint64(f.target))
@@ -186,14 +191,13 @@ func (c *Coordinator) State(s *sim.Stream) {
 	}
 }
 
-// AttachGather re-registers restored gather-fenced thread tid with its
-// flow's thread barrier; it reports false when the flow does not exist (a
-// corrupt or inconsistent snapshot).
-func (c *Coordinator) AttachGather(target mem.PAddr, tid int) bool {
-	f, ok := c.flows[target]
-	if !ok {
-		return false
+// EachWaiter calls fn with the id of every thread waiting on a live flow.
+// The order is unspecified.
+func (c *Coordinator) EachWaiter(fn func(tid int)) {
+	//ar:exempt(determinism) order-independent: the only caller marks each id in a per-core table and fails on a repeat, whatever the order
+	for _, f := range c.flows {
+		for _, tid := range f.waiting {
+			fn(tid)
+		}
 	}
-	f.waiting = append(f.waiting, tid)
-	return true
 }

@@ -119,12 +119,6 @@ type Core struct {
 
 	fenced bool // Gather or barrier outstanding: dispatch stops
 
-	// Fence provenance, recorded at issue so a checkpoint can re-arm the
-	// fence on restore: which primitive holds the thread and — for a
-	// Gather — the flow target the thread id must re-attach to.
-	fenceKind   FenceKind
-	fenceTarget mem.PAddr
-
 	calls sim.Timers[uint32] // ROB slots whose compute completes at a cycle
 
 	// waker invalidates the engine's cached idle hint; MemDone,
@@ -177,6 +171,9 @@ func (c *Core) SetWaker(w *sim.Waker) { c.waker = w }
 func (c *Core) Finished() bool {
 	return c.exhausted && !c.hasPending && c.robLen() == 0
 }
+
+// Fenced reports whether the core waits on a Gather or a barrier.
+func (c *Core) Fenced() bool { return c.fenced }
 
 // NextWork implements sim.Component. The core must tick whenever it can
 // retire, fire a due timed completion, or attempt a dispatch; otherwise its
@@ -424,17 +421,14 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 		// Gather is a thread fence: later updates of a dependent flow must
 		// not overtake the reduction write-back.
 		c.fenced = true
-		c.fenceKind = FenceGather
-		c.fenceTarget = cmd.Target
 		c.Stats.Gathers++
 	case isa.KindBarrier:
 		if c.barrier == nil {
 			panic(fmt.Sprintf("cpu: core %d hit a barrier without one configured", c.ID))
 		}
 		c.fenced = true
-		c.fenceKind = FenceBarrier
 		c.Stats.Barriers++
-		c.barrier.Arrive(c)
+		c.barrier.Arrive(c.ID)
 	default:
 		panic(fmt.Sprintf("cpu: unknown instruction kind %s", in.Kind))
 	}
@@ -443,33 +437,37 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 }
 
 // Barrier is a reusable centralized thread barrier and a sim.Component.
-// Completion is deferred: when the n-th thread arrives the waiting cores
-// move to a release list and the barrier wakes itself; registered last in
-// the tick order, it ticks at the end of that same cycle and releases their
-// fences, so every waiter — regardless of its position in the tick order
-// relative to the last arriver — resumes on the next cycle. The uniform
-// one-cycle release latency models a real barrier's notification delay,
-// and it makes the release cycle independent of where the last arriver
-// sits in the tick order (DESIGN.md "Simulation kernel: tick order").
+// Completion is deferred: when the n-th thread arrives the waiting thread
+// ids move to a release list and the barrier wakes itself; registered last
+// in the tick order, it ticks at the end of that same cycle and passes
+// them to its done hook, which releases their fences, so every waiter —
+// regardless of its position in the tick order relative to the last
+// arriver — resumes on the next cycle. The uniform one-cycle release
+// latency models a real barrier's notification delay, and it makes the
+// release cycle independent of where the last arriver sits in the tick
+// order (DESIGN.md "Simulation kernel: tick order").
 type Barrier struct {
 	n         int
-	waiters   []*Core // arrived cores of the crossing in progress
-	release   []*Core
+	waiters   []int // thread ids of the crossing in progress, in arrival order
+	release   []int
+	done      func(tid int)
 	waker     *sim.Waker
 	Crossings uint64
 }
 
-// NewBarrier creates a barrier over n threads.
-func NewBarrier(n int) *Barrier { return &Barrier{n: n} }
+// NewBarrier creates a barrier over n threads; done receives the id of
+// every waiter once its crossing completes.
+func NewBarrier(n int, done func(tid int)) *Barrier { return &Barrier{n: n, done: done} }
 
 // SetWaker implements sim.Component: a completed crossing is the barrier's
 // only input.
 func (b *Barrier) SetWaker(w *sim.Waker) { b.waker = w }
 
-// Arrive registers a barrier-fenced core; when the n-th arrives the barrier
-// resets and every waiter is queued for release at the barrier's next Tick.
-func (b *Barrier) Arrive(c *Core) {
-	b.waiters = append(b.waiters, c) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
+// Arrive registers barrier-fenced thread tid; when the n-th arrives the
+// barrier resets and every waiter is queued for release at the barrier's
+// next Tick.
+func (b *Barrier) Arrive(tid int) {
+	b.waiters = append(b.waiters, tid) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
 	if len(b.waiters) == b.n {
 		b.release = append(b.release, b.waiters...) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
 		b.waiters = b.waiters[:0]
@@ -477,6 +475,10 @@ func (b *Barrier) Arrive(c *Core) {
 		b.waker.Wake()
 	}
 }
+
+// Waiting returns the thread ids of the crossing in progress, in arrival
+// order. The slice is the barrier's own.
+func (b *Barrier) Waiting() []int { return b.waiters }
 
 // Pending reports whether a completed crossing awaits its release.
 func (b *Barrier) Pending() bool { return len(b.release) > 0 }
@@ -490,10 +492,10 @@ func (b *Barrier) NextWork(now uint64) uint64 {
 	return sim.Never
 }
 
-// Tick releases the fences of a completed crossing's cores.
+// Tick releases the fences of a completed crossing's threads.
 func (b *Barrier) Tick(uint64) {
-	for _, c := range b.release {
-		c.ReleaseFence()
+	for _, tid := range b.release {
+		b.done(tid)
 	}
 	b.release = b.release[:0]
 }

@@ -242,18 +242,20 @@ func TestOffloadBackpressureStalls(t *testing.T) {
 
 func TestBarrierSynchronizesThreads(t *testing.T) {
 	st, as := env()
-	b := NewBarrier(2)
-	mk := func(extra int) *Core {
+	var cores [2]*Core
+	b := NewBarrier(2, func(tid int) { cores[tid].ReleaseFence() })
+	mk := func(id, extra int) *Core {
 		var insts []isa.Inst
 		for i := 0; i < extra; i++ {
 			insts = append(insts, isa.Inst{Kind: isa.KindCompute, Class: isa.ClassInt})
 		}
 		insts = append(insts, isa.Inst{Kind: isa.KindBarrier})
 		insts = append(insts, isa.Inst{Kind: isa.KindCompute, Class: isa.ClassInt})
-		return NewCore(0, DefaultConfig(), replay(insts), &instantMem{}, nil, st, as, b)
+		cores[id] = NewCore(id, DefaultConfig(), replay(insts), &instantMem{}, nil, st, as, b)
+		return cores[id]
 	}
-	fast := mk(0)
-	slow := mk(400)
+	fast := mk(0, 0)
+	slow := mk(1, 400)
 	var fastDone, slowDone int
 	for i := 0; i < 10000 && (!fast.Finished() || !slow.Finished()); i++ {
 		fast.Tick(uint64(i))

@@ -3,20 +3,8 @@ package cpu
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/sim"
-)
-
-// FenceKind names the primitive a fenced core is blocked on, recorded at
-// issue so checkpoint restore can re-arm the fence.
-type FenceKind uint8
-
-const (
-	FenceNone FenceKind = iota
-	FenceBarrier
-	FenceGather
 )
 
 // Snapshotable reports whether the core's state is capturable: every
@@ -76,14 +64,12 @@ func (c *Core) Settle(now uint64) { c.stall.Settle(now) }
 
 // State streams the core's quiescent-point state: replay cursor, ROB ring
 // occupancy with completion flags, pending timed calls as (cycle, slot)
-// pairs, fence provenance, stats (settled to the snapshot cycle, see
-// Settle) and IPC series. The fence's waiting registration at its barrier
-// or coordinator flow is not serialized: after decoding, the system calls
-// RearmFence in core-ID order once the barrier and coordinator are
-// restored (memory completions are impossible at quiescence). A core never
-// waits on a refusing port here: a refusal needs an L1 miss or an MI entry
-// in flight, and a quiescent machine has neither, so encoding a refused
-// core is a caller bug.
+// pairs, the fence flag, stats (settled to the snapshot cycle, see Settle)
+// and IPC series. Which barrier or coordinator flow holds a fenced core is
+// that primitive's state: it lists the thread id in its own section. A
+// core never waits on a refusing port here: a refusal needs an L1 miss or
+// an MI entry in flight, and a quiescent machine has neither, so encoding
+// a refused core is a caller bug.
 func (c *Core) State(s *sim.Stream) {
 	if !s.Decoding() && c.refused != nil {
 		panic(fmt.Sprintf("cpu: snapshot of core %d waiting on a refusing port", c.ID))
@@ -126,48 +112,27 @@ func (c *Core) State(s *sim.Stream) {
 			c.calls.Add(at, slot)
 		}
 	}
-	fk, ft := FenceNone, mem.PAddr(0)
-	if c.fenced {
-		fk, ft = c.fenceKind, c.fenceTarget
-	}
 	s.Bool(&c.fenced)
-	sim.U32As(s, &fk)
-	sim.U64As(s, &ft)
-	if s.Decoding() {
-		c.fenceKind, c.fenceTarget = fk, ft
-	}
 	s.U64s(c.Stats.counters())
 	c.IPC.State(s)
-	if c.fenced {
-		if c.fenceKind != FenceBarrier && c.fenceKind != FenceGather {
-			s.Fail("core %d fenced with unknown fence kind %d", c.ID, c.fenceKind)
-		}
-		if c.robLen() == 0 {
-			s.Fail("core %d fenced with an empty ROB", c.ID)
-		}
+	if c.fenced && c.robLen() == 0 {
+		s.Fail("core %d fenced with an empty ROB", c.ID)
 	}
 }
 
-// RearmFence re-registers a restored fenced core with the primitive that
-// releases it: a barrier fence re-arrives at the core's barrier, a gather
-// fence re-attaches the core's thread id to its coordinator flow. Release
-// order across cores is commutative — each release only touches its own
-// core — so re-arming in core-ID order reproduces the original machine
-// bit-identically. It returns false when a fence cannot be re-armed (a
-// corrupt or inconsistent snapshot).
-func (c *Core) RearmFence(coord *core.Coordinator) bool {
-	if !c.fenced {
-		return true
+// State streams the barrier's section: its crossing count, then the
+// thread ids of the crossing in progress in arrival order. A quiescent
+// machine has no completed crossing awaiting release (Pending is the
+// barrier's snapshot-busy probe), so fewer than n threads wait. Which ids
+// may wait is the system's cross-check against the fenced cores.
+func (b *Barrier) State(s *sim.Stream) {
+	s.Tag("barrier")
+	s.U64(&b.Crossings)
+	n := len(b.waiters)
+	if s.Len(&n, b.n-1, "barrier waiters"); s.Decoding() {
+		b.waiters = make([]int, n, b.n)
 	}
-	switch c.fenceKind {
-	case FenceBarrier:
-		if c.barrier == nil {
-			return false
-		}
-		c.barrier.Arrive(c)
-		return true
-	case FenceGather:
-		return coord != nil && coord.AttachGather(c.fenceTarget, c.ID)
+	for i := 0; i < n && s.Err() == nil; i++ {
+		s.Int(&b.waiters[i])
 	}
-	return false
 }

@@ -20,11 +20,10 @@ type Controller struct {
 	geom      mem.HMCGeometry
 	fabric    *network.Fabric
 
-	queue    sim.FIFO[network.Packet]
-	queueCap int
-	nextTag  uint64
-	pending  map[uint64]uint64         // packet tag -> the caller's access token
-	done     func(token, cycle uint64) // completion hook, set at construction
+	queue       sim.FIFO[network.Packet]
+	queueCap    int
+	outstanding int                       // accesses accepted and not yet answered
+	done        func(token, cycle uint64) // completion hook, set at construction
 
 	// waker invalidates the engine's cached idle hint on external input
 	// (Access from the cache hierarchy; coordinator packets via Inject
@@ -47,7 +46,6 @@ func NewController(index, node, entryCube int, geom mem.HMCGeometry, fabric *net
 		geom:      geom,
 		fabric:    fabric,
 		queueCap:  queueCap,
-		pending:   make(map[uint64]uint64),
 		done:      done,
 	}
 	fabric.SetEndpoint(node, c)
@@ -70,9 +68,11 @@ func (c *Controller) Inject(p network.Packet) bool {
 
 var _ core.Port = (*Controller)(nil)
 
-// Access enqueues a block read/write for the cache hierarchy; the done hook
-// receives token at response delivery. It reports false on queue
-// backpressure. Cube ids equal node ids in the memory network.
+// Access enqueues a block read/write for the cache hierarchy. The packet
+// carries token as its tag (the cache hierarchy's tags are unique per
+// machine), and the done hook receives it back at response delivery. It
+// reports false on queue backpressure. Cube ids equal node ids in the
+// memory network.
 func (c *Controller) Access(pa mem.PAddr, write bool, token uint64) bool {
 	if c.queue.Len() >= c.queueCap {
 		return false
@@ -84,9 +84,8 @@ func (c *Controller) Access(pa mem.PAddr, write bool, token uint64) bool {
 	}
 	p := network.NewPacket(kind, c.node, c.geom.CubeOf(pa))
 	p.Addr = pa
-	c.nextTag++
-	p.Tag = uint64(c.Index)<<56 | c.nextTag
-	c.pending[p.Tag] = token
+	p.Tag = token
+	c.outstanding++
 	c.queue.Push(p)
 	return true
 }
@@ -97,12 +96,11 @@ func (c *Controller) Access(pa mem.PAddr, write bool, token uint64) bool {
 func (c *Controller) Deliver(p *network.Packet, cycle uint64) bool {
 	switch p.Kind {
 	case network.MemReadResp, network.MemWriteAck:
-		token, ok := c.pending[p.Tag]
-		if !ok {
-			panic(fmt.Sprintf("hmc: controller %d response with unknown tag %d", c.Index, p.Tag))
+		if c.outstanding == 0 {
+			panic(fmt.Sprintf("hmc: controller %d response with tag %d and no access outstanding", c.Index, p.Tag))
 		}
-		delete(c.pending, p.Tag)
-		c.done(token, cycle)
+		c.outstanding--
+		c.done(p.Tag, cycle)
 	case network.GatherResp:
 		if c.OnGatherResp == nil {
 			panic(fmt.Sprintf("hmc: controller %d gather response without coordinator", c.Index))
@@ -132,7 +130,7 @@ func (c *Controller) Tick(cycle uint64) {
 }
 
 // Busy reports whether requests are queued or outstanding.
-func (c *Controller) Busy() bool { return c.queue.Len() > 0 || len(c.pending) > 0 }
+func (c *Controller) Busy() bool { return c.queue.Len() > 0 || c.outstanding > 0 }
 
 // NextWork implements sim.Component: Tick only drains the request
 // queue; outstanding responses arrive via Deliver.

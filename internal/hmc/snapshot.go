@@ -43,10 +43,3 @@ func (c *Cube) State(s *sim.Stream) {
 		c.are.State(s)
 	}
 }
-
-// State streams a quiescent controller's section.
-func (c *Controller) State(s *sim.Stream) {
-	s.Tag("hmcctl")
-	s.Match(c.Index, "hmc controller index")
-	s.U64(&c.nextTag)
-}

@@ -54,11 +54,6 @@ func (f *Fabric) State(s *sim.Stream) {
 	}
 	s.U64(&f.HopBytes)
 	s.U64(&f.Delivered)
-	var id uint64 // retired packet-id counter; the slot keeps the wire format
-	if s.U64(&id); id != 0 {
-		s.Fail("fabric packet-id word %d, want 0", id)
-		return
-	}
 	s.U64(&f.Movement.NormReq)
 	s.U64(&f.Movement.NormResp)
 	s.U64(&f.Movement.ActiveReq)

@@ -29,10 +29,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this size;
 	// <= 0 means 8 MiB.
 	SegmentBytes int64
-	// NoSync skips the per-record fsync. Throughput over durability: a
-	// crash may lose recent records (never corrupt old ones). The service
-	// keeps the default because a lost record is a re-simulation.
-	NoSync bool
 	// SegmentPrefix names the store's segment file family; empty means
 	// "seg". Files are <prefix>-<n>.log, so distinct record families (the
 	// result cache, the checkpoint store) can live in separate directories
@@ -259,9 +255,9 @@ func (s *Store) Range(fn func(key string, value []byte) bool) {
 // Put durably appends one record. Re-putting an existing key is a no-op
 // (the store is content-addressed: a key's value never changes), so
 // write-through callers need no exists-check of their own. A nil error
-// means the record is on disk (fsynced unless Options.NoSync); on error
-// the key stays absent and a retry is safe — the failed append's bytes, if
-// any reached the disk, are quarantined by the next Open.
+// means the record is on disk and fsynced; on error the key stays absent
+// and a retry is safe — the failed append's bytes, if any reached the
+// disk, are quarantined by the next Open.
 func (s *Store) Put(key string, value []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -285,11 +281,9 @@ func (s *Store) Put(key string, value []byte) error {
 		s.dropActiveLocked()
 		return fmt.Errorf("store: appending to %s: %w", s.segmentName(s.nextSeg-1), err)
 	}
-	if !s.opts.NoSync {
-		if err := s.active.Sync(); err != nil {
-			s.dropActiveLocked()
-			return fmt.Errorf("store: syncing %s: %w", s.segmentName(s.nextSeg-1), err)
-		}
+	if err := s.active.Sync(); err != nil {
+		s.dropActiveLocked()
+		return fmt.Errorf("store: syncing %s: %w", s.segmentName(s.nextSeg-1), err)
 	}
 	s.activeSize += int64(len(s.encBuf))
 	s.stats.BytesOnDisk += int64(len(s.encBuf))

@@ -265,8 +265,7 @@ func (c *Config) Hash() string {
 // prefixHashVersion salts Config.PrefixHash, independently of
 // cfgHashVersion: prefix keys address checkpoint blobs, not result records,
 // and the two families must never collide even if the field renderings
-// coincide. Bump it whenever the prefix rendering (or the snapshot wire
-// format it keys) changes shape.
+// coincide. Bump it whenever the prefix rendering changes shape.
 const prefixHashVersion = "prefix/v1|"
 
 // PrefixHash returns a stable 64-bit digest of every configuration field

@@ -204,15 +204,6 @@ func (mi *MessageInterface) Tick(cycle uint64) {
 	}
 }
 
-// State streams the MI's section. At a quiescent point the queue is empty
-// and no query is outstanding, so the tag counter is the MI's whole state;
-// with nothing queued the MI waits on no refusal, so its stall clock needs
-// no settling.
-func (mi *MessageInterface) State(s *sim.Stream) {
-	s.Tag("mi")
-	s.U64(&mi.nextTag)
-}
-
 // OnBackInvalDone clears the queried entry so it can be forwarded. The
 // entry is still queued before scanFrom (see scanFrom).
 func (mi *MessageInterface) OnBackInvalDone(tag uint64) {

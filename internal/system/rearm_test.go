@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -56,13 +57,16 @@ func (w *earlyGather) Verify() error {
 }
 
 // TestCheckpointRearmsGatherFence checkpoints while a core is fenced on a
-// Gather whose flow is still collecting arrivals, so Restore must re-attach
-// that core to the coordinator flow. The restored run must match the
-// straight run and re-encode to the same blob. The blob is the only pinned
-// checkpoint holding live ARE flow entries and a coordinator flow, so its
-// exact length and FNV-64a digest pin those sections' wire format the way
+// Gather whose flow is still collecting arrivals, so the coordinator
+// section must list that thread on its flow and Restore must hand the
+// flow back holding it. The restored run must match the straight run and
+// re-encode to the same blob. The blob is the only pinned checkpoint
+// holding live ARE flow entries and a coordinator flow, so its exact
+// length and FNV-64a digest pin those sections' wire format the way
 // TestSnapshotWireFormatPinned pins the rest (re-recorded with those pins
-// for wire version 3, 192 bytes shorter).
+// for wire version 3, 192 bytes shorter, and for version 4, 849 bytes
+// shorter: the lud/ARF-tid accounting with an empty barrier section, 31
+// bytes, and one waiting id on the flow, 8).
 func TestCheckpointRearmsGatherFence(t *testing.T) {
 	build := func() *System {
 		t.Helper()
@@ -103,8 +107,8 @@ func TestCheckpointRearmsGatherFence(t *testing.T) {
 	}
 	h := fnv.New64a()
 	h.Write(snap)
-	if got := fmt.Sprintf("%016x", h.Sum64()); len(snap) != 209708 || got != "8c9bf1d7fb92aba1" {
-		t.Fatalf("blob = %d bytes, FNV-64a %s; want 209708 bytes, 8c9bf1d7fb92aba1", len(snap), got)
+	if got := fmt.Sprintf("%016x", h.Sum64()); len(snap) != 208859 || got != "56a8607d0b4331e9" {
+		t.Fatalf("blob = %d bytes, FNV-64a %s; want 208859 bytes, 56a8607d0b4331e9", len(snap), got)
 	}
 
 	dst := build()
@@ -120,5 +124,54 @@ func TestCheckpointRearmsGatherFence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("restored run diverged from straight run:\n got: %+v\nwant: %+v", got, want)
+	}
+}
+
+// TestRestoreRejectsInconsistentWaiters checkpoints lud/DRAM where 15
+// threads wait at the barrier, edits the barrier's live waiter list before
+// encoding, and requires Restore to refuse the blob: a thread listed twice
+// or an unfenced core listed in place of a fenced one would otherwise
+// release a core twice, release one that is not fenced, or never release
+// one.
+func TestRestoreRejectsInconsistentWaiters(t *testing.T) {
+	build := func() *System {
+		t.Helper()
+		sys, err := New(DefaultConfig(SchemeDRAM), "lud", workload.ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	edits := []struct {
+		name string
+		edit func(src *System, w []int)
+	}{
+		{"duplicate", func(_ *System, w []int) { w[1] = w[0] }},
+		{"unfenced", func(src *System, w []int) {
+			for _, c := range src.cores {
+				if !c.Fenced() {
+					w[0] = c.ID
+					return
+				}
+			}
+			t.Fatal("every core is fenced")
+		}},
+	}
+	for _, e := range edits {
+		t.Run(e.name, func(t *testing.T) {
+			src := build()
+			if snap, err := src.RunToCheckpoint(context.Background(), 1457, nil); err != nil || snap == nil {
+				t.Fatalf("no checkpoint at or after cycle 1457 (err=%v)", err)
+			}
+			w := src.barrier.Waiting()
+			if c := src.engine.Cycle(); c != 1914 || len(w) != 15 {
+				t.Fatalf("checkpoint at cycle %d with %d barrier waiters, want cycle 1914 with 15", c, len(w))
+			}
+			e.edit(src, w)
+			err := build().Restore(src.Snapshot(nil))
+			if err == nil || !strings.Contains(err.Error(), "inconsistent snapshot") {
+				t.Fatalf("Restore = %v, want the inconsistent-snapshot error", err)
+			}
+		})
 	}
 }

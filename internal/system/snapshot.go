@@ -17,9 +17,10 @@ import (
 // idle, no outstanding memory accesses, ARE and
 // coordinator holding only mid-construction flow state, cores blocked
 // solely on fences or timed compute completions. At such a point the
-// machine is plain data. The one relation the sections do not encode, which
-// barrier or coordinator flow each fenced core waits on, is rebuilt from
-// the cores' recorded fence provenance (RearmFence).
+// machine is plain data, and each fenced core's thread id is listed where
+// it waits: at the barrier or on its coordinator flow. Tag counters are
+// not carried: every table holding a live tag is empty at quiescence, and
+// a tag is only an identity, so a restored machine restarts them at zero.
 //
 // Restore never rebases the clock: the engine restarts at the snapshot
 // cycle (StartAt), so absolute-cycle state — DRAM freeAt/activatedAt,
@@ -27,14 +28,11 @@ import (
 
 // snapshotVersion is the wire-format version of a system snapshot blob.
 // Bump on any layout change; restore rejects other versions.
-const snapshotVersion = 3
+const snapshotVersion = 4
 
 // Snapshotable reports whether the machine is at a quiescent point where
 // Snapshot can capture it exactly.
 func (s *System) Snapshotable() bool {
-	if s.barrier.Pending() {
-		return false
-	}
 	for i := range s.parts {
 		if busy := s.parts[i].snapBusy; busy != nil && busy() {
 			return false
@@ -79,8 +77,8 @@ func snapshotSum(b []byte) uint64 {
 
 // state streams the whole machine: a header naming the configuration and
 // workload the blob belongs to, the state the header carries (random
-// generator, memory image, tags, IPC trace, barrier crossings), then each
-// component's section in table order. Decoding fills *cycle from the blob
+// generator, memory image, IPC trace), then each component's section in
+// table order. Decoding fills *cycle from the blob
 // and fails on a header this machine cannot restore.
 func (s *System) state(st *sim.Stream, cycle *uint64) error {
 	st.Tag("arsys")
@@ -106,12 +104,8 @@ func (s *System) state(st *sim.Stream, cycle *uint64) error {
 		s.env.Rand.SetState(r)
 	}
 	s.env.Store.State(st)
-	for i := range s.memTags {
-		st.U64(&s.memTags[i])
-	}
 	st.U64(&s.lastRetired)
 	stats.PointsState(st, &s.ipcTrace, "ipc trace points")
-	st.U64(&s.barrier.Crossings)
 	for _, p := range s.parts {
 		if p.state != nil {
 			p.state.State(st)
@@ -145,19 +139,26 @@ func (s *System) Restore(data []byte) error {
 		return fmt.Errorf("system: %d trailing bytes after snapshot", n)
 	}
 
-	// Re-arm fences in core-ID order: barrier fences re-arrive (release
-	// order is commutative, so arrival order never shows), gather fences
-	// re-attach to their coordinator flow's thread barrier.
-	for _, c := range s.cores {
-		if !c.RearmFence(s.coord) {
-			return fmt.Errorf("system: core %d fence cannot be re-armed (inconsistent snapshot)", c.ID)
+	// Every id the barrier or a coordinator flow lists must name a fenced
+	// core, and every fenced core must be listed exactly once, or a release
+	// would index past the cores, release an unfenced core, or never come.
+	listed, ok := make([]bool, len(s.cores)), true
+	list := func(tid int) {
+		if ok = ok && tid >= 0 && tid < len(s.cores) && !listed[tid] && s.cores[tid].Fenced(); ok {
+			listed[tid] = true
 		}
 	}
-	if s.barrier.Pending() {
-		// Every snapshot-time barrier count is strictly below the thread
-		// count (a full barrier releases within the same cycle's flush), so
-		// re-arrival can never complete a crossing.
-		return fmt.Errorf("system: restored barrier crossed during re-arm (inconsistent snapshot)")
+	for _, tid := range s.barrier.Waiting() {
+		list(tid)
+	}
+	if s.coord != nil {
+		s.coord.EachWaiter(list)
+	}
+	for tid, c := range s.cores {
+		ok = ok && c.Fenced() == listed[tid]
+	}
+	if !ok {
+		return fmt.Errorf("system: fence waiters do not match the fenced cores (inconsistent snapshot)")
 	}
 
 	// Restart the clock at the snapshot cycle. All cached idle hints are
@@ -218,11 +219,13 @@ func (s *System) FlowTableDemand() (peak int, stalls uint64) {
 // SnapshotKey is the content address of a checkpoint in the snapshot
 // store: every configuration sharing it can restore the same blob
 // (PrefixHash covers all prefix-live knobs; workload, scheme and scale pin
-// the simulated program). The cycle is the REQUESTED checkpoint cycle, not
-// the possibly-later quiescent cycle the snapshot lands on — lookups must
-// compute the same key without running anything.
+// the simulated program). The key names the wire version, so a store
+// written by a build with another format holds no blob under this build's
+// keys and its stale blobs are never looked up. The cycle is the REQUESTED
+// checkpoint cycle, not the possibly-later quiescent cycle the snapshot
+// lands on — lookups must compute the same key without running anything.
 func SnapshotKey(cfg *Config, cycle uint64, workload, scale string) string {
-	return fmt.Sprintf("snap|%016x|%d|%s|%s|%s", cfg.PrefixHash(cycle), cycle, workload, cfg.Scheme, scale)
+	return fmt.Sprintf("snap|v%d|%016x|%d|%s|%s|%s", snapshotVersion, cfg.PrefixHash(cycle), cycle, workload, cfg.Scheme, scale)
 }
 
 // remainingBudget is the cycle budget left under cfg.MaxCycles for a

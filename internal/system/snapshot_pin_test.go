@@ -19,7 +19,15 @@ import (
 // three at the same landing cycles, each 192 bytes shorter: the core
 // section dropped its scheduler state (16 cores × a 12-byte last-polled
 // cycle and stall reason), and the stall counters are settled to the
-// snapshot cycle.
+// snapshot cycle. Version 4 re-recorded them at the same landing cycles
+// again. Every blob lost the cores' fence kind and target (16 × 12 bytes),
+// the header's per-tile memory tags (16 × 8) and barrier crossing count
+// (8), and each fabric's zero word (8), and gained the barrier section (31
+// bytes plus 8 per waiting thread id). lud/DRAM: −192 −128 −8 −8 +151 (15
+// waiters) = −185. mac/HMC also lost the four HMC controller sections
+// (4 × 30) and a second fabric word: −433. lud/ARF-tid also lost those,
+// the 16 MI sections (16 × 18) and the ARE and coordinator tag counters
+// (17 × 8): −737.
 func TestSnapshotWireFormatPinned(t *testing.T) {
 	cases := []struct {
 		workload string
@@ -29,9 +37,9 @@ func TestSnapshotWireFormatPinned(t *testing.T) {
 		bytes    int
 		fnv      string
 	}{
-		{"lud", system.SchemeARFtid, 4000, 6441, 207562, "1b18ff897ddb1097"},
-		{"lud", system.SchemeDRAM, 1457, 1914, 82598, "dec39855fd9e1694"},
-		{"mac", system.SchemeHMC, 775, 1550, 212342, "c062055406a76364"},
+		{"lud", system.SchemeARFtid, 4000, 6441, 206825, "e2f24f5f2ddbefc9"},
+		{"lud", system.SchemeDRAM, 1457, 1914, 82413, "dad46af0b17b8266"},
+		{"mac", system.SchemeHMC, 775, 1550, 211909, "07b74677e3e57083"},
 	}
 	for _, c := range cases {
 		t.Run(c.workload+"/"+c.scheme.String(), func(t *testing.T) {

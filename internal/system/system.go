@@ -350,7 +350,7 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 	if len(streams) != cfg.Threads {
 		return nil, fmt.Errorf("system: workload produced %d streams for %d threads", len(streams), cfg.Threads)
 	}
-	s.barrier = cpu.NewBarrier(cfg.Threads)
+	s.barrier = cpu.NewBarrier(cfg.Threads, func(tid int) { s.cores[tid].ReleaseFence() })
 	barrier := s.barrier
 	s.cores = make([]*cpu.Core, cfg.Threads)
 	for i := range s.cores {
@@ -401,9 +401,12 @@ func (s *System) table() []part {
 	for i, l2 := range s.l2s {
 		add("l2.", i, l2, l2.Busy, l2.Busy, l2)
 	}
+	// An MI or HMC controller holds state only while busy: queued
+	// commands, an outstanding query or memory access. A quiescent one
+	// holds none, so neither has a section.
 	for i, mi := range s.mis {
 		if mi != nil {
-			add("mi.", i, mi, mi.Busy, mi.Busy, mi)
+			add("mi.", i, mi, mi.Busy, mi.Busy, nil)
 		}
 	}
 	nocBusy := not(s.noc.Drained)
@@ -417,9 +420,7 @@ func (s *System) table() []part {
 		add("dram.", i, d, pending, pending, d.Banks)
 	}
 	for i, h := range s.hmcCtrls {
-		// Outstanding accesses sit in tag tables that no section
-		// serializes, so busy also blocks snapshots.
-		add("hmcctrl.", i, h, h.Busy, h.Busy, h)
+		add("hmcctrl.", i, h, h.Busy, h.Busy, nil)
 	}
 	if s.coord != nil {
 		add("coordinator", -1, s.coord, s.coord.Busy, not(s.coord.SnapshotReady), s.coord)
@@ -431,12 +432,12 @@ func (s *System) table() []part {
 	for i, c := range s.cubes {
 		add("cube", i, c, c.Busy, not(c.SnapshotReady), c)
 	}
-	// The sampler's state (the IPC trace) and the barrier's (its crossing
-	// count) sit in the snapshot header. The barrier ticks last, so a
-	// crossing completed during a cycle releases its waiters at the end of
-	// that cycle and every waiter resumes on the next one.
+	// The sampler's state (the IPC trace) sits in the snapshot header. The
+	// barrier ticks last, so a crossing completed during a cycle releases
+	// its waiters at the end of that cycle and every waiter resumes on the
+	// next one; a checkpoint waits for that release.
 	add("ipc-sampler", -1, ipcSampler{s}, nil, nil, nil)
-	add("barrier-flush", -1, s.barrier, nil, nil, nil)
+	add("barrier-flush", -1, s.barrier, nil, s.barrier.Pending, s.barrier)
 	return t
 }
 
