@@ -279,18 +279,22 @@ func TestFabricAllPairsDelivery(t *testing.T) {
 func TestFabricFIFOPerPath(t *testing.T) {
 	// Packets of the same class on the same route must stay in order —
 	// the gather-never-overtakes-updates argument relies on this.
+	// One clock runs forward through injection and drain, as the engine's
+	// does.
 	f, cols := newTestFabric(t)
 	const n = 50
+	cycle := uint64(0)
 	for i := 0; i < n; i++ {
 		p := NewPacket(UpdateReq, 0, 15)
 		p.Tag = uint64(i)
-		for cyc := uint64(0); !f.Inject(0, p, cyc); cyc++ {
-			f.Tick(cyc)
+		for ; !f.Inject(0, p, cycle); cycle++ {
+			f.Tick(cycle)
 		}
-		f.Tick(0)
+		f.Tick(cycle)
+		cycle++
 	}
-	for cyc := uint64(0); len(cols[15].got) < n && cyc < 100000; cyc++ {
-		f.Tick(cyc)
+	for ; len(cols[15].got) < n && cycle < 100000; cycle++ {
+		f.Tick(cycle)
 	}
 	if len(cols[15].got) != n {
 		t.Fatalf("delivered %d of %d", len(cols[15].got), n)
