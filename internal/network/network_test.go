@@ -242,14 +242,15 @@ func TestNewFabricRejectsUnlinkedRoute(t *testing.T) {
 func TestFabricAllPairsDelivery(t *testing.T) {
 	f, cols := newTestFabric(t)
 	want := 0
+	cycle := uint64(0)
 	for s := 0; s < 16; s++ {
 		for d := 0; d < 16; d++ {
 			if s == d {
 				continue
 			}
 			p := NewPacket(MemReadReq, s, d)
-			for cyc := uint64(0); !f.Inject(s, p, cyc); cyc++ {
-				f.Tick(cyc)
+			for ; !f.Inject(s, p, cycle); cycle++ {
+				f.Tick(cycle)
 			}
 			want++
 		}
@@ -261,8 +262,8 @@ func TestFabricAllPairsDelivery(t *testing.T) {
 		}
 		return n
 	}
-	for cyc := uint64(0); total() < want && cyc < 100000; cyc++ {
-		f.Tick(cyc)
+	for ; total() < want && cycle < 100000; cycle++ {
+		f.Tick(cycle)
 	}
 	if total() != want {
 		t.Fatalf("delivered %d of %d", total(), want)
@@ -364,7 +365,7 @@ func TestFabricCreditTurnaround(t *testing.T) {
 			t.Fatal("inject failed")
 		}
 	}
-	inj := &f.routers[0].inj[vcBase(MemReadReq)]
+	inj := &f.routers[0].q[f.routers[0].nlink+vcBase(MemReadReq)]
 	if inj.len() != 1 {
 		t.Fatalf("second packet left node 0 without a credit (injection queue holds %d)", inj.len())
 	}
@@ -533,5 +534,38 @@ func TestFabricRandomTrafficConservation(t *testing.T) {
 	}
 	if !f.Drained() {
 		t.Fatal("fabric not drained after delivery")
+	}
+}
+
+// BenchmarkFabricTraffic measures the fabric alone: the memory network's
+// 16 cubes and 4 controllers offer uniform random traffic of three packet
+// kinds, each node about one packet every four cycles, to endpoints that
+// always accept. One op is one delivered packet, so ns/op is host time per
+// delivery, hops included.
+func BenchmarkFabricTraffic(b *testing.B) {
+	topo := NewDragonfly([]int{0, 4, 8, 12})
+	f := NewFabric(topo, DefaultMemNetConfig())
+	n := topo.Nodes()
+	for i := 0; i < n; i++ {
+		f.SetEndpoint(i, EndpointFunc(func(*Packet, uint64) bool { return true }))
+	}
+	kinds := [...]Kind{UpdateReq, MemReadReq, MemReadResp}
+	rng := uint64(1)
+	b.ResetTimer()
+	for cycle := uint64(0); f.Delivered < uint64(b.N); cycle++ {
+		for src := 0; src < n; src++ {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			if rng&3 != 0 {
+				continue
+			}
+			dst := int(rng>>8) % (n - 1)
+			if dst >= src {
+				dst++
+			}
+			f.Inject(src, NewPacket(kinds[(rng>>32)%3], src, dst), cycle)
+		}
+		f.Tick(cycle)
 	}
 }

@@ -6,50 +6,80 @@ import "testing"
 // on a wire already sits in its next router's input ring.
 func inFlightScan(f *Fabric) int {
 	n := 0
-	for _, r := range f.routers {
-		for i := range r.in {
-			n += r.in[i].len()
-		}
-		for i := range r.inj {
-			n += r.inj[i].len()
+	for i := range f.routers {
+		r := &f.routers[i]
+		for q := 0; q < r.nin; q++ {
+			n += r.q[q].len()
 		}
 	}
 	return n
 }
 
 // checkOccupancy cross-checks the fabric's O(1) occupancy state against a
-// full scan after the fabric has ticked cycle: the InFlight counter, the
-// waiting heads with their nextAt, the head cache and the busy bit. The
-// head cache must hold exactly the arrived heads (an injection head, or a
-// link-input head whose ArriveCycle is not ahead of cycle): an ejectHead
-// bit for each link-input head addressed to this node, and for every other
-// head its route, its downstream VC and its bit in wantQ[route] and routed,
-// in no other wantQ. Empty and waiting queues hold no bit anywhere. eject
-// and forward act on the cache without re-reading the head, so this is the
-// invariant that makes them correct. The busy bit must be set exactly when
-// some head has arrived.
+// full scan after the fabric has ticked cycle.
+//
+//   - The InFlight counter equals the packets in the rings.
+//   - The head cache holds exactly the arrived heads (an injection head, or
+//     a link-input head whose ArriveCycle is not ahead of cycle): an
+//     ejectHead bit for each link-input head addressed to this node, and
+//     for every other head its route, its downstream VC and its bit in
+//     wantQ[route], in no other wantQ. Empty and waiting queues hold no bit
+//     anywhere. eject and forward act on the cache without re-reading the
+//     head, so this is the invariant that makes them correct.
+//   - wantPorts has bit out set exactly when wantQ[out] is nonzero, and the
+//     router's busy bit is set exactly when some head has arrived.
+//   - Each arrival list is in arrival order, due is the earliest arrival
+//     on their heads, and every head still on the wire has an arrival for
+//     its ring position at its ArriveCycle, so the land phase files it;
+//     NextWork is no later than the earliest such arrival, nor than the
+//     next clock edge while a head has arrived.
 func checkOccupancy(t testing.TB, f *Fabric, cycle uint64) {
 	t.Helper()
 	if scan := inFlightScan(f); scan != f.InFlight() || f.Drained() != (scan == 0) {
 		t.Fatalf("cycle %d: InFlight()=%d Drained()=%v, scan=%d", cycle, f.InFlight(), f.Drained(), scan)
 	}
-	for _, r := range f.routers {
-		var wait, eject, routed uint64
-		wantQ := make([]uint64, r.ports)
-		next := ^uint64(0)
-		nlink := r.ports * f.Cfg.VCs
-		for idx := 0; idx < nlink+f.Cfg.VCs; idx++ {
-			q := r.queueAt(idx, f.Cfg.VCs)
+	type slot struct {
+		node, idx int
+		pos       uint32
+	}
+	listed := map[slot]uint64{}
+	due := ^uint64(0)
+	for i := range f.arrivals {
+		l := &f.arrivals[i]
+		for k := 0; k < l.Len(); k++ {
+			a := l.At(k)
+			if k == 0 {
+				due = min(due, a.at)
+			} else if a.at < l.At(k-1).at {
+				t.Fatalf("cycle %d: arrival list %d out of order at entry %d: %d after %d", cycle, i, k, a.at, l.At(k-1).at)
+			}
+			listed[slot{int(a.node), int(a.idx), a.pos}] = a.at
+		}
+	}
+	if due != f.due {
+		t.Fatalf("cycle %d: due %d, earliest listed arrival %d", cycle, f.due, due)
+	}
+	earliest, arrived := ^uint64(0), false
+	for i := range f.routers {
+		r := &f.routers[i]
+		var eject, routed, ports uint64
+		var wantQ [maxPorts]uint64
+		for idx := 0; idx < r.nin; idx++ {
+			q := &r.q[idx]
 			bit := uint64(1) << uint(idx)
 			// headVC means something only for a routed head.
 			out, vc := int8(-1), r.headVC[idx]
 			switch {
 			case q.len() == 0:
-			case idx < nlink && q.peek().ArriveCycle > cycle:
-				wait |= bit
-				next = min(next, q.peek().ArriveCycle)
+			case idx < r.nlink && q.peek().ArriveCycle > cycle:
+				at, ok := listed[slot{r.node, idx, q.head}]
+				if !ok || at != q.peek().ArriveCycle {
+					t.Fatalf("cycle %d node %d queue %d: head on the wire until %d has arrival %d listed %v",
+						cycle, r.node, idx, q.peek().ArriveCycle, at, ok)
+				}
+				earliest = min(earliest, at)
 			case int(q.peek().Dst) == r.node:
-				if idx >= nlink {
+				if idx >= r.nlink {
 					t.Fatalf("cycle %d node %d: injection queue %d holds a self-addressed head", cycle, r.node, idx)
 				}
 				eject |= bit
@@ -58,47 +88,54 @@ func checkOccupancy(t testing.TB, f *Fabric, cycle uint64) {
 				out, vc = r.routeTo[h.Dst], int8(vcBase(h.Kind)+int(r.hopClass[h.Dst]))
 				wantQ[out] |= bit
 				routed |= bit
+				ports |= 1 << uint(out)
 			}
 			if r.headOut[idx] != out || r.headVC[idx] != vc {
 				t.Fatalf("cycle %d node %d queue %d: cached route %d VC %d, head wants %d VC %d",
 					cycle, r.node, idx, r.headOut[idx], r.headVC[idx], out, vc)
 			}
 		}
-		if eject != r.ejectHead || routed != r.routed {
-			t.Fatalf("cycle %d node %d: ejectHead %b routed %b, scan %b and %b",
-				cycle, r.node, r.ejectHead, r.routed, eject, routed)
+		if eject != r.ejectHead || ports != r.wantPorts {
+			t.Fatalf("cycle %d node %d: ejectHead %b wantPorts %b, scan %b and %b",
+				cycle, r.node, r.ejectHead, r.wantPorts, eject, ports)
 		}
-		for out := range wantQ {
-			if wantQ[out] != r.wantQ[out] {
-				t.Fatalf("cycle %d node %d: wantQ[%d] %b, scan %b", cycle, r.node, out, r.wantQ[out], wantQ[out])
-			}
-		}
-		if wait != r.waitMask || next != r.nextAt || (f.waitNodes>>uint(r.node)&1 == 1) != (wait != 0) {
-			t.Fatalf("cycle %d node %d: waitMask %b nextAt %d waitNodes %b, scan %b and %d",
-				cycle, r.node, r.waitMask, r.nextAt, f.waitNodes, wait, next)
+		if wantQ != r.wantQ {
+			t.Fatalf("cycle %d node %d: wantQ %b, scan %b", cycle, r.node, r.wantQ, wantQ)
 		}
 		if busy := f.busyNodes>>uint(r.node)&1 == 1; busy != (eject|routed != 0) {
 			t.Fatalf("cycle %d node %d: busy bit %v, but an arrived head %v", cycle, r.node, busy, eject|routed != 0)
 		}
+		arrived = arrived || eject|routed != 0
+	}
+	// NextWork may ask for a tick that turns out to do nothing, never for
+	// one too late.
+	if arrived {
+		earliest = cycle + 1
+	}
+	if bound := f.alignUp(max(cycle+1, earliest)); earliest != ^uint64(0) && f.NextWork(cycle+1) > bound {
+		t.Fatalf("cycle %d: NextWork(%d) = %d, later than %d", cycle, cycle+1, f.NextWork(cycle+1), bound)
 	}
 }
 
 // TestOccupancyCountersMatchScan floods the fabric with all-pairs traffic
 // and cross-checks the O(1) occupancy state (Drained, InFlight, the head
-// cache and masks the tick phases act on) against a full scan at every
-// cycle. The counters are what both System.done() and the idle-aware
-// scheduler trust, so drift here would silently corrupt simulated timing.
+// cache, masks and arrival lists the tick phases act on) against a full
+// scan at every cycle. The counters are what both System.done() and the
+// idle-aware scheduler trust, so drift here would silently corrupt
+// simulated timing.
 func TestOccupancyCountersMatchScan(t *testing.T) {
 	f, cols := newTestFabric(t)
 	want := 0
+	cycle := uint64(0)
 	for s := 0; s < 16; s++ {
 		for d := 0; d < 16; d++ {
 			if s == d {
 				continue
 			}
 			p := NewPacket(UpdateReq, s, d)
-			for cyc := uint64(0); !f.Inject(s, p, cyc); cyc++ {
-				f.Tick(cyc)
+			for ; !f.Inject(s, p, cycle); cycle++ {
+				f.Tick(cycle)
+				checkOccupancy(t, f, cycle)
 			}
 			want++
 		}
@@ -110,9 +147,9 @@ func TestOccupancyCountersMatchScan(t *testing.T) {
 		}
 		return n
 	}
-	for cyc := uint64(0); total() < want && cyc < 100000; cyc++ {
-		f.Tick(cyc)
-		checkOccupancy(t, f, cyc)
+	for ; total() < want && cycle < 100000; cycle++ {
+		f.Tick(cycle)
+		checkOccupancy(t, f, cycle)
 	}
 	if total() != want {
 		t.Fatalf("delivered %d of %d packets", total(), want)

@@ -91,6 +91,14 @@ func vcBase(k Kind) int {
 	}
 }
 
+// maxQueues bounds a router's input queues (ports*NumVCs link inputs plus
+// NumVCs injection queues): the head cache's masks are single words.
+// maxPorts is the most ports that fit.
+const (
+	maxQueues = 64
+	maxPorts  = maxQueues/NumVCs - 1
+)
+
 type upstream struct {
 	node int
 	port int
@@ -104,104 +112,79 @@ type credRef struct {
 
 // link is a precomputed Topology.Neighbor result for one output port.
 type link struct {
-	peer     int
-	peerPort int
+	peer     int32
+	peerPort int32
 	ok       bool
 }
 
-// router holds one node's queues. A packet sent toward a router goes
-// straight into its input ring, stamped with the cycle it leaves the wire
+// router holds one node's queues in fixed arrays, sized for the largest
+// router NewFabric accepts. A packet sent toward a router goes straight
+// into its input ring, stamped with the cycle it leaves the wire
 // (ArriveCycle): the sender's credit reserved the slot, and each (port, VC)
 // input has one upstream link, which sends one packet at a time, so a ring
 // holds its packets in arrival order.
 type router struct {
-	node     int
-	ports    int
-	in       []packetRing // [port*VCs + vc]
-	inj      []packetRing // [vc]
-	up       []upstream   // [port] upstream node/port, node == -1 if unused
-	credits  []int        // [port*VCs + vc] credits toward downstream input
-	linkBusy []uint64     // [port] output link busy-until (simulator cycles)
-	rrPort   int          // round-robin arbitration state
-
-	// Precomputed topology views (the topology is immutable).
-	links    []link // [port]
-	routeTo  []int8 // [dst] output port, -1 for self
-	hopClass []int8 // [dst]
+	node  int
+	ports int
+	nlink int // link inputs, ports*NumVCs; injection queues follow them
+	nin   int // all inputs, nlink+NumVCs
 
 	// Head cache of the heads that have arrived, the router's only index
-	// of its queues (link inputs at bits [0, ports*VCs), injection queues
-	// at [ports*VCs, ports*VCs+VCs)). updateHead alone maintains it, on
-	// every head change (push to an empty queue, pop, land), so eject and
-	// forward act on it without looking at the head packet again.
-	// headOut[q] is the output port the head routes to (-1 when the queue
-	// is empty, its head ejects here or is still on the wire); headVC[q]
-	// is its downstream VC; ejectHead has bit q set iff the head's
-	// destination is this node (never an injection queue: Inject refuses
-	// self-addressed packets). wantQ[out] has bit q set iff headOut[q] ==
-	// out, and routed is the union of the wantQ masks.
-	headOut   []int8 // [nin]
-	headVC    []int8 // [nin]
+	// of its queues. It changes with every head change: file enters a
+	// head pushed to an empty injection queue or landed from the wire;
+	// ejectQueue and send clear the head they pop, and promote enters the
+	// next one if it has arrived. So eject and forward act on the cache
+	// without looking at the head packet again. headOut[q] is the output port the head routes to (-1 when the
+	// queue is empty, its head ejects here or is still on the wire);
+	// headVC[q] is its downstream VC; ejectHead has bit q set iff the
+	// head's destination is this node (never an injection queue: Inject
+	// refuses self-addressed packets). wantQ[out] has bit q set iff
+	// headOut[q] == out, and wantPorts has bit out set iff wantQ[out] != 0.
+	// The router is busy (its bit in Fabric.busyNodes) iff
+	// ejectHead|wantPorts != 0.
 	ejectHead uint64
-	wantQ     []uint64 // [ports]
-	routed    uint64
+	wantPorts uint64
+	wantQ     [maxPorts]uint64
+	headOut   [maxQueues]int8
+	headVC    [maxQueues]int8
 
-	// waitMask has bit q set iff link input q's head is still on the wire;
-	// nextAt is the earliest ArriveCycle among those heads (sim.Never when
-	// none), when land files it into the head cache.
-	waitMask uint64
-	nextAt   uint64
+	// Precomputed topology views (the topology is immutable), next to the
+	// head cache that filing a head writes from them.
+	routeTo  [64]int8 // [dst] output port, -1 for self
+	hopClass [64]int8 // [dst]
+	links    [maxPorts]link
+	up       [maxPorts]upstream // [port] upstream node/port, node == -1 if unused
+
+	rrPort   int                   // round-robin arbitration state
+	linkBusy [maxPorts]uint64      // [port] output link busy-until (simulator cycles)
+	credits  [maxQueues]int32      // [port*NumVCs + vc] credits toward downstream input
+	q        [maxQueues]packetRing // link inputs [port*NumVCs + vc], then injection queues [nlink + vc]
 }
 
-// queueAt returns input queue idx (link inputs first, then injection).
-func (r *router) queueAt(idx, vcs int) *packetRing {
-	if idx >= r.ports*vcs {
-		return &r.inj[idx-r.ports*vcs]
-	}
-	return &r.in[idx]
+// arrival is one packet on a wire: it leaves the wire into input queue idx
+// of router node at cycle at, at position pos of that queue's ring (the
+// ring's push count when it was pushed).
+type arrival struct {
+	at   uint64
+	pos  uint32
+	node uint8
+	idx  uint8
 }
 
-// updateHead refreshes the head metadata for queue idx at cycle, then the
-// router's busy bit. A link input whose head is still on the wire stays out
-// of the head cache and waits for land; an injection queue's head is always
-// eligible, whatever ArriveCycle its sender left in it.
-func (f *Fabric) updateHead(r *router, idx int, cycle uint64) {
-	bit := uint64(1) << uint(idx)
-	if old := r.headOut[idx]; old >= 0 {
-		r.wantQ[old] &^= bit
-		r.routed &^= bit
-	}
-	r.headOut[idx] = -1
-	r.ejectHead &^= bit
-	if q := r.queueAt(idx, f.Cfg.VCs); q.len() > 0 {
-		h := q.peek()
-		switch {
-		case idx < r.ports*f.Cfg.VCs && h.ArriveCycle > cycle:
-			f.wait(r, idx, h.ArriveCycle)
-		case int(h.Dst) == r.node:
-			r.ejectHead |= bit
-		default:
-			out := r.routeTo[h.Dst]
-			r.headOut[idx] = out
-			r.headVC[idx] = int8(vcBase(h.Kind) + int(r.hopClass[h.Dst]))
-			r.wantQ[out] |= bit
-			r.routed |= bit
-		}
-	}
-	if r.ejectHead|r.routed != 0 {
-		f.busyNodes |= 1 << uint(r.node)
-	} else {
-		f.busyNodes &^= 1 << uint(r.node)
-	}
+// arrivalList holds, in send order, the arrivals of the packets of one
+// serialization class. Every packet of the class takes the same wire
+// delay, and the fabric's cycles only move forward, so send order is
+// arrival order and the list's head is its earliest arrival.
+type arrivalList struct {
+	delay uint64 // wire delay of the class, simulator cycles
+	sim.FIFO[arrival]
 }
 
-// wait parks link input idx, whose head leaves the wire at cycle at.
-func (f *Fabric) wait(r *router, idx int, at uint64) {
-	r.waitMask |= 1 << uint(idx)
-	if at < r.nextAt {
-		r.nextAt = at
-	}
-	f.waitNodes |= 1 << uint(r.node)
+// wireClass is the link timing of one packet size.
+type wireClass struct {
+	busy  uint64 // cycles the packet holds its output link (serialisation)
+	delay uint64 // cycles from send to leaving the wire into the next router
+	list  int    // index into Fabric.arrivals, -1 until the first send
 }
 
 // Fabric is one interconnection network instance: topology + routers +
@@ -211,17 +194,23 @@ type Fabric struct {
 	Topo Topology
 	Cfg  Config
 
-	routers   []*router
+	routers   []router
 	endpoints []Endpoint
 
 	// inflight counts packets inside the fabric, queued or on a wire.
 	inflight int
 
-	// Router-level masks, bit = node id: busyNodes marks routers with an
-	// arrived head in the head cache (ejectHead|routed != 0), waitNodes
-	// routers with a head still on the wire (waitMask != 0).
+	// busyNodes marks routers with an arrived head in the head cache, bit
+	// = node id.
 	busyNodes uint64
-	waitNodes uint64
+
+	// arrivals lists the packets on a wire, one list per serialization
+	// class in use, so the land phase visits only packets that arrive; due
+	// is the earliest arrival on the lists' heads (sim.Never when they are
+	// empty). wire[Size] gives a packet size's link timing and list.
+	arrivals []arrivalList
+	due      uint64
+	wire     [256]wireClass
 
 	// waker invalidates the engine's cached idle hint; Inject is the
 	// fabric's only external entry point.
@@ -237,7 +226,7 @@ type Fabric struct {
 
 	// classMask[c] selects the head-cache queue bits whose VC belongs to
 	// ejection class c (vc/2 == c); shared by all routers since the bit
-	// layout has stride Cfg.VCs.
+	// layout has stride NumVCs.
 	classMask [3]uint64
 
 	// Counters for Fig 5.4 and the energy model.
@@ -258,48 +247,32 @@ func NewFabric(topo Topology, cfg Config) *Fabric {
 		cfg.ClockDiv == 0 || cfg.ClockDiv&(cfg.ClockDiv-1) != 0 {
 		panic("network: invalid fabric config")
 	}
-	f := &Fabric{Topo: topo, Cfg: cfg, clockMask: cfg.ClockDiv - 1}
+	f := &Fabric{Topo: topo, Cfg: cfg, clockMask: cfg.ClockDiv - 1, due: sim.Never}
 	n := topo.Nodes()
 	if n > 64 {
 		panic(fmt.Sprintf("network: %d nodes exceed the 64-bit occupancy masks", n))
 	}
-	f.routers = make([]*router, n)
+	f.routers = make([]router, n)
 	f.endpoints = make([]Endpoint, n)
 	for i := 0; i < n; i++ {
 		ports := topo.Ports(i)
-		if ports*cfg.VCs+cfg.VCs > 64 {
-			panic(fmt.Sprintf("network: node %d has %d input queues, over the 64-bit occupancy mask", i, ports*cfg.VCs+cfg.VCs))
+		if ports > maxPorts {
+			panic(fmt.Sprintf("network: node %d has %d input queues, over the 64-bit occupancy mask", i, ports*NumVCs+NumVCs))
 		}
-		r := &router{
-			node:     i,
-			ports:    ports,
-			in:       make([]packetRing, ports*cfg.VCs),
-			inj:      make([]packetRing, cfg.VCs),
-			up:       make([]upstream, ports),
-			credits:  make([]int, ports*cfg.VCs),
-			linkBusy: make([]uint64, ports),
-			nextAt:   sim.Never,
-			links:    make([]link, ports),
-			routeTo:  make([]int8, n),
-			hopClass: make([]int8, n),
-		}
-		for q := range r.in {
-			r.in[q] = newPacketRing(cfg.QueueDepth)
-		}
-		for q := range r.inj {
-			r.inj[q] = newPacketRing(cfg.InjDepth)
-		}
-		nin := ports*cfg.VCs + cfg.VCs
-		r.headOut = make([]int8, nin)
-		r.headVC = make([]int8, nin)
-		r.wantQ = make([]uint64, ports)
-		for q := 0; q < nin; q++ {
+		r := &f.routers[i]
+		r.node, r.ports, r.nlink, r.nin = i, ports, ports*NumVCs, (ports+1)*NumVCs
+		for q := 0; q < r.nin; q++ {
+			depth := cfg.QueueDepth
+			if q >= r.nlink {
+				depth = cfg.InjDepth
+			}
+			r.q[q] = newPacketRing(depth)
 			r.headOut[q] = -1
 		}
 		for p := 0; p < ports; p++ {
 			r.up[p] = upstream{node: -1}
 			peer, peerPort, ok := topo.Neighbor(i, p)
-			r.links[p] = link{peer: peer, peerPort: peerPort, ok: ok}
+			r.links[p] = link{peer: int32(peer), peerPort: int32(peerPort), ok: ok}
 		}
 		for dst := 0; dst < n; dst++ {
 			if dst == i {
@@ -313,26 +286,33 @@ func NewFabric(topo Topology, cfg Config) *Fabric {
 			r.routeTo[dst] = int8(out)
 			r.hopClass[dst] = int8(topo.HopClass(i, dst))
 		}
-		f.routers[i] = r
 	}
 	for c := 0; c < 3; c++ {
 		for idx := 0; idx < 64; idx++ {
-			if (idx%cfg.VCs)/2 == c {
+			if (idx%NumVCs)/2 == c {
 				f.classMask[c] |= 1 << uint(idx)
 			}
 		}
 	}
+	for size := range f.wire {
+		ser := uint64((size + cfg.LinkBandwidth - 1) / cfg.LinkBandwidth)
+		f.wire[size] = wireClass{
+			busy:  ser * cfg.ClockDiv,
+			delay: (ser + cfg.LinkLatency + cfg.RouterDelay) * cfg.ClockDiv,
+			list:  -1,
+		}
+	}
 	// Wire credits and upstream pointers.
-	for i := 0; i < n; i++ {
-		r := f.routers[i]
+	for i := range f.routers {
+		r := &f.routers[i]
 		for p := 0; p < r.ports; p++ {
 			l := r.links[p]
 			if !l.ok {
 				continue
 			}
 			f.routers[l.peer].up[l.peerPort] = upstream{node: i, port: p}
-			for vc := 0; vc < cfg.VCs; vc++ {
-				r.credits[p*cfg.VCs+vc] = cfg.QueueDepth
+			for vc := 0; vc < NumVCs; vc++ {
+				r.credits[p*NumVCs+vc] = int32(cfg.QueueDepth)
 			}
 		}
 	}
@@ -356,18 +336,19 @@ func (f *Fabric) Inject(n int, p Packet, cycle uint64) bool {
 	if int(p.Dst) == n {
 		panic("network: inject to self; deliver locally instead")
 	}
-	r := f.routers[n]
-	vc := vcBase(p.Kind)
-	if r.inj[vc].len() >= f.Cfg.InjDepth {
+	r := &f.routers[n]
+	idx := r.nlink + vcBase(p.Kind)
+	q := &r.q[idx]
+	if q.len() >= f.Cfg.InjDepth {
 		return false
 	}
 	p.Src = uint8(n)
 	if p.InjectCycle == 0 {
 		p.InjectCycle = cycle
 	}
-	r.inj[vc].push(&p)
-	if r.inj[vc].len() == 1 {
-		f.updateHead(r, r.ports*f.Cfg.VCs+vc, cycle)
+	q.push(&p)
+	if q.len() == 1 {
+		f.file(r, idx, q.peek())
 	}
 	f.waker.Wake()
 	f.inflight++
@@ -389,6 +370,46 @@ func (f *Fabric) account(p *Packet) {
 	}
 }
 
+// file enters h, the arrived head of queue idx, into r's head cache,
+// marking the router busy if it was idle.
+func (f *Fabric) file(r *router, idx int, h *Packet) {
+	if r.ejectHead|r.wantPorts == 0 {
+		f.busyNodes |= 1 << uint(r.node)
+	}
+	r.cache(idx, h)
+}
+
+// cache records h, the arrived head of queue idx, in the head cache: an
+// ejectHead bit, or its route, downstream VC and wantQ bit.
+func (r *router) cache(idx int, h *Packet) {
+	bit := uint64(1) << uint(idx)
+	if int(h.Dst) == r.node {
+		r.ejectHead |= bit
+		return
+	}
+	out := r.routeTo[h.Dst]
+	r.headOut[idx] = out
+	r.headVC[idx] = int8(vcBase(h.Kind) + int(r.hopClass[h.Dst]))
+	r.wantQ[out] |= bit
+	r.wantPorts |= 1 << uint(out)
+}
+
+// promote runs after queue idx's cached head was popped and its cache
+// entry cleared: the new head, if it has arrived by cycle, takes the
+// entry; a link input's head still on the wire waits for its arrival to
+// be landed (land). The busy bit is cleared when nothing cached remains.
+func (f *Fabric) promote(r *router, idx int, cycle uint64) {
+	if q := &r.q[idx]; q.len() > 0 {
+		if h := q.peek(); idx >= r.nlink || h.ArriveCycle <= cycle {
+			r.cache(idx, h)
+			return
+		}
+	}
+	if r.ejectHead|r.wantPorts == 0 {
+		f.busyNodes &^= 1 << uint(r.node)
+	}
+}
+
 // Drained reports whether no packets remain anywhere in the fabric (a
 // counter read).
 func (f *Fabric) Drained() bool { return f.inflight == 0 }
@@ -397,22 +418,18 @@ func (f *Fabric) Drained() bool { return f.inflight == 0 }
 func (f *Fabric) InFlight() int { return f.inflight }
 
 // NextWork implements sim.Component: the next clock edge while some router
-// has an arrived head, otherwise the earliest cycle a head leaves the wire
-// (sim.Never when the fabric is empty).
+// has an arrived head, otherwise the earliest arrival on the lists' heads
+// (sim.Never when no packet is on a wire). An arrival whose packet waits
+// behind an earlier one can make the answer early; the tick it asks for
+// then does nothing but drop it.
 func (f *Fabric) NextWork(now uint64) uint64 {
 	if f.busyNodes != 0 {
 		return f.alignUp(now)
 	}
-	next := sim.Never
-	for m := f.waitNodes; m != 0; {
-		node := bits.TrailingZeros64(m)
-		m &= m - 1
-		next = min(next, f.routers[node].nextAt)
-	}
-	if next == sim.Never {
+	if f.due == sim.Never {
 		return sim.Never
 	}
-	return f.alignUp(max(now, next))
+	return f.alignUp(max(now, f.due))
 }
 
 // alignUp rounds c up to the next network clock edge.
@@ -444,56 +461,49 @@ func (f *Fabric) Tick(cycle uint64) {
 	if f.inflight == 0 {
 		return
 	}
-	// Phase 1: land — file heads that left the wire by now into the head
-	// cache. Only routers with a waiting head are visited, and those whose
-	// earliest one is still on the wire return at once.
-	for m := f.waitNodes; m != 0; {
-		node := bits.TrailingZeros64(m)
-		m &= m - 1
-		f.land(f.routers[node], cycle)
+	// Phase 1: land — file the heads that left the wire by now into the
+	// head cache. Only due arrivals are visited. An arrival whose packet is
+	// not its queue's head is dropped: that packet is filed when it becomes
+	// the head (promote), since it has arrived by then.
+	if f.due <= cycle {
+		f.land(cycle)
 	}
 	// Phase 2: ejection — deliver packets that reached their destination.
 	// Ejection handlers may synchronously inject new packets (marking more
 	// routers busy), but injection never adds an ejectable head, so the
 	// snapshot covers every router with ejectable state.
-	for m := f.busyNodes; m != 0; {
-		node := bits.TrailingZeros64(m)
-		m &= m - 1
-		if r := f.routers[node]; r.ejectHead != 0 {
+	for m := f.busyNodes; m != 0; m &= m - 1 {
+		if r := &f.routers[bits.TrailingZeros64(m)]; r.ejectHead != 0 {
 			f.eject(r, cycle)
 		}
 	}
 	// Phase 3: switch allocation and forwarding (a forwarded packet is
 	// still on the wire, so it adds no head to the snapshot).
-	for m := f.busyNodes; m != 0; {
-		node := bits.TrailingZeros64(m)
-		m &= m - 1
-		if r := f.routers[node]; r.routed != 0 {
+	for m := f.busyNodes; m != 0; m &= m - 1 {
+		if r := &f.routers[bits.TrailingZeros64(m)]; r.wantPorts != 0 {
 			f.forward(r, cycle)
 		}
 	}
 }
 
-// land files the waiting heads of r that have left the wire by cycle into
-// the head cache and recomputes nextAt from the heads still waiting.
-func (f *Fabric) land(r *router, cycle uint64) {
-	if r.nextAt > cycle {
-		return
-	}
-	next := sim.Never
-	for m := r.waitMask; m != 0; {
-		idx := bits.TrailingZeros64(m)
-		m &= m - 1
-		if at := r.in[idx].peek().ArriveCycle; at > cycle {
-			next = min(next, at)
-			continue
+// land pops every due arrival and files the heads among them, then
+// recomputes due.
+//
+//ar:hotpath
+func (f *Fabric) land(cycle uint64) {
+	f.due = sim.Never
+	for i := range f.arrivals {
+		for l := &f.arrivals[i]; !l.Empty(); l.Pop() {
+			a := l.PtrAt(0)
+			if a.at > cycle {
+				f.due = min(f.due, a.at)
+				break
+			}
+			r := &f.routers[a.node]
+			if q := &r.q[a.idx]; q.head == a.pos {
+				f.file(r, int(a.idx), q.peek())
+			}
 		}
-		r.waitMask &^= 1 << uint(idx)
-		f.updateHead(r, idx, cycle)
-	}
-	r.nextAt = next
-	if r.waitMask == 0 {
-		f.waitNodes &^= 1 << uint(r.node)
 	}
 }
 
@@ -523,7 +533,7 @@ func (f *Fabric) eject(r *router, cycle uint64) {
 //
 //ar:hotpath
 func (f *Fabric) ejectQueue(r *router, ep Endpoint, idx int, cycle uint64) {
-	q := &r.in[idx]
+	q := &r.q[idx]
 	p := q.peek()
 	if ep == nil {
 		panic(fmt.Sprintf("network: packet %s for node %d with no endpoint", p.Kind, r.node))
@@ -534,36 +544,40 @@ func (f *Fabric) ejectQueue(r *router, ep Endpoint, idx int, cycle uint64) {
 	}
 	q.pop()
 	f.inflight--
-	f.updateHead(r, idx, cycle)
-	f.returnCredit(r, idx/f.Cfg.VCs, idx%f.Cfg.VCs)
+	r.ejectHead &^= 1 << uint(idx)
+	f.promote(r, idx, cycle)
+	f.returnCredit(r, idx/NumVCs, idx%NumVCs)
 	f.Delivered++
 }
 
 // forward performs output-port arbitration: for every output port send one
 // head that routes to it and whose cached VC has a credit, round-robin over
-// the inputs (link inputs, then injection queues) starting at rrPort.
+// the inputs (link inputs, then injection queues) starting at rrPort. The
+// ports are visited in order through wantPorts, re-read after each port
+// because a send can promote a new head wanting a later port this same
+// cycle.
 //
 //ar:hotpath
 func (f *Fabric) forward(r *router, cycle uint64) {
-	nin := r.ports*f.Cfg.VCs + f.Cfg.VCs // link inputs + injection queues
-	for out := 0; out < r.ports; out++ {
-		// wantQ is read per port because a send can promote a new head
-		// wanting a later port this same cycle.
-		want := r.wantQ[out]
-		if want == 0 || r.linkBusy[out] > cycle {
+	var done uint64 // ports visited: every bit at or below the last one
+	for {
+		m := r.wantPorts &^ done
+		if m == 0 {
+			return
+		}
+		out := bits.TrailingZeros64(m)
+		done = 2<<uint(out) - 1
+		if r.linkBusy[out] > cycle {
 			continue
 		}
-		// Visit the wanting queues in (rrPort + k) % nin order: the bits at
-		// and above rrPort first, then the wrapped-around low bits.
-		high := want & (^uint64(0) << uint(r.rrPort))
-	scan:
-		for _, m := range [2]uint64{high, want &^ high} {
-			for ; m != 0; m &= m - 1 {
-				idx := bits.TrailingZeros64(m)
-				if r.credits[out*f.Cfg.VCs+int(r.headVC[idx])] > 0 {
-					f.send(r, out, idx, cycle, nin)
-					break scan
-				}
+		// Visit the wanting queues in (rrPort + k) % nin order: rotated
+		// right by rrPort, the bits at and above rrPort come first, then
+		// the wrapped-around low bits (no bit lies at or above nin).
+		for qs := bits.RotateLeft64(r.wantQ[out], -r.rrPort); qs != 0; qs &= qs - 1 {
+			idx := (bits.TrailingZeros64(qs) + r.rrPort) & (maxQueues - 1)
+			if r.credits[out*NumVCs+int(r.headVC[idx])] > 0 {
+				f.send(r, out, idx, cycle)
+				break
 			}
 		}
 	}
@@ -572,32 +586,52 @@ func (f *Fabric) forward(r *router, cycle uint64) {
 // send transmits the head of input queue idx through output port out on its
 // cached downstream VC, which forward found a credit for: stamp the cycle
 // the packet leaves the wire, copy it into the peer's input ring (the credit
-// reserved the slot), then pop it.
+// reserved the slot) and list its arrival, then pop it.
 //
 //ar:hotpath
-func (f *Fabric) send(r *router, out, idx int, cycle uint64, nin int) {
-	q := r.queueAt(idx, f.Cfg.VCs)
+func (f *Fabric) send(r *router, out, idx int, cycle uint64) {
+	q := &r.q[idx]
 	p := q.peek()
 	vc := int(r.headVC[idx])
-	ser := uint64((int(p.Size) + f.Cfg.LinkBandwidth - 1) / f.Cfg.LinkBandwidth)
-	p.ArriveCycle = cycle + (ser+f.Cfg.LinkLatency+f.Cfg.RouterDelay)*f.Cfg.ClockDiv
+	w := &f.wire[p.Size]
+	p.ArriveCycle = cycle + w.delay
 	l := r.links[out]
-	peer := f.routers[l.peer]
-	pidx := l.peerPort*f.Cfg.VCs + vc
-	in := &peer.in[pidx]
+	pidx := int(l.peerPort)*NumVCs + vc
+	in := &f.routers[l.peer].q[pidx]
+	if w.list < 0 {
+		w.list = f.arrivalList(w.delay)
+	}
+	f.arrivals[w.list].Push(arrival{at: p.ArriveCycle, pos: in.tail, node: uint8(l.peer), idx: uint8(pidx)})
+	f.due = min(f.due, p.ArriveCycle)
 	in.push(p)
-	if in.len() == 1 {
-		f.wait(peer, pidx, p.ArriveCycle)
-	}
 	f.HopBytes += uint64(p.Size)
-	r.linkBusy[out] = cycle + ser*f.Cfg.ClockDiv
+	r.linkBusy[out] = cycle + w.busy
 	q.pop()
-	f.updateHead(r, idx, cycle)
-	if idx < r.ports*f.Cfg.VCs {
-		f.returnCredit(r, idx/f.Cfg.VCs, idx%f.Cfg.VCs)
+	bit := uint64(1) << uint(idx)
+	r.headOut[idx] = -1
+	if r.wantQ[out] &^= bit; r.wantQ[out] == 0 {
+		r.wantPorts &^= 1 << uint(out)
 	}
-	r.credits[out*f.Cfg.VCs+vc]--
-	r.rrPort = (idx + 1) % nin
+	f.promote(r, idx, cycle)
+	if idx < r.nlink {
+		f.returnCredit(r, idx/NumVCs, idx%NumVCs)
+	}
+	r.credits[out*NumVCs+vc]--
+	r.rrPort = (idx + 1) % r.nin
+}
+
+// arrivalList returns the index of the arrival list for wire delay delay,
+// adding the list on the first send of its class. Packet sizes that
+// serialize in the same number of cycles share a list, so there are at
+// most as many lists as distinct sizes sent.
+func (f *Fabric) arrivalList(delay uint64) int {
+	for i := range f.arrivals {
+		if f.arrivals[i].delay == delay {
+			return i
+		}
+	}
+	f.arrivals = append(f.arrivals, arrivalList{delay: delay}) //ar:exempt(hotpath) one list per serialization class, added on its first send
+	return len(f.arrivals) - 1
 }
 
 // returnCredit gives a buffer slot back to the upstream router feeding
@@ -610,5 +644,5 @@ func (f *Fabric) returnCredit(r *router, port, vc int) {
 	if up.node < 0 {
 		return
 	}
-	f.pendingCredits = append(f.pendingCredits, credRef{node: int32(up.node), idx: int32(up.port*f.Cfg.VCs + vc)}) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
+	f.pendingCredits = append(f.pendingCredits, credRef{node: int32(up.node), idx: int32(up.port*NumVCs + vc)}) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
 }

@@ -6,7 +6,7 @@ import (
 
 // Checkpoint support. A fabric snapshots only when fully drained
 // (Drained), so every ring is empty (a packet on a wire already sits in
-// its next router's input ring), the head cache and the wait masks are
+// its next router's input ring), the head cache and the arrival lists are
 // clear, and the surviving state is per-router arbitration/link-timing
 // state plus the accounting counters.
 //
@@ -24,21 +24,22 @@ func (f *Fabric) State(s *sim.Stream) {
 	if !s.Match(len(f.routers), "fabric router count") || !s.Match(f.Cfg.VCs, "fabric VC count") {
 		return
 	}
-	for node, r := range f.routers {
+	for node := range f.routers {
+		r := &f.routers[node]
 		p := r.ports
 		if s.Int(&p); s.Err() == nil && p != r.ports {
 			s.Fail("fabric node %d port count mismatch: snapshot %d, machine %d", r.node, p, r.ports)
 			return
 		}
-		if s.Int(&r.rrPort); r.rrPort < 0 || r.rrPort >= r.ports*f.Cfg.VCs+f.Cfg.VCs {
+		if s.Int(&r.rrPort); r.rrPort < 0 || r.rrPort >= r.nin {
 			s.Fail("fabric node %d rrPort %d out of range", r.node, r.rrPort)
 			return
 		}
-		for p := range r.linkBusy {
+		for p := range r.linkBusy[:r.ports] {
 			s.U64(&r.linkBusy[p])
 		}
-		for i := range r.credits {
-			cr := r.credits[i]
+		for i := range r.credits[:r.nlink] {
+			cr := int(r.credits[i])
 			for _, c := range f.pendingCredits {
 				if int(c.node) == node && int(c.idx) == i {
 					cr++ // a deferred return; a fresh fabric has none
@@ -48,7 +49,7 @@ func (f *Fabric) State(s *sim.Stream) {
 				s.Fail("fabric node %d credit %d out of range [0,%d]", r.node, cr, f.Cfg.QueueDepth)
 				return
 			} else if s.Decoding() {
-				r.credits[i] = cr
+				r.credits[i] = int32(cr)
 			}
 		}
 	}
