@@ -31,8 +31,8 @@ func inFlightScan(f *Fabric) int {
 //   - Each arrival list is in arrival order, due is the earliest arrival
 //     on their heads, and every head still on the wire has an arrival for
 //     its ring position at its ArriveCycle, so the land phase files it;
-//     NextWork is no later than the earliest such arrival, nor than the
-//     next clock edge while a head has arrived.
+//     NextWork is the next clock edge while a head has arrived, else the
+//     earliest such arrival.
 func checkOccupancy(t testing.TB, f *Fabric, cycle uint64) {
 	t.Helper()
 	if scan := inFlightScan(f); scan != f.InFlight() || f.Drained() != (scan == 0) {
@@ -107,13 +107,19 @@ func checkOccupancy(t testing.TB, f *Fabric, cycle uint64) {
 		}
 		arrived = arrived || eject|routed != 0
 	}
-	// NextWork may ask for a tick that turns out to do nothing, never for
-	// one too late.
-	if arrived {
-		earliest = cycle + 1
+	// NextWork asks for the next clock edge while a head has arrived, else
+	// for the earliest waiting head's arrival. An arrival dropped behind its
+	// queue's head never comes first, as that head leaves the wire before
+	// it, so no tick is asked for that would do nothing.
+	want := ^uint64(0)
+	switch {
+	case arrived:
+		want = f.alignUp(cycle + 1)
+	case earliest != ^uint64(0):
+		want = f.alignUp(max(cycle+1, earliest))
 	}
-	if bound := f.alignUp(max(cycle+1, earliest)); earliest != ^uint64(0) && f.NextWork(cycle+1) > bound {
-		t.Fatalf("cycle %d: NextWork(%d) = %d, later than %d", cycle, cycle+1, f.NextWork(cycle+1), bound)
+	if got := f.NextWork(cycle + 1); got != want {
+		t.Fatalf("cycle %d: NextWork(%d) = %d, want %d", cycle, cycle+1, got, want)
 	}
 }
 

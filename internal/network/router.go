@@ -134,14 +134,14 @@ type router struct {
 	// head pushed to an empty injection queue or landed from the wire;
 	// ejectQueue and send clear the head they pop, and promote enters the
 	// next one if it has arrived. So eject and forward act on the cache
-	// without looking at the head packet again. headOut[q] is the output port the head routes to (-1 when the
-	// queue is empty, its head ejects here or is still on the wire);
-	// headVC[q] is its downstream VC; ejectHead has bit q set iff the
-	// head's destination is this node (never an injection queue: Inject
-	// refuses self-addressed packets). wantQ[out] has bit q set iff
-	// headOut[q] == out, and wantPorts has bit out set iff wantQ[out] != 0.
-	// The router is busy (its bit in Fabric.busyNodes) iff
-	// ejectHead|wantPorts != 0.
+	// without looking at the head packet again. headOut[q] is the output
+	// port the head routes to (-1 when the queue is empty, its head ejects
+	// here or is still on the wire); headVC[q] is its downstream VC;
+	// ejectHead has bit q set iff the head's destination is this node
+	// (never an injection queue: Inject refuses self-addressed packets).
+	// wantQ[out] has bit q set iff headOut[q] == out, and wantPorts has
+	// bit out set iff wantQ[out] != 0. The router is busy (its bit in
+	// Fabric.busyNodes) iff ejectHead|wantPorts != 0.
 	ejectHead uint64
 	wantPorts uint64
 	wantQ     [maxPorts]uint64
@@ -419,9 +419,8 @@ func (f *Fabric) InFlight() int { return f.inflight }
 
 // NextWork implements sim.Component: the next clock edge while some router
 // has an arrived head, otherwise the earliest arrival on the lists' heads
-// (sim.Never when no packet is on a wire). An arrival whose packet waits
-// behind an earlier one can make the answer early; the tick it asks for
-// then does nothing but drop it.
+// (sim.Never when no packet is on a wire). That arrival is a waiting
+// head's: a packet queued behind a head leaves the wire after it.
 func (f *Fabric) NextWork(now uint64) uint64 {
 	if f.busyNodes != 0 {
 		return f.alignUp(now)
